@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import props as props_mod
-from .config import load_config, write_csv
+from .config import format_cell, load_config, write_csv
 from .errors import (
     ConstructionFailed,
     DualgradError,
@@ -68,8 +68,6 @@ def _emit(cfg, header, rows) -> None:
     else:
         print(",".join(header))
         for row in rows:
-            from .config import format_cell
-
             print(",".join(format_cell(v) for v in row))
 
 

@@ -33,10 +33,11 @@ def _coerce(name: str, raw: str):
     kind = _FIELDS[name]
     kind = getattr(kind, "__name__", kind)
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    if kind in ("int", "float"):
+        try:
+            return int(raw) if kind == "int" else float(raw)
+        except ValueError:
+            raise InvalidConfig(f"cannot read {raw!r} as {kind} for {name}") from None
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -78,7 +79,10 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
         values.update(file_values)
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "seed" not in values and "DUALGRAD_SEED" in os.environ:
-        values["seed"] = int(os.environ["DUALGRAD_SEED"])
+        try:
+            values["seed"] = int(os.environ["DUALGRAD_SEED"])
+        except ValueError:
+            raise InvalidConfig("DUALGRAD_SEED must be an integer") from None
     cfg = ExperimentConfig(**values)
     if cfg.feature_dim % 2 or cfg.feature_dim < 2:
         raise InvalidConfig("D (feature_dim) must be even and >= 2")
@@ -88,7 +92,8 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
         raise InvalidConfig("dims and sizes must be positive")
     if cfg.mode not in ("exact", "kernel"):
         raise InvalidConfig(f"mode must be exact|kernel, got {cfg.mode!r}")
-    if not (cfg.schedule == "per-token" or cfg.schedule.startswith("fractional:")):
+    prefix, _, passes = cfg.schedule.partition(":")
+    if cfg.schedule != "per-token" and not (prefix == "fractional" and passes.isdecimal()):
         raise InvalidConfig(f"schedule must be per-token|fractional:<S>, got {cfg.schedule!r}")
     return cfg
 

@@ -27,7 +27,6 @@ from .transformer import (
     LayerStack,
     _kernel_parts,
     freeze_sigma_diag,
-    gqa_head_parts,
     stack_trace,
 )
 
@@ -231,7 +230,7 @@ def build_dual_gqa(
     """Blockwise duals, one per query head; concatenated forwards equal GQA."""
     duals = []
     for s in range(cfg.heads):
-        values, feat_keys, feat_q, c = gqa_head_parts(params, cfg, fmap, seq, query_pos, s)
+        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
         task, demo = _demo_columns(seq, query_pos, include_per=False)
         mix = cfg.mix(s)
         duals.append(

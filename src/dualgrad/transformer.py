@@ -4,6 +4,11 @@ Masked softmax attention with rotary positions, its random-feature
 approximation, a frozen-activation FFN, multi-layer stacking through
 connection matrices, grouped-query attention, and greedy decoding.
 
+Rotary positions are applied elementwise to all columns at once, in the
+x*cos + rotate_half(x)*sin form of RoFormer (Su et al. 2021), where
+rotate_half maps each coordinate pair (a, b) to (-b, a); the dense matrix
+``rope`` is kept as the reference that tests compare against.
+
 Conventions:
   * positions are 1-based; the query at position p attends to the p-1
     strictly preceding tokens (the query token itself is excluded),
@@ -157,6 +162,11 @@ class GqaParams:
     w_v: np.ndarray  # (g, head_dim, d_i)
     rope_base: float = 10000.0
 
+    def head(self, cfg: GqaConfig, s: int) -> AttentionParams:
+        """Plain attention parameters of query head s and the group serving it."""
+        grp = cfg.group_of(s)
+        return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp], self.rope_base)
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -185,6 +195,8 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     """Block-diagonal rotation matrix R_position; identity at position 0.
 
     Odd d_o leaves the final coordinate fixed.  Satisfies R_m' R_n = R_{n-m}.
+    This dense form is the reference only: the attention code rotates
+    elementwise through ``_rotate``.
     """
     if position < 0:
         raise InvalidParameter("position must be non-negative")
@@ -205,6 +217,19 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     return out
 
 
+def _rotate(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
+    """Columnwise rope(positions[i], d) @ x[:, i] for x of shape (d, n), elementwise."""
+    d = x.shape[0]
+    half = d // 2
+    angles = np.outer(base ** (-2.0 * np.arange(half) / d), positions)
+    c, s = np.cos(angles), np.sin(angles)
+    even, odd = x[0 : 2 * half : 2], x[1 : 2 * half : 2]
+    out = x.copy()
+    out[0 : 2 * half : 2] = c * even - s * odd
+    out[1 : 2 * half : 2] = s * even + c * odd
+    return out
+
+
 # ---------------------------------------------------------------------------
 # attention
 
@@ -216,13 +241,10 @@ def _check_pos(seq: SegmentedSequence, query_pos: int) -> None:
 
 def _qkv(params: AttentionParams, seq: SegmentedSequence, query_pos: int):
     """Rotated keys / plain values for positions < query_pos, rotated query at query_pos."""
-    x = seq.tokens
-    keys = np.empty((params.d_o, query_pos - 1))
-    for i in range(query_pos - 1):
-        keys[:, i] = rope(i + 1, params.d_o, params.rope_base) @ (params.w_k @ x[i])
-    values = params.w_v @ x[: query_pos - 1].T
-    q = rope(query_pos, params.d_o, params.rope_base) @ (params.w_q @ x[query_pos - 1])
-    return keys, values, q
+    context = seq.tokens[: query_pos - 1].T
+    keys = _rotate(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
+    q = params.w_q @ seq.tokens[query_pos - 1]
+    return keys, params.w_v @ context, _rotate(q[:, None], [query_pos], params.rope_base)[:, 0]
 
 
 def exact_attention(
@@ -282,16 +304,8 @@ def split_attention(
     """Kernel attention split into task-side and demonstration-side parts."""
     values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
     weights = c * (feat_keys.T @ feat_q)
-    d_o = params.d_o
-    h_t = np.zeros(d_o)
-    h_d = np.zeros(d_o)
-    for i in range(query_pos - 1):
-        part = weights[i] * values[:, i]
-        if seq.tags[i] in (Tag.T_INSTR, Tag.T_LEAD):
-            h_t += part
-        else:
-            h_d += part
-    return h_t, h_d
+    task = np.isin(np.arange(query_pos - 1), seq.idx_task)
+    return values @ (weights * task), values @ (weights * ~task)
 
 
 def _attention_or_zero(
@@ -379,34 +393,6 @@ def stack_forward(
 # grouped-query attention
 
 
-def gqa_head_parts(
-    params: GqaParams,
-    cfg: GqaConfig,
-    fmap: FourierFeatureMap,
-    seq: SegmentedSequence,
-    query_pos: int,
-    head: int,
-):
-    """Kernel pieces for one query head (values, feat_keys, feat_q, c)."""
-    hd = cfg.head_dim
-    if fmap.input_dim != hd:
-        raise InvalidDimension("feature map input_dim must equal head_dim")
-    grp = cfg.group_of(head)
-    x = seq.tokens
-    keys = np.empty((hd, query_pos - 1))
-    for i in range(query_pos - 1):
-        keys[:, i] = rope(i + 1, hd, params.rope_base) @ (params.w_k[grp] @ x[i])
-    values = params.w_v[grp] @ x[: query_pos - 1].T
-    q = rope(query_pos, hd, params.rope_base) @ (params.w_q[head] @ x[query_pos - 1])
-    scale = hd**0.25
-    feat_keys = phi_matrix(fmap, keys / scale)
-    feat_q = phi(fmap, q / scale)
-    denom = float(np.sum(feat_keys.T @ feat_q))
-    if abs(denom) < DEGENERATE_EPS:
-        raise NormalizationDegenerate(f"head {head}: denominator {denom:.3e}")
-    return values, feat_keys, feat_q, 1.0 / denom
-
-
 def gqa_attention(
     params: GqaParams,
     cfg: GqaConfig,
@@ -415,10 +401,9 @@ def gqa_attention(
     query_pos: int,
 ) -> np.ndarray:
     """Concatenation of per-head block outputs W_concat^(s) c^(s) V phi(K)' phi(q)."""
-    _check_pos(seq, query_pos)
     blocks = []
     for s in range(cfg.heads):
-        values, feat_keys, feat_q, c = gqa_head_parts(params, cfg, fmap, seq, query_pos, s)
+        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
         blocks.append(cfg.mix(s) @ (c * values @ (feat_keys.T @ feat_q)))
     return np.concatenate(blocks)
 
@@ -427,22 +412,25 @@ def gqa_attention(
 # decoding and generation
 
 
+def _candidate_ids(mask) -> np.ndarray:
+    """Ascending ids from a set or other iterable of ids, or from an int array."""
+    return np.sort(np.asarray(mask if isinstance(mask, np.ndarray) else list(mask), dtype=np.intp))
+
+
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
-    """Greedy argmax of dot(h, output embedding); ties go to the smallest id."""
-    if mask is not None:
-        ids = sorted(int(v) for v in mask)
-        if not ids:
-            raise EmptyCandidateSet("candidate mask is empty")
-    else:
-        ids = range(vocab.size)
-    best_id, best_score = -1, -np.inf
-    for v in ids:
-        score = float(vocab.output_embeddings[v] @ h)
-        if score > best_score:
-            best_id, best_score = v, score
-    if best_id < 0:
-        raise EmptyCandidateSet("vocabulary is empty")
-    return best_id
+    """Greedy argmax of dot(h, output embedding); ties go to the smallest id.
+
+    ``mask`` is any iterable of candidate ids (a set, or an int array).
+    """
+    if mask is None:
+        if not vocab.size:
+            raise EmptyCandidateSet("vocabulary is empty")
+        return int(np.argmax(vocab.output_embeddings @ h))
+    ids = _candidate_ids(mask)
+    if not ids.size:
+        raise EmptyCandidateSet("candidate mask is empty")
+    # argmax returns the first maximum, which over ascending ids is the smallest id
+    return int(ids[np.argmax(vocab.output_embeddings[ids] @ h)])
 
 
 @dataclass(frozen=True)
@@ -469,7 +457,10 @@ def generate(
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
-    remaining = set(range(vocab.size)) if mask is None else {int(v) for v in mask}
+    if mask is not None:
+        remaining = _candidate_ids(mask)
+    else:
+        remaining = np.arange(vocab.size) if exclude_emitted else None
     ids, hiddens, positions = [], [], []
     for _ in range(steps):
         pos = len(seq)
@@ -479,8 +470,8 @@ def generate(
         hiddens.append(h)
         positions.append(pos)
         if exclude_emitted:
-            remaining.discard(tok)
-            if not remaining:
+            remaining = remaining[remaining != tok]
+            if not remaining.size:
                 break
         seq = seq.append(vocab.input_embeddings[tok], Tag.T_LEAD)
     return GenerationTrace(tuple(ids), tuple(hiddens), tuple(positions), seq)

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dualgrad
 from dualgrad.cli import main
 from dualgrad.config import format_cell, load_config, parse_config_text, write_csv
 from dualgrad.errors import InvalidConfig, IoError, ParseError
@@ -148,6 +151,29 @@ def test_unwritable_out_exits_3(tmp_path):
 
 def test_missing_config_file_exits_3(tmp_path):
     assert main(["equiv", "--config", str(tmp_path / "nope.cfg")]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["equiv", "--config", "bad.cfg"], {}, 2),  # bad.cfg holds d_i = x
+        (["equiv"], {"DUALGRAD_SEED": "abc"}, 2),
+        (["equiv", "--schedule", "fractional:abc"], {}, 2),
+        (["plot", "missing.csv"], {}, 3),
+    ],
+)
+def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
+    (tmp_path / "bad.cfg").write_text("d_i = x\n")
+    src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualgrad.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_plot_produces_svg(tmp_path, capsys):

@@ -31,6 +31,7 @@ from dualgrad.transformer import (
     split_attention,
     stack_forward,
 )
+from dualgrad.transformer import _rotate
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -82,6 +83,25 @@ def test_rope_group_law(m, n):
     lhs = rope(m, 8).T @ rope(n, 8)
     rhs = rope(n - m, 8) if n >= m else rope(m - n, 8).T
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 5, 6, 8]),
+    st.lists(st.integers(0, 5000), min_size=0, max_size=6),
+    st.sampled_from([10000.0, 500.0, 1.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rotate_matches_dense_rope(d, positions, base, seed):
+    positions = [0] + positions
+    x = np.random.default_rng(seed).normal(0, 3, (d, len(positions)))
+    got = _rotate(x, np.array(positions), base)
+    assert np.array_equal(got[:, 0], x[:, 0])  # position 0 is the identity
+    for i, p in enumerate(positions):
+        want = rope(p, d, base) @ x[:, i]
+        assert np.linalg.norm(got[:, i] - want) <= 1e-12 * np.linalg.norm(want)
+    if d % 2:
+        assert np.array_equal(got[-1], x[-1])
 
 
 def test_rope_validation():
@@ -281,12 +301,43 @@ def _vocab(rng, size, d_o, d_i):
     return Vocabulary(rng.normal(0, 1, (size, d_o)), rng.normal(0, 1, (size, d_i)))
 
 
+def _decode_oracle(vocab, h, mask=None):
+    """Per-id loop: the first strictly better score wins, so ties keep the smallest id."""
+    ids = range(vocab.size) if mask is None else sorted(int(v) for v in mask)
+    best_id, best_score = -1, -np.inf
+    for v in ids:
+        score = float(vocab.output_embeddings[v] @ h)
+        if score > best_score:
+            best_id, best_score = v, score
+    return best_id
+
+
+def _int_vocab(seed, size=40, d_o=3, d_i=5):
+    # small integers keep every score exact, so duplicate rows tie exactly
+    rng = np.random.default_rng(seed)
+    out = rng.integers(-2, 3, (size, d_o)).astype(float)
+    out[size // 2 :] = out[: size - size // 2]  # every row has a duplicate
+    return Vocabulary(out, rng.normal(0, 1, (size, d_i)))
+
+
 def test_decode_greedy_and_tie_break():
     out = np.array([[1.0], [2.0], [2.0], [0.0]])
     vocab = Vocabulary(out, np.zeros((4, 3)))
     assert decode(vocab, np.array([1.0])) == 1  # tie between 1 and 2 -> smaller id
     assert decode(vocab, np.array([-1.0])) == 3
     assert decode(vocab, np.array([1.0]), mask={0, 3}) == 0
+    assert decode(vocab, np.array([1.0]), mask=np.array([2, 1])) == 1
+
+
+@pytest.mark.parametrize("kind", [set, frozenset, np.array])
+def test_decode_matches_loop_oracle(kind):
+    vocab = _int_vocab(0)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        h = rng.integers(-2, 3, 3).astype(float)
+        mask = rng.choice(vocab.size, size=int(rng.integers(1, vocab.size)), replace=False)
+        assert decode(vocab, h) == _decode_oracle(vocab, h)
+        assert decode(vocab, h, kind(mask.tolist())) == _decode_oracle(vocab, h, mask)
 
 
 def test_decode_empty_mask():
@@ -319,6 +370,28 @@ def test_generate_exclude_emitted_yields_distinct_ids():
         lambda s, p: exact_attention(params, s, p), seq, 6, vocab, exclude_emitted=True
     )
     assert len(set(trace.ids)) == len(trace.ids)
+
+
+@pytest.mark.parametrize("kind", [None, set, frozenset, np.array])
+def test_generate_exclude_emitted_until_exhausted_matches_oracle(kind):
+    vocab = _int_vocab(2, size=12, d_o=4)
+    rng = stream(14, "gen")
+    params = random_attention(rng, 5, 4)
+    seq = random_sequence(rng, 5, 4, 3, 2)
+    mask = None if kind is None else kind([0, 2, 3, 5, 6, 8, 9, 11])
+
+    def forward(s, p):
+        return np.round(3 * exact_attention(params, s, p))  # integer scores, many ties
+
+    remaining = set(range(vocab.size)) if mask is None else set(mask)
+    expected, cur = [], seq
+    while remaining:
+        tok = _decode_oracle(vocab, forward(cur, len(cur)), remaining)
+        expected.append(tok)
+        remaining.discard(tok)
+        cur = cur.append(vocab.input_embeddings[tok], Tag.T_LEAD)
+    trace = generate(forward, seq, 50, vocab, mask=mask, exclude_emitted=True)
+    assert list(trace.ids) == expected
 
 
 def test_generate_validates_steps():
