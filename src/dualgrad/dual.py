@@ -273,10 +273,10 @@ def _pass_length(dual: DualModel, schedule: str) -> int:
     if schedule == "per-token":
         return max(dual.n_demo, 1)
     if schedule.startswith("fractional:"):
-        s = int(schedule.split(":", 1)[1])
-        if s < 1:
-            raise InvalidParameter("fractional schedule needs S >= 1")
-        return s * max(dual.n_demo, 1)
+        s = schedule.split(":", 1)[1]
+        if not s.isdecimal() or int(s) < 1:
+            raise InvalidParameter(f"fractional schedule needs an integer S >= 1, got {s!r}")
+        return int(s) * max(dual.n_demo, 1)
     raise InvalidParameter(f"unknown schedule {schedule!r}")
 
 

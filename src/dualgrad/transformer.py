@@ -88,8 +88,8 @@ class FfnParams:
 class LayerStack:
     """Ordered (attention, ffn) layers; conn[l] maps layer l-1 output to layer l input.
 
-    conn has length L with conn[0] unused (None); None elsewhere means identity
-    and requires d_o == d_i.
+    conn has length L with conn[0] unused and required to be None; None
+    elsewhere means identity and requires d_o == d_i.
     """
 
     layers: tuple[tuple[AttentionParams, FfnParams], ...]
@@ -99,6 +99,8 @@ class LayerStack:
         conn = self.conn if self.conn else tuple([None] * len(self.layers))
         if len(conn) != len(self.layers):
             raise InvalidDimension("need one connection slot per layer")
+        if conn and conn[0] is not None:
+            raise InvalidDimension("conn[0] is unused and must be None")
         object.__setattr__(self, "conn", conn)
         for l in range(1, len(self.layers)):
             prev_out = self.layers[l - 1][0].d_o
@@ -325,16 +327,19 @@ def _attention_or_zero(
 # feed-forward and stacking
 
 
-def freeze_sigma(ffn: FfnParams, h: np.ndarray) -> np.ndarray:
-    """Diagonal matrix reproducing the activation's action at preactivation of h."""
-    return np.diag(freeze_sigma_diag(ffn, h))
-
-
 def freeze_sigma_diag(ffn: FfnParams, h: np.ndarray) -> np.ndarray:
     if ffn.activation == "identity":
         return np.ones(ffn.d_h)
     z = ffn.w2 @ h + ffn.b2
     return (z > 0).astype(float)
+
+
+def _ffn_forward(ffn: FfnParams, h: np.ndarray) -> np.ndarray:
+    """FFN of one hidden vector (d_o,) or of every column of a (d_o, n) array."""
+    b1, b2 = (ffn.b1, ffn.b2) if h.ndim == 1 else (ffn.b1[:, None], ffn.b2[:, None])
+    z = ffn.w2 @ h + b2
+    act = np.maximum(z, 0.0) if ffn.activation == "relu" else z
+    return ffn.w1 @ act + b1
 
 
 def layer_forward(
@@ -345,10 +350,45 @@ def layer_forward(
     fmap: FourierFeatureMap | None = None,
 ) -> np.ndarray:
     """Attention followed by the FFN; kernel mode when a feature map is given."""
-    h = _attention_or_zero(params, seq, query_pos, fmap)
-    z = ffn.w2 @ h + ffn.b2
-    act = np.maximum(z, 0.0) if ffn.activation == "relu" else z
-    return ffn.w1 @ act + ffn.b1
+    return _ffn_forward(ffn, _attention_or_zero(params, seq, query_pos, fmap))
+
+
+def _layer_scan(
+    params: AttentionParams,
+    ffn: FfnParams,
+    seq: SegmentedSequence,
+    fmap: FourierFeatureMap | None,
+) -> np.ndarray:
+    """Layer outputs at positions 1..n = len(seq) as the columns of a (d_o, n) array.
+
+    Causal linear attention (Katharopoulos et al. 2020): keys 1..n-1 and
+    queries 2..n are rotated and featurized once, and the query at column j
+    (position j+2) weighs key i (position i+1) iff i <= j.  Matches
+    ``layer_forward`` at every position, with the same guards.
+    """
+    n = len(seq)
+    tokens = seq.tokens.T
+    keys = _rotate(params.w_k @ tokens[:, :-1], np.arange(1, n), params.rope_base)
+    queries = _rotate(params.w_q @ tokens[:, 1:], np.arange(2, n + 1), params.rope_base)
+    causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
+    if fmap is None:
+        scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
+        w = np.exp(scores - scores.max(axis=0))
+    else:
+        if fmap.input_dim != params.d_o:
+            raise InvalidDimension("feature map input_dim must equal d_o")
+        scale = params.d_o**0.25
+        feat_keys = phi_matrix(fmap, keys / scale)
+        w = np.where(causal, feat_keys.T @ phi_matrix(fmap, queries / scale), 0.0)
+    denom = w.sum(axis=0)
+    bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
+    if bad.size:
+        raise NormalizationDegenerate(
+            f"normalization denominator {denom[bad[0]]:.3e} at position {bad[0] + 2}"
+        )
+    h = np.zeros((params.d_o, n))
+    h[:, 1:] = params.w_v @ tokens[:, :-1] @ (w / denom)
+    return _ffn_forward(ffn, h)
 
 
 def stack_trace(
@@ -360,20 +400,19 @@ def stack_trace(
     """Propagate every position through every layer.
 
     Returns the list of per-layer input sequences (length L, element l is the
-    sequence layer l consumes, truncated at query_pos).
+    sequence layer l consumes, truncated at query_pos).  Each of the first
+    L-1 layers is one causal pass over all positions (``_layer_scan``): one
+    feature pass over N keys and N queries plus a masked N x N product, so
+    O(L N d D + L N^2 (D + d)) instead of the O(L N^2 d D) of N from-scratch
+    attentions per layer.
     """
     _check_pos(seq, query_pos)
     layer_inputs = [seq.truncate(query_pos)]
-    for l, (att, ffn) in enumerate(stack.layers):
-        cur = layer_inputs[-1]
-        if l == len(stack.layers) - 1:
-            break
-        outs = np.stack(
-            [layer_forward(att, ffn, cur, p, fmap) for p in range(1, query_pos + 1)]
-        )
+    for l, (att, ffn) in enumerate(stack.layers[:-1]):
+        outs = _layer_scan(att, ffn, layer_inputs[-1], fmap).T
         w = stack.conn[l + 1]
         nxt = outs if w is None else outs @ w.T
-        layer_inputs.append(cur.with_tokens(nxt))
+        layer_inputs.append(layer_inputs[-1].with_tokens(nxt))
     return layer_inputs
 
 

@@ -176,6 +176,16 @@ def test_schedule_validation():
         descend(dual, start_descent(dual), -1)
 
 
+@pytest.mark.parametrize(
+    "schedule", ["fractional:abc", "fractional:", "fractional:-2", "fractional:1.5"]
+)
+def test_schedule_non_integer_s_is_invalid_parameter(schedule):
+    params, seq, fmap, pos = _setup(12)
+    dual = build_dual_attention(params, fmap, seq, pos)
+    with pytest.raises(InvalidParameter):
+        start_descent(dual, schedule)
+
+
 def test_advance_start_rebuilds_exactly():
     params, seq, fmap, pos = _setup(13)
     token = stream(13, "tok").normal(0, 1, seq.dim)

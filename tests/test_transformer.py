@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualgrad.dual import build_dual_stack
 from dualgrad.errors import (
     EmptyCandidateSet,
     InvalidDimension,
     InvalidIndex,
     InvalidParameter,
     NormalizationDegenerate,
+    OverflowGuard,
 )
 from dualgrad.experiments import random_attention, random_sequence
-from dualgrad.kernelmap import sample_feature_map
+from dualgrad.kernelmap import FourierFeatureMap, sample_feature_map
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
@@ -30,6 +32,7 @@ from dualgrad.transformer import (
     rope,
     split_attention,
     stack_forward,
+    stack_trace,
 )
 from dualgrad.transformer import _rotate
 
@@ -258,6 +261,160 @@ def test_stack_shape_validation():
         LayerStack(layers, (None, None))  # 4 -> 3 needs a connection matrix
     with pytest.raises(InvalidDimension):
         LayerStack(layers, (None, np.eye(4)))  # wrong shape
+    with pytest.raises(InvalidDimension):
+        LayerStack(layers, (np.eye(5), np.ones((3, 4))))  # conn[0] is unused
+    with pytest.raises(InvalidDimension):
+        LayerStack(layers, (None,))  # one slot per layer
+
+
+def _stack_trace_oracle(stack, fmap, seq, query_pos):
+    """Per-position reference for stack_trace: one from-scratch layer_forward per position."""
+    layer_inputs = [seq.truncate(query_pos)]
+    for l, (att, ffn) in enumerate(stack.layers[:-1]):
+        cur = layer_inputs[-1]
+        outs = np.stack([layer_forward(att, ffn, cur, p, fmap) for p in range(1, query_pos + 1)])
+        w = stack.conn[l + 1]
+        layer_inputs.append(cur.with_tokens(outs if w is None else outs @ w.T))
+    return layer_inputs
+
+
+def _scaled_ffn(rng, d_o, d_h):
+    # 1/sqrt(fan-in) weights keep deep kernel-mode keys inside the overflow guard
+    return FfnParams(
+        rng.normal(0, d_h**-0.5, (d_o, d_h)),
+        rng.normal(0, 0.5, d_o),
+        rng.normal(0, d_o**-0.5, (d_h, d_o)),
+        rng.normal(0, 0.5, d_h),
+        rng.choice(["relu", "identity"]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_layers=st.sampled_from([1, 2, 3]),
+    d_o=st.sampled_from([3, 4, 5]),
+    d_mid=st.sampled_from([None, 2, 5]),
+    n_d=st.integers(0, 5),
+    pos_draw=st.integers(0, 10**6),
+    kernel=st.booleans(),
+)
+@example(seed=1, n_layers=3, d_o=5, d_mid=2, n_d=0, pos_draw=0, kernel=True)
+@example(seed=2, n_layers=3, d_o=3, d_mid=None, n_d=0, pos_draw=0, kernel=False)
+@example(seed=3, n_layers=2, d_o=4, d_mid=5, n_d=3, pos_draw=10**6, kernel=True)
+@example(seed=4, n_layers=1, d_o=5, d_mid=None, n_d=4, pos_draw=7, kernel=True)
+def test_stack_trace_matches_per_position_oracle(
+    seed, n_layers, d_o, d_mid, n_d, pos_draw, kernel
+):
+    # d_mid is the input dim of layers >= 1; d_mid != d_o needs a non-square connection
+    rng = stream(seed, "scan")
+    d_i = 6
+    d_in = d_o if d_mid is None else d_mid
+    layers = tuple(
+        (random_attention(rng, d_i if l == 0 else d_in, d_o), _scaled_ffn(rng, d_o, 7))
+        for l in range(n_layers)
+    )
+    conn = (None,) + tuple(
+        None if d_mid is None else rng.normal(0, d_o**-0.5, (d_mid, d_o))
+        for _ in range(n_layers - 1)
+    )
+    stack = LayerStack(layers, conn)
+    seq = random_sequence(rng, d_i, 4, n_d, 2)
+    query_pos = 2 + pos_draw % (len(seq) - 1)  # pos_draw = 0 gives query_pos = 2
+    fmap = sample_feature_map(d_o, 256, seed=seed) if kernel else None
+    got = stack_trace(stack, fmap, seq, query_pos)
+    want = _stack_trace_oracle(stack, fmap, seq, query_pos)
+    assert len(got) == len(want) == n_layers
+    for a, b in zip(got, want):
+        assert a.tags == b.tags and a.tokens.shape == b.tokens.shape
+        assert np.linalg.norm(a.tokens - b.tokens) <= 1e-12 * np.linalg.norm(b.tokens)
+
+
+def _one_dim_layer(w_q, w_k, w_v):
+    # d_i = d_o = d_h = 1 with an identity-activation, identity-weight FFN, so the
+    # layer output is its attention output (rope is the identity for d_o = 1)
+    ffn = FfnParams(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1), "identity")
+    return AttentionParams(np.array([[w_q]]), np.array([[w_k]]), np.array([[w_v]])), ffn
+
+
+def _degenerate_at_interior_of_layer_1():
+    # one frequency u = 1: phi(k).phi(q) = e^{(k^2+q^2)/2} cos(k - q) / 2.  Layer 0
+    # has zero keys and query, so its output at p is the mean of tokens 1..p-1.
+    # Layer 1 has zero keys and query = input, so its denominator at p vanishes
+    # iff that mean is pi/2: at position 3 of 4 only.
+    fmap = FourierFeatureMap(1, 2, 1.0, 0, np.array([[1.0]]))
+    layer0 = _one_dim_layer(0.0, 0.0, 1.0)
+    layer1 = _one_dim_layer(1.0, 0.0, 1.0)
+    stack = LayerStack((layer0, layer1, layer1))
+    tokens = np.array([[0.5], [np.pi - 0.5], [1.0], [0.3]])
+    seq = SegmentedSequence.build(tokens, np.zeros((0, 1)), np.zeros((0, 1)), normalize=False)
+    return stack, fmap, seq, NormalizationDegenerate
+
+
+def _feature_dimension_mismatch():
+    params, seq = _draw(40)
+    ffn = _scaled_ffn(stream(40, "ffn"), params.d_o, 5)
+    stack = LayerStack(((params, ffn), (random_attention(stream(41, "a"), 4, 4), ffn)))
+    return stack, sample_feature_map(params.d_o + 1, 64), seq, InvalidDimension
+
+
+def _over_norm_interior_key():
+    params, seq = _draw(42)
+    ffn = _scaled_ffn(stream(42, "ffn"), params.d_o, 5)
+    stack = LayerStack(((params, ffn), (random_attention(stream(43, "a"), 4, 4), ffn)))
+    tokens = seq.tokens.copy()
+    tokens[3] *= 200.0
+    return stack, sample_feature_map(params.d_o, 64), seq.with_tokens(tokens), OverflowGuard
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_degenerate_at_interior_of_layer_1, _feature_dimension_mismatch, _over_norm_interior_key],
+)
+def test_stack_trace_guards_match_oracle(case):
+    """Each input trips exactly one guard, and the scan raises the oracle's class.
+
+    The scan featurizes every key and query column of a layer before it checks
+    any denominator, while the oracle goes position by position.  On an input
+    that trips both OverflowGuard and NormalizationDegenerate the two may
+    therefore raise different classes; these inputs trip one guard only.
+    """
+    stack, fmap, seq, exc = case()
+    pos = len(seq)
+    with pytest.raises(exc):
+        _stack_trace_oracle(stack, fmap, seq, pos)
+    with pytest.raises(exc):
+        stack_trace(stack, fmap, seq, pos)
+    with pytest.raises(exc):
+        build_dual_stack(stack, fmap, seq, pos)
+
+
+def test_stack_trace_degenerate_message_names_position():
+    stack, fmap, seq, _ = _degenerate_at_interior_of_layer_1()
+    with pytest.raises(NormalizationDegenerate, match="at position 3$"):
+        stack_trace(stack, fmap, seq, len(seq))
+    # positions 2 and 4 are regular, so the prefix up to 2 goes through
+    assert len(stack_trace(stack, fmap, seq, 2)) == 3
+
+
+def test_stack_trace_never_featurizes_the_last_key():
+    # the key of the query token is not attended to, so its norm is not guarded
+    rng = stream(44, "scan")
+    d_o = 4
+    att = random_attention(rng, 6, d_o)
+    big_key = AttentionParams(att.w_q, 300.0 * att.w_k, att.w_v)
+    ffn = _scaled_ffn(rng, d_o, 5)
+    stack = LayerStack(((big_key, ffn), (random_attention(rng, d_o, d_o), ffn)))
+    tokens = np.zeros((5, 6))
+    tokens[:4, 0] = 1e-3  # keys of tokens 1..4 stay small even after the x300
+    tokens[4] = rng.normal(0, 1, 6)
+    seq = SegmentedSequence.build(tokens, np.zeros((0, 6)), np.zeros((0, 6)), normalize=False)
+    fmap = sample_feature_map(d_o, 64, seed=44)
+    got = stack_trace(stack, fmap, seq, len(seq))
+    want = _stack_trace_oracle(stack, fmap, seq, len(seq))
+    assert np.linalg.norm(got[1].tokens - want[1].tokens) <= 1e-12 * np.linalg.norm(want[1].tokens)
+    with pytest.raises(OverflowGuard):  # the same token as an interior key trips the guard
+        stack_trace(stack, fmap, seq.append(tokens[0], Tag.T_LEAD), len(seq) + 1)
 
 
 def test_gqa_single_head_matches_plain_kernel_attention():
