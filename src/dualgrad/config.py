@@ -15,7 +15,6 @@ from .experiments import ExperimentConfig
 _ALIASES = {
     "d": "feature_dim",
     "k": "k_leads",
-    "l": "layers",
     "v": "vocab_size",
     "master": "seed",
     "repetitions": "reps",
@@ -88,7 +87,7 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
         raise InvalidConfig("D (feature_dim) must be even and >= 2")
     if cfg.reps < 1:
         raise InvalidConfig("repetitions must be >= 1")
-    if min(cfg.d_i, cfg.d_o, cfg.d_h, cfg.n_t, cfg.n_d) < 1:
+    if min(cfg.d_i, cfg.d_o, cfg.n_t, cfg.n_d) < 1:
         raise InvalidConfig("dims and sizes must be positive")
     if cfg.mode not in ("exact", "kernel"):
         raise InvalidConfig(f"mode must be exact|kernel, got {cfg.mode!r}")

@@ -164,9 +164,12 @@ def advance_start(
 ) -> tuple[SegmentedSequence, DualModel]:
     """Append the generated token and rebuild the dual at the next position.
 
-    The rebuild recomputes c, W_0 and the query features from scratch; the
-    incremental update W_0' = W_0 + c v phi(k~) reuses a c that no longer
-    matches the extended key set, so it is only an approximation.
+    The rebuild featurizes one key only, the one the new position adds (the
+    token that was the query): the earlier keys' features come from the
+    key-feature cache of ``_kernel_parts`` while it holds this prompt.  c,
+    W_0 and the query features are recomputed; the incremental update
+    W_0' = W_0 + c v phi(k~) would reuse a c that no longer matches the
+    extended key set, so it is only an approximation.
     """
     extended = seq.append(last_generated, Tag.T_LEAD)
     return extended, build_dual_attention(params, fmap, extended, len(extended), beta=beta)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import build_dual_attention, descend, start_descent
+from .dual import _pass_length, build_dual_attention, descend, start_descent
 from .engineering import build_scenario
 from .errors import NormalizationDegenerate
 from .kernelmap import sample_feature_map
@@ -28,14 +28,10 @@ class ExperimentConfig:
     kind: str = "equiv"
     d_i: int = 8
     d_o: int = 6
-    d_h: int = 10
     feature_dim: int = 128
     n_t: int = 10
     n_d: int = 6
     k_leads: int = 2
-    layers: int = 1
-    n: int = 1
-    g: int = 1
     vocab_size: int = 24
     seed: int = 0
     reps: int = 10
@@ -105,9 +101,7 @@ def run_equiv(cfg: ExperimentConfig) -> list[list]:
         else:
             raise NormalizationDegenerate(f"seed {seed}: no usable draw in 20 attempts")
         state = start_descent(dual, cfg.schedule)
-        n_pass = cfg.n_d if cfg.schedule == "per-token" else int(
-            cfg.schedule.split(":")[1]
-        ) * cfg.n_d
+        n_pass = _pass_length(dual, cfg.schedule)
         # step 0 row: distance of the constant part alone
         pred0 = state.w @ dual.phi_q
         rows.append(

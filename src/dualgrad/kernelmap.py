@@ -53,36 +53,45 @@ def sample_feature_map(
     return FourierFeatureMap(input_dim, feature_dim, float(sigma), seed, freqs)
 
 
-def _check_input(fmap: FourierFeatureMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != fmap.input_dim:
-        raise InvalidDimension(
-            f"expected leading dimension {fmap.input_dim}, got {x.shape[0]}"
-        )
-    sq = np.sum(x * x, axis=0)
-    if np.any(sq > MAX_SQ_NORM):
-        raise OverflowGuard(f"squared norm {np.max(sq):.1f} exceeds {MAX_SQ_NORM}")
-    return x
+def matvecs(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a @ r`` for every row ``r`` of ``rows``: (n, k) -> (n, m).
+
+    One matrix-vector product per row, so a row's result has the same bits
+    however many rows come with it; a single matrix product blocks its sums
+    differently for different widths.
+    """
+    return np.matmul(a, np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
 
 
 def phi(fmap: FourierFeatureMap, x: np.ndarray) -> np.ndarray:
     """Feature map for a single vector, shape (input_dim,) -> (feature_dim,)."""
-    x = _check_input(fmap, x)
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidDimension("phi expects a vector; use phi_matrix for batches")
-    proj = fmap.frequencies @ x
-    scale = np.exp(0.5 * float(x @ x)) / np.sqrt(fmap.feature_dim)
-    return scale * np.concatenate([np.sin(proj), np.cos(proj)])
+    return phi_matrix(fmap, x[:, None])[:, 0]
 
 
 def phi_matrix(fmap: FourierFeatureMap, xs: np.ndarray) -> np.ndarray:
-    """Column-wise feature map, shape (input_dim, n) -> (feature_dim, n)."""
-    xs = _check_input(fmap, xs)
+    """Column-wise feature map, shape (input_dim, n) -> (feature_dim, n).
+
+    Every step is per column (``matvecs``, a row-wise norm, elementwise
+    exp/sin/cos), so a column's features have the same bits in a batch of
+    any width: features of keys computed one at a time equal those of a batch.
+    """
+    xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise InvalidDimension("phi_matrix expects a (input_dim, n) array")
-    proj = fmap.frequencies @ xs
-    scale = np.exp(0.5 * np.sum(xs * xs, axis=0)) / np.sqrt(fmap.feature_dim)
-    return scale[None, :] * np.vstack([np.sin(proj), np.cos(proj)])
+    if xs.shape[0] != fmap.input_dim:
+        raise InvalidDimension(
+            f"expected leading dimension {fmap.input_dim}, got {xs.shape[0]}"
+        )
+    rows = np.ascontiguousarray(xs.T)
+    sq = np.einsum("ij,ij->i", rows, rows)
+    if np.any(sq > MAX_SQ_NORM):
+        raise OverflowGuard(f"squared norm {np.max(sq):.1f} exceeds {MAX_SQ_NORM}")
+    proj = matvecs(fmap.frequencies, rows)
+    scale = np.exp(0.5 * sq) / np.sqrt(fmap.feature_dim)
+    return (scale[:, None] * np.hstack([np.sin(proj), np.cos(proj)])).T
 
 
 def exp_estimate(fmap: FourierFeatureMap, x: np.ndarray, y: np.ndarray) -> float:

@@ -19,6 +19,8 @@ Conventions:
     when propagating every position through a layer stack).
 """
 
+import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     InvalidParameter,
     NormalizationDegenerate,
 )
-from .kernelmap import FourierFeatureMap, phi, phi_matrix
+from .kernelmap import FourierFeatureMap, matvecs, phi, phi_matrix
 from .sequence import SegmentedSequence, Tag
 
 DEGENERATE_EPS = 1e-12
@@ -262,6 +264,111 @@ def exact_attention(
     return values @ w
 
 
+class _KeyPrefix:
+    """Context rows x_1..x_n of one (feature map, W_k, rope base) and their key features."""
+
+    def __init__(self, fmap: FourierFeatureMap, w_k: np.ndarray, rope_base: float, m: int):
+        self.fmap, self.w_k, self.rope_base = fmap, w_k.copy(), rope_base
+        self.n = 0
+        self.rows = np.empty((m, w_k.shape[1]))
+        self.feats = np.empty((m, fmap.feature_dim))  # one key per row
+
+    def serves(self, fmap: FourierFeatureMap, w_k: np.ndarray, rope_base: float, rows) -> bool:
+        k = min(len(rows), self.n)
+        return (
+            self.fmap is fmap
+            and self.rope_base == rope_base
+            and _same_bits(self.w_k, w_k)
+            and _same_bits(self.rows[:k], rows[:k])
+        )
+
+    def extend(self, new_rows: np.ndarray) -> None:
+        """Featurize rows n+1..n+k, doubling the buffers when they are full."""
+        n, k = self.n, len(new_rows)
+        keys = _rotate(matvecs(self.w_k, new_rows).T, np.arange(n + 1, n + k + 1), self.rope_base)
+        feats = phi_matrix(self.fmap, keys / self.w_k.shape[0] ** 0.25)  # guards run first
+        if n + k > len(self.rows):
+            cap = max(2 * len(self.rows), n + k)
+            self.rows, self.feats = (_grown(a, n, cap) for a in (self.rows, self.feats))
+        self.rows[n : n + k] = new_rows
+        self.feats[n : n + k] = feats.T
+        self.n = n + k
+
+
+class _KeyFeatureCache:
+    """Bounded LRU of featurized key prefixes, checked by content.
+
+    An entry (``_KeyPrefix``) belongs to one feature map, compared by
+    identity, one W_k, compared bitwise with its shape, and one rope base.
+    A request for rows y_1..y_m is served by the most recent entry whose rows
+    agree bitwise with y on their common prefix: a slice when the entry holds
+    at least m rows, else the entry grows and only the rows it lacks are
+    rotated and featurized.  Any other request starts an exact-sized entry.
+    Features are computed per column (``matvecs``, ``phi_matrix``), so a
+    served array has exactly the bits of a cold computation, and the guards
+    of ``phi_matrix`` run on every row the first time it is featurized.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: list[_KeyPrefix] = []  # least recently used first
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+
+    def features(
+        self, params: AttentionParams, fmap: FourierFeatureMap, rows: np.ndarray
+    ) -> np.ndarray:
+        """Read-only (D, m) key features of context rows (m, d_i) at positions 1..m."""
+        rows = np.asarray(rows, dtype=float)
+        w_k = np.asarray(params.w_k, dtype=float)
+        with self._lock:
+            hit = next(
+                (i for i in reversed(range(len(self.entries)))
+                 if self.entries[i].serves(fmap, w_k, params.rope_base, rows)),
+                None,
+            )
+            if hit is None:
+                entry = _KeyPrefix(fmap, w_k, params.rope_base, len(rows))
+            else:
+                entry = self.entries[hit]
+            if len(rows) > entry.n:
+                entry.extend(rows[entry.n :])  # a guard raised here leaves the cache as it was
+            if hit is not None:
+                del self.entries[hit]
+            self.entries.append(entry)
+            del self.entries[: -self.size]
+            out = entry.feats[: len(rows)].T
+        out.flags.writeable = False
+        return out
+
+
+def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """A cap-row buffer holding a's first n rows, in its own anonymous memory map.
+
+    Its pages become resident only once written and go back to the system
+    with the array, so the unwritten half of a doubled buffer costs no memory
+    and buffers grown and dropped leave no holes in the heap.
+    """
+    size = cap * a.shape[1]
+    out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float, count=size)
+    out = out.reshape(cap, a.shape[1])
+    out[:n] = a[:n]
+    return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# A prompt and its extensions share one entry; a forward pass and dual build
+# of an L-layer stack share L.  Every entry keeps its feature map and its
+# features alive, so each further slot costs memory.
+_KEY_FEATURES = _KeyFeatureCache(4)
+
+
 def _kernel_parts(
     params: AttentionParams,
     fmap: FourierFeatureMap,
@@ -272,18 +379,19 @@ def _kernel_parts(
 
     Returns (values, feat_keys, feat_q, c) with keys and query pre-divided by
     d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
+    The key features come from ``_KEY_FEATURES`` and are read-only.
     """
     _check_pos(seq, query_pos)
     if fmap.input_dim != params.d_o:
         raise InvalidDimension("feature map input_dim must equal d_o")
-    keys, values, q = _qkv(params, seq, query_pos)
-    scale = params.d_o**0.25
-    feat_keys = phi_matrix(fmap, keys / scale)
-    feat_q = phi(fmap, q / scale)
+    context = seq.tokens[: query_pos - 1]
+    feat_keys = _KEY_FEATURES.features(params, fmap, context)
+    q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], [query_pos], params.rope_base)
+    feat_q = phi(fmap, q[:, 0] / params.d_o**0.25)
     denom = float(np.sum(feat_keys.T @ feat_q))
     if abs(denom) < DEGENERATE_EPS:
         raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
-    return values, feat_keys, feat_q, 1.0 / denom
+    return params.w_v @ context.T, feat_keys, feat_q, 1.0 / denom
 
 
 def kernel_attention(
@@ -364,22 +472,23 @@ def _layer_scan(
     Causal linear attention (Katharopoulos et al. 2020): keys 1..n-1 and
     queries 2..n are rotated and featurized once, and the query at column j
     (position j+2) weighs key i (position i+1) iff i <= j.  Matches
-    ``layer_forward`` at every position, with the same guards.
+    ``layer_forward`` at every position, with the same guards.  Kernel-mode
+    key features come from ``_KEY_FEATURES``, so a dual build of the same
+    layer input featurizes no key again.
     """
     n = len(seq)
     tokens = seq.tokens.T
-    keys = _rotate(params.w_k @ tokens[:, :-1], np.arange(1, n), params.rope_base)
     queries = _rotate(params.w_q @ tokens[:, 1:], np.arange(2, n + 1), params.rope_base)
     causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
     if fmap is None:
+        keys = _rotate(params.w_k @ tokens[:, :-1], np.arange(1, n), params.rope_base)
         scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
         w = np.exp(scores - scores.max(axis=0))
     else:
         if fmap.input_dim != params.d_o:
             raise InvalidDimension("feature map input_dim must equal d_o")
-        scale = params.d_o**0.25
-        feat_keys = phi_matrix(fmap, keys / scale)
-        w = np.where(causal, feat_keys.T @ phi_matrix(fmap, queries / scale), 0.0)
+        feat_keys = _KEY_FEATURES.features(params, fmap, seq.tokens[:-1])
+        w = np.where(causal, feat_keys.T @ phi_matrix(fmap, queries / params.d_o**0.25), 0.0)
     denom = w.sum(axis=0)
     bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
     if bad.size:

@@ -160,10 +160,12 @@ def test_missing_config_file_exits_3(tmp_path):
         (["equiv"], {"DUALGRAD_SEED": "abc"}, 2),
         (["equiv", "--schedule", "fractional:abc"], {}, 2),
         (["plot", "missing.csv"], {}, 3),
+        (["equiv", "--config", "layers.cfg"], {}, 2),  # layers is no setting any more
     ],
 )
 def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
     (tmp_path / "bad.cfg").write_text("d_i = x\n")
+    (tmp_path / "layers.cfg").write_text("layers = 3\n")
     src = os.path.dirname(os.path.dirname(dualgrad.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dualgrad.cli", *argv],

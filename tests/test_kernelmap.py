@@ -105,3 +105,34 @@ def test_norm_identity_property(coords, seed):
     x = np.array(coords)
     f = phi(fmap, x)
     assert float(f @ f) == pytest.approx(np.exp(float(x @ x)) / 2.0, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_phi_is_the_one_column_case_of_phi_matrix(d, seed):
+    fmap = sample_feature_map(d, 64, seed=seed % 97)
+    x = np.random.default_rng(seed).normal(0, 0.8, d)
+    assert phi(fmap, x).tobytes() == phi_matrix(fmap, x[:, None])[:, 0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5, 8, 9, 16, 17]),
+    st.sampled_from([2, 8, 64, 256, 1024]),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_phi_matrix_columns_are_batch_invariant(d, D, n, seed):
+    # a column's features have the same bits alone, in any split and in a batch
+    rng = np.random.default_rng(seed)
+    fmap = sample_feature_map(d, D, seed=seed % 89)
+    xs = rng.normal(0, 0.5, (d, n))
+    batch = phi_matrix(fmap, xs)
+    cut = int(rng.integers(0, n + 1))
+    parts = np.hstack([phi_matrix(fmap, xs[:, :cut]), phi_matrix(fmap, xs[:, cut:])])
+    assert parts.tobytes() == batch.tobytes()
+    for j in {0, n // 2, n - 1}:
+        assert phi_matrix(fmap, xs[:, j : j + 1]).tobytes() == batch[:, j].tobytes()

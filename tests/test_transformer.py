@@ -1,9 +1,22 @@
+from contextlib import ExitStack
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from dualgrad.dual import build_dual_stack
+import dualgrad.dual as dual_module
+import dualgrad.transformer as transformer_module
+from dualgrad.dual import (
+    advance_start,
+    build_dual_attention,
+    build_dual_gqa,
+    build_dual_stack,
+    build_dual_transformer,
+    with_perturbation,
+)
 from dualgrad.errors import (
     EmptyCandidateSet,
     InvalidDimension,
@@ -13,7 +26,7 @@ from dualgrad.errors import (
     OverflowGuard,
 )
 from dualgrad.experiments import random_attention, random_sequence
-from dualgrad.kernelmap import FourierFeatureMap, sample_feature_map
+from dualgrad.kernelmap import FourierFeatureMap, phi, phi_matrix, sample_feature_map
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
@@ -34,7 +47,7 @@ from dualgrad.transformer import (
     stack_forward,
     stack_trace,
 )
-from dualgrad.transformer import _rotate
+from dualgrad.transformer import _KEY_FEATURES, _check_pos, _qkv, _rotate
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -448,6 +461,193 @@ def test_gqa_dimension_validation():
         GqaConfig(n=2, g=2, d_o=6)
     with pytest.raises(InvalidDimension):
         GqaConfig(n=1, g=2, d_o=8, w_concat=np.zeros((2, 3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# prefix-key feature cache
+
+
+def _kernel_parts_oracle(params, fmap, seq, query_pos):
+    """From-scratch reference for _kernel_parts: every key rotated and featurized anew."""
+    _check_pos(seq, query_pos)
+    if fmap.input_dim != params.d_o:
+        raise InvalidDimension("feature map input_dim must equal d_o")
+    keys, values, q = _qkv(params, seq, query_pos)
+    scale = params.d_o**0.25
+    feat_keys = phi_matrix(fmap, keys / scale)
+    feat_q = phi(fmap, q / scale)
+    denom = float(np.sum(feat_keys.T @ feat_q))
+    if abs(denom) < transformer_module.DEGENERATE_EPS:
+        raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
+    return values, feat_keys, feat_q, 1.0 / denom
+
+
+def _oracle_consumers(c):
+    """``_consumers`` with every reader of the cache replaced by its from-scratch oracle."""
+    with ExitStack() as patches:
+        for module in (transformer_module, dual_module):
+            patches.enter_context(mock.patch.object(module, "_kernel_parts", _kernel_parts_oracle))
+            patches.enter_context(mock.patch.object(module, "stack_trace", _stack_trace_oracle))
+        return _consumers(c)
+
+
+def _cache_case(seed, d_o, D, n_d, n_per, pos_draw):
+    rng = stream(seed, "key-cache")
+    d_i = 5
+    params = random_attention(rng, d_i, d_o)
+    ffn = _scaled_ffn(rng, d_o, 4)
+    layers = [(params, ffn)] + [(random_attention(rng, d_o, d_o), ffn) for _ in range(2)]
+    stack = LayerStack(tuple(layers))
+    gcfg = GqaConfig(n=1, g=2, d_o=4)  # two query heads share key group 0
+    gqa = GqaParams(*(rng.normal(0, 0.5, (k, 2, d_i)) for k in (2, 2, 2)))
+    seq = random_sequence(rng, d_i, 3, n_d, 2, n_per)
+    pos = 2 + pos_draw % (len(seq) - 1)  # pos_draw = 0 gives query_pos = 2
+    fmap = sample_feature_map(d_o, D, seed=seed)
+    fmap_head = sample_feature_map(2, D, seed=seed + 1)
+    return dict(params=params, ffn=ffn, stack=stack, gcfg=gcfg, gqa=gqa, seq=seq, pos=pos,
+                fmap=fmap, fmap_head=fmap_head, token=rng.normal(0, 1, d_i))
+
+
+def _consumers(c, seq=None, pos=None, params=None, fmap=None):
+    """Every kernel-mode result built from prefix-key features, as a flat list of arrays."""
+    seq = c["seq"] if seq is None else seq
+    pos = c["pos"] if pos is None else pos
+    params = c["params"] if params is None else params
+    fmap = c["fmap"] if fmap is None else fmap
+    duals = [
+        build_dual_attention(params, fmap, seq, pos, include_per=True),
+        with_perturbation(build_dual_attention(params, fmap, seq, pos), params, fmap, seq, pos),
+        advance_start(params, fmap, seq.truncate(pos - 1), seq.tokens[pos - 1])[1],
+        build_dual_transformer(params, c["ffn"], fmap, seq, pos),
+        *build_dual_stack(c["stack"], fmap, seq, pos),
+        *build_dual_gqa(c["gqa"], c["gcfg"], c["fmap_head"], seq, pos),
+    ]
+    out = [
+        kernel_attention(params, fmap, seq, pos),
+        *split_attention(params, fmap, seq, pos),
+        layer_forward(params, c["ffn"], seq, pos, fmap),
+        stack_forward(c["stack"], fmap, seq, pos),
+        *(s.tokens for s in transformer_module.stack_trace(c["stack"], fmap, seq, pos)),
+        gqa_attention(c["gqa"], c["gcfg"], c["fmap_head"], seq, pos),
+    ]
+    for d in duals:
+        out += [np.asarray(f, dtype=float) for f in astuple(d) if f is not None]
+    return out
+
+
+def _histories(c):
+    """Ways to leave the cache before evaluating the case: cold plus four warm ones."""
+    seq, pos = c["seq"], c["pos"]
+    branch = seq.truncate(pos - 2).append(c["token"]).append(c["token"])
+    other = dict(c, params=random_attention(stream(1, "other"), seq.dim, c["params"].d_o))
+    return {
+        "cold": lambda: None,
+        "longer lineage": lambda: _consumers(c, seq.append(c["token"]), len(seq) + 1),
+        "shorter lineage": lambda: _consumers(c, pos=max(2, pos - 1)),
+        "branched lineage": lambda: _consumers(c, branch, len(branch)),
+        "interleaved params and fmap": lambda: (
+            _consumers(c, pos=max(2, pos - 1)),
+            _consumers(other),
+            _consumers(c, fmap=sample_feature_map(c["params"].d_o, c["fmap"].feature_dim)),
+        ),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_o=st.sampled_from([3, 4, 5]),
+    D=st.sampled_from([8, 64, 256]),
+    n_d=st.integers(0, 4),
+    n_per=st.integers(0, 2),
+    pos_draw=st.integers(0, 10**6),
+)
+@example(seed=7, d_o=5, D=64, n_d=0, n_per=0, pos_draw=0)
+@example(seed=8, d_o=3, D=8, n_d=3, n_per=2, pos_draw=10**6)
+def test_key_cache_consumers_match_oracle_and_history(seed, d_o, D, n_d, n_per, pos_draw):
+    c = _cache_case(seed, d_o, D, n_d, n_per, pos_draw)
+    _KEY_FEATURES.clear()
+    try:
+        want = _oracle_consumers(c)
+    except (OverflowGuard, NormalizationDegenerate):
+        reject()
+    assert not _KEY_FEATURES.entries  # the oracle run never touched the cache
+    runs = {}
+    for name, history in _histories(c).items():
+        _KEY_FEATURES.clear()
+        try:
+            history()
+        except (OverflowGuard, NormalizationDegenerate):
+            pass  # a guard that fires mid-history still leaves a history behind
+        runs[name] = _consumers(c)
+    # At D = 8 the normalization sum can cancel to a few digits, which lifts the
+    # last-bit difference of the two featurization orders past any fixed
+    # tolerance; the bitwise history check below still covers that size.
+    for got, ref in zip(runs["cold"], want):
+        assert got.shape == ref.shape
+        assert D < 64 or np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    for name, got in runs.items():
+        assert len(got) == len(runs["cold"]), name
+        for a, b in zip(got, runs["cold"]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_key_cache_stays_within_its_bound():
+    _KEY_FEATURES.clear()
+    rng = stream(50, "bound")
+    seq = random_sequence(rng, 5, 4, 3, 2)
+    fmap = sample_feature_map(4, 32, seed=50)
+    for i in range(3 * _KEY_FEATURES.size):
+        params = random_attention(rng, 5, 4)
+        kernel_attention(params, fmap, seq, 2 + i % (len(seq) - 1))
+        assert len(_KEY_FEATURES.entries) <= _KEY_FEATURES.size
+    assert len(_KEY_FEATURES.entries) == _KEY_FEATURES.size
+
+
+def test_key_cache_serves_read_only_features():
+    params, seq = _draw(51)
+    fmap = sample_feature_map(params.d_o, 32, seed=51)
+    _KEY_FEATURES.clear()
+    kernel_attention(params, fmap, seq, len(seq))
+    feats = _KEY_FEATURES.features(params, fmap, seq.tokens[: len(seq) - 1])  # a hit
+    with pytest.raises(ValueError):
+        feats[0, 0] = 1.0
+
+
+def test_overflow_guard_fires_for_a_key_appended_to_a_warm_cache():
+    rng = stream(52, "guard")
+    params = random_attention(rng, 6, 4)
+    params = AttentionParams(params.w_q, 300.0 * params.w_k, params.w_v)
+    tokens = np.zeros((4, 6))
+    tokens[:, 0] = 1e-3  # small keys even after the x300
+    seq = SegmentedSequence.build(tokens, np.zeros((0, 6)), np.zeros((0, 6)), normalize=False)
+    fmap = sample_feature_map(4, 64, seed=52)
+    _KEY_FEATURES.clear()
+    before = kernel_attention(params, fmap, seq, len(seq))
+    grown = seq.append(rng.normal(0, 1, 6)).append(tokens[0])
+    with pytest.raises(OverflowGuard):
+        kernel_attention(params, fmap, grown, len(grown))
+    # the failed extension left the entry as it was
+    assert kernel_attention(params, fmap, seq, len(seq)).tobytes() == before.tobytes()
+    assert [e.n for e in _KEY_FEATURES.entries] == [len(seq) - 1]
+
+
+def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
+    # one frequency, rope the identity (d_o = 1): the denominator is
+    # sum_i e^{k_i^2/2} cos(k_i - q) up to a positive factor, so keys pi/2, pi/2
+    # with query 0 cancel it, while key pi/2 with query 1 does not
+    fmap = FourierFeatureMap(1, 2, 1.0, 0, np.array([[1.0]]))
+    params = AttentionParams(
+        np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), np.ones((1, 2))
+    )
+    key, q1 = [np.pi / 2, 0.0], [0.0, 1.0]
+    warm = SegmentedSequence.build([key], [q1], np.zeros((0, 2)), normalize=False)
+    _KEY_FEATURES.clear()
+    kernel_attention(params, fmap, warm, 2)
+    target = SegmentedSequence.build([key], [key, [0.0, 0.0]], np.zeros((0, 2)), normalize=False)
+    with pytest.raises(NormalizationDegenerate):
+        kernel_attention(params, fmap, target, 3)
+    assert [e.n for e in _KEY_FEATURES.entries] == [2]  # served by extending the warm entry
 
 
 # ---------------------------------------------------------------------------
