@@ -36,8 +36,15 @@ from .experiments import (
 from .svgplot import line_chart, read_csv
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a config error: exit 2, one stderr line."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dualgrad")
+    parser = _Parser(prog="dualgrad")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("equiv", "fig7", "props", "optimize", "generate", "plot"):
         p = sub.add_parser(name)
@@ -154,8 +161,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (InvalidConfig, InvalidParameter, ParseError, EmptyData) as exc:
         print(f"config error: {exc}", file=sys.stderr)

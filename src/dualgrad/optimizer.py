@@ -130,8 +130,10 @@ def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectD
         normalize=env.normalize,
         candidate_mask=env.candidate_mask,
     )
+    # the score reads only the first hit, so generation stops there
     trace = generate(
-        env.forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True
+        env.forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True,
+        stop_id=env.target_id,
     )
     return score_output(trace.ids, env.target_id)
 
@@ -199,7 +201,11 @@ def synth_generate(
 def run_two_stage(
     config: OptimizerConfig, env: OptimizerEnv, generator=synth_generate
 ) -> list[TraceRecord]:
-    """Run the m-path loop; deterministic given (config, env, generator)."""
+    """Run the m-path loop; deterministic given (config, env, generator).
+
+    Each distinct (ids, per_ids) is evaluated once per call: its score
+    depends on nothing else, and the scores are kept only for this run.
+    """
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
     memories = [MemoryBank(config.memory_capacity) for _ in range(config.m)]
@@ -207,6 +213,13 @@ def run_two_stage(
     last_demo: list[Demonstration | None] = [None] * config.m
     trace: list[TraceRecord] = []
     vocab_size = env.vocab.size
+    scores: dict[tuple[tuple[int, ...], tuple[int, ...]], EffectDScore] = {}
+
+    def score_of(demo: Demonstration) -> EffectDScore:
+        key = (demo.ids, demo.per_ids)
+        if key not in scores:
+            scores[key] = evaluate_demo(env, demo, config.gen_steps)
+        return scores[key]
 
     for it in range(1, config.iterations + 1):
         for p in range(config.m):
@@ -232,7 +245,7 @@ def run_two_stage(
                 p, it, memories[p], rngs[p], vocab_size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
-            score = evaluate_demo(env, demo, config.gen_steps)
+            score = score_of(demo)
             sim = 0.0
             if last_demo[p] is not None:
                 sim = similarity(env.vocab, last_demo[p], demo)
@@ -241,9 +254,7 @@ def run_two_stage(
             # inflate the stored value of a weak demonstration
             mem_score = score
             if demo.per_ids:
-                mem_score = evaluate_demo(
-                    env, Demonstration(demo.ids, origin=demo.origin), config.gen_steps
-                )
+                mem_score = score_of(Demonstration(demo.ids, origin=demo.origin))
             memories[p].admit(demo, mem_score, it)
             rec = TraceRecord(
                 iteration=it,

@@ -120,7 +120,7 @@ class LayerStack:
 
 @dataclass(frozen=True)
 class GqaConfig:
-    """n*g query heads sharing g key/value groups over an output of dim d_o."""
+    """n*g query heads in g key/value groups of n heads, over an output of dim d_o."""
 
     n: int
     g: int
@@ -153,8 +153,8 @@ class GqaConfig:
         return self.w_concat[s]
 
     def group_of(self, s: int) -> int:
-        """Key/value group serving query head s (0-based): heads s in [i*g, (i+1)*g)."""
-        return s // self.g
+        """Key/value group serving query head s (0-based): group i has heads [i*n, (i+1)*n)."""
+        return s // self.n
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,10 @@ class GqaParams:
 
     def head(self, cfg: GqaConfig, s: int) -> AttentionParams:
         """Plain attention parameters of query head s and the group serving it."""
+        if (self.w_q.shape[0], self.w_k.shape[0], self.w_v.shape[0]) != (cfg.heads, cfg.g, cfg.g):
+            raise InvalidDimension(
+                f"GQA params need {cfg.heads} query heads and {cfg.g} key/value groups"
+            )
         grp = cfg.group_of(s)
         return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp], self.rope_base)
 
@@ -244,11 +248,18 @@ def _check_pos(seq: SegmentedSequence, query_pos: int) -> None:
 
 
 def _qkv(params: AttentionParams, seq: SegmentedSequence, query_pos: int):
-    """Rotated keys / plain values for positions < query_pos, rotated query at query_pos."""
+    """Rotated keys / plain values for positions < query_pos, rotated query at query_pos.
+
+    Keys and query are rotated together, as columns 1..query_pos of one block.
+    Both come back as C-contiguous copies: a strided view would change the
+    BLAS path of ``keys.T @ q`` and with it the last bits of the scores.
+    """
     context = seq.tokens[: query_pos - 1].T
-    keys = _rotate(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
-    q = params.w_q @ seq.tokens[query_pos - 1]
-    return keys, params.w_v @ context, _rotate(q[:, None], [query_pos], params.rope_base)[:, 0]
+    block = np.empty((params.d_o, query_pos))
+    block[:, :-1] = params.w_k @ context
+    block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
+    block = _rotate(block, np.arange(1, query_pos + 1), params.rope_base)
+    return np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
 
 
 def exact_attention(
@@ -565,20 +576,24 @@ def _candidate_ids(mask) -> np.ndarray:
     return np.sort(np.asarray(mask if isinstance(mask, np.ndarray) else list(mask), dtype=np.intp))
 
 
+def _decode_sorted(vocab: Vocabulary, h: np.ndarray, ids: np.ndarray | None) -> int:
+    """``decode`` over ascending candidate ids, or over the whole vocabulary for None."""
+    if ids is None:
+        if not vocab.size:
+            raise EmptyCandidateSet("vocabulary is empty")
+        return int(np.argmax(vocab.output_embeddings @ h))
+    if not ids.size:
+        raise EmptyCandidateSet("candidate mask is empty")
+    # argmax returns the first maximum, which over ascending ids is the smallest id
+    return int(ids[np.argmax(vocab.output_embeddings[ids] @ h)])
+
+
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
     """Greedy argmax of dot(h, output embedding); ties go to the smallest id.
 
     ``mask`` is any iterable of candidate ids (a set, or an int array).
     """
-    if mask is None:
-        if not vocab.size:
-            raise EmptyCandidateSet("vocabulary is empty")
-        return int(np.argmax(vocab.output_embeddings @ h))
-    ids = _candidate_ids(mask)
-    if not ids.size:
-        raise EmptyCandidateSet("candidate mask is empty")
-    # argmax returns the first maximum, which over ascending ids is the smallest id
-    return int(ids[np.argmax(vocab.output_embeddings[ids] @ h)])
+    return _decode_sorted(vocab, h, None if mask is None else _candidate_ids(mask))
 
 
 @dataclass(frozen=True)
@@ -596,12 +611,15 @@ def generate(
     vocab: Vocabulary,
     mask=None,
     exclude_emitted: bool = False,
+    stop_id: int | None = None,
 ) -> GenerationTrace:
     """Autoregressive greedy loop: forward at the last position, decode, append.
 
     ``forward(seq, pos) -> hidden`` abstracts over the attention variants.
     With ``exclude_emitted`` the output behaves like a ranked list of distinct
-    items: an id is removed from the candidate set once emitted.
+    items: an id is removed from the candidate set once emitted.  The loop
+    ends right after ``stop_id`` is emitted, so the trace is then the one of
+    ``steps`` = its hit position: a prefix of the unstopped trace.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
@@ -613,7 +631,7 @@ def generate(
     for _ in range(steps):
         pos = len(seq)
         h = forward(seq, pos)
-        tok = decode(vocab, h, remaining)
+        tok = _decode_sorted(vocab, h, remaining)
         ids.append(tok)
         hiddens.append(h)
         positions.append(pos)
@@ -622,4 +640,6 @@ def generate(
             if not remaining.size:
                 break
         seq = seq.append(vocab.input_embeddings[tok], Tag.T_LEAD)
+        if tok == stop_id:
+            break
     return GenerationTrace(tuple(ids), tuple(hiddens), tuple(positions), seq)

@@ -1,13 +1,20 @@
+import dataclasses
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualgrad
 from dualgrad.cli import main
-from dualgrad.config import format_cell, load_config, parse_config_text, write_csv
+from dualgrad.config import _ALIASES, format_cell, load_config, parse_config_text, write_csv
 from dualgrad.errors import InvalidConfig, IoError, ParseError
+from dualgrad.experiments import ExperimentConfig
 from dualgrad.svgplot import line_chart, read_csv
 
 
@@ -176,6 +183,102 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
     )
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input, fuzzed in-process
+
+
+def _fields_of(kind):
+    return [
+        f.name for f in dataclasses.fields(ExperimentConfig)
+        if getattr(f.type, "__name__", f.type) == kind
+    ]
+
+
+def _rejects(parse, raw) -> bool:
+    try:
+        parse(raw)
+    except ValueError:
+        return True
+    return False
+
+
+def _is_bool(raw) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on", "0", "false", "no", "off")
+
+
+# one config line: printable ASCII without '#', which would start a comment
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"))
+_KNOWN = {f.name for f in dataclasses.fields(ExperimentConfig)} | set(_ALIASES)
+_BAD_LINES = st.one_of(
+    st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in _KNOWN).map(
+        lambda k: f"{k} = 1"),
+    st.tuples(st.sampled_from(_fields_of("int")), _TEXT.filter(
+        lambda v: _rejects(int, v.strip()))).map(" = ".join),
+    st.tuples(st.sampled_from(_fields_of("float")), _TEXT.filter(
+        lambda v: _rejects(float, v.strip()))).map(" = ".join),
+    st.tuples(st.sampled_from(_fields_of("bool")), _TEXT.filter(
+        lambda v: not _is_bool(v))).map(" = ".join),
+    _TEXT.filter(lambda v: v.strip() not in ("exact", "kernel")).map(lambda v: f"mode = {v}"),
+    _TEXT.map(lambda v: f"schedule = fractional:{v}").filter(
+        lambda line: not line.strip().partition(":")[2].isdecimal()),
+    _TEXT.filter(lambda v: "=" not in v and v.strip()),
+    st.integers(-5, 0).map(lambda v: f"reps = {v}"),
+    st.tuples(st.sampled_from(["d_i", "d_o", "n_t", "n_d"]), st.integers(-5, 0)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.integers(-5, 99).filter(lambda v: v % 2 or v < 2).map(lambda v: f"feature_dim = {v}"),
+)
+# settings that no range check reads, so they cannot repair a bad line
+_GOOD_LINES = st.sampled_from(["seed = 3", "tau_sim = 0.9", "y = se", "# a comment", ""])
+_ARG = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+_BAD_FLAGS = st.one_of(
+    _ARG.filter(lambda v: _rejects(int, v)).map(lambda v: [f"--seed={v}"]),
+    _ARG.filter(lambda v: _rejects(int, v)).map(lambda v: [f"--reps={v}"]),
+    st.integers(-5, 0).map(lambda v: [f"--reps={v}"]),
+    _ARG.filter(lambda v: v not in ("exact", "kernel")).map(lambda v: [f"--mode={v}"]),
+    _ARG.filter(lambda v: not v.isdecimal()).map(lambda v: [f"--schedule=fractional:{v}"]),
+    _ARG.filter(lambda v: v != "per-token" and not v.startswith("fractional:")).map(
+        lambda v: [f"--schedule={v}"]),
+    st.just(["--no-such-flag"]),
+)
+_COMMANDS = st.sampled_from(["equiv", "fig7", "props", "optimize", "generate", "plot"])
+
+
+@st.composite
+def _malformed(draw):
+    """(argv, config document or None, DUALGRAD_SEED or None, expected exit code)."""
+    case = draw(st.sampled_from(["document", "flag", "environment", "missing csv"]))
+    command = draw(_COMMANDS)
+    if case == "document":
+        lines = draw(st.lists(_GOOD_LINES, max_size=3)) + [draw(_BAD_LINES)]
+        lines = draw(st.permutations(lines))
+        return [command], "\n".join(lines) + "\n", None, 2
+    if case == "flag":
+        return [command, *draw(_BAD_FLAGS)], None, None, 2
+    if case == "environment":
+        return [command], None, draw(_ARG.filter(lambda v: _rejects(int, v))), 2
+    return ["plot", draw(st.from_regex(r"[a-z]{1,8}\.csv", fullmatch=True))], None, None, 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_malformed())
+def test_fuzzed_malformed_input_exits_2_or_3_with_one_stderr_line(tmp_path_factory, case):
+    argv, document, env_seed, code = case
+    tmp = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    tmp.mkdir(exist_ok=True)
+    if document is not None:
+        (tmp / "fuzz.cfg").write_text(document, encoding="utf-8")
+        argv = argv + ["--config", str(tmp / "fuzz.cfg")]
+    if argv[0] == "plot" and code == 3:
+        argv = ["plot", str(tmp / "absent" / argv[1])]
+    err, out = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stderr(err), redirect_stdout(out):
+        os.environ.pop("DUALGRAD_SEED", None)
+        if env_seed is not None:
+            os.environ["DUALGRAD_SEED"] = env_seed
+        assert main(argv) == code
+    assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
 
 
 def test_plot_produces_svg(tmp_path, capsys):

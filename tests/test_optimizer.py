@@ -1,17 +1,22 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import dualgrad.optimizer as optimizer_module
 from dualgrad.errors import (
     InsufficientHistory,
     InvalidConfig,
     InvalidDonor,
 )
 from dualgrad.experiments import make_toy_env
-from dualgrad.metrics import EffectDScore
+from dualgrad.metrics import EffectDScore, score_output
 from dualgrad.optimizer import (
     Demonstration,
     MemoryBank,
     OptimizerConfig,
+    TraceRecord,
     detect_collapse,
     evaluate_demo,
     run_two_stage,
@@ -19,6 +24,8 @@ from dualgrad.optimizer import (
     synth_generate,
 )
 from dualgrad.rng import stream
+from dualgrad.sequence import SegmentedSequence
+from dualgrad.transformer import generate
 
 
 def _config(**kw):
@@ -197,3 +204,109 @@ def test_scores_are_valid_effect_values():
     for r in trace:
         assert 0.0 <= r.effect_d <= 1.0
         assert -1.0 <= r.similarity <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# stage-2 work: stop at the target, one evaluation per distinct demonstration
+
+
+def _evaluate_demo_oracle(env, demo, steps):
+    """Reference stage 2: full-length generation, then the first hit."""
+    emb = env.vocab.input_embeddings
+    per = emb[list(demo.per_ids)] if demo.per_ids else None
+    seq = SegmentedSequence.build(
+        env.instr, emb[list(demo.ids)], env.leads, per=per,
+        normalize=env.normalize, candidate_mask=env.candidate_mask,
+    )
+    trace = generate(env.forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True)
+    return score_output(trace.ids, env.target_id)
+
+
+def _run_two_stage_oracle(config, env):
+    """Reference m-path loop: every proposal and memory score evaluated afresh."""
+    rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
+    donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
+    memories = [MemoryBank(config.memory_capacity) for _ in range(config.m)]
+    history = [[] for _ in range(config.m)]
+    last_demo = [None] * config.m
+    trace = []
+    for it in range(1, config.iterations + 1):
+        for p in range(config.m):
+            records = history[p]
+            collapsed = len(records) >= 2 and detect_collapse(
+                [r.effect_d for r in records], [r.similarity for r in records],
+                config.tau_sim, config.eps_imp, config.window,
+            )
+            donor = None
+            if collapsed and config.perturbation_enabled:
+                others = [q for q in range(config.m) if q != p and last_demo[q] is not None]
+                if others:
+                    donor = last_demo[int(donor_rngs[p].choice(others))]
+            demo = synth_generate(
+                p, it, memories[p], rngs[p], env.vocab.size, config.demo_len, donor,
+                donor_rng=donor_rngs[p],
+            )
+            score = _evaluate_demo_oracle(env, demo, config.gen_steps)
+            sim = 0.0 if last_demo[p] is None else similarity(env.vocab, last_demo[p], demo)
+            mem_score = score
+            if demo.per_ids:
+                mem_score = _evaluate_demo_oracle(
+                    env, Demonstration(demo.ids, origin=demo.origin), config.gen_steps
+                )
+            memories[p].admit(demo, mem_score, it)
+            rec = TraceRecord(it, p, score.value, sim, collapsed, donor is not None,
+                              f"p{p}i{it}", demo)
+            records.append(rec)
+            trace.append(rec)
+            last_demo[p] = demo
+    return trace
+
+
+@pytest.mark.parametrize("perturbation", [True, False])
+@pytest.mark.parametrize("seed", range(10))
+def test_run_two_stage_matches_full_length_oracle(seed, perturbation):
+    env = make_toy_env(100 + seed, d_i=8, d_o=6)
+    cfg = _config(iterations=15, master_seed=seed, perturbation_enabled=perturbation)
+    assert run_two_stage(cfg, env) == _run_two_stage_oracle(cfg, env)
+
+
+def test_evaluate_demo_stops_at_the_target():
+    env = make_toy_env(8)
+    calls = []
+
+    def forward(seq, pos):
+        calls.append(pos)
+        return env.forward(seq, pos)
+
+    counted = replace(env, forward=forward)
+    rng = np.random.default_rng(8)
+    hits = set()
+    for _ in range(60):
+        demo = Demonstration(tuple(int(v) for v in rng.integers(0, env.vocab.size, 4)))
+        calls.clear()
+        score = evaluate_demo(counted, demo, steps=5)
+        assert score == _evaluate_demo_oracle(env, demo, 5)
+        assert len(calls) == (score.hit_position or 5)
+        hits.add(score.hit_position)
+    assert len(hits) > 2  # misses and hits at several positions were exercised
+
+
+def test_repeated_demonstration_is_evaluated_once_per_run():
+    env = make_toy_env(7)
+    cfg = _config(m=2, iterations=5, perturbation_enabled=False)
+    ids = (1, 2, 3, 4)
+
+    def same_demo(path, iteration, memory, rng, vocab_size, demo_len, donor=None,
+                  donor_rng=None):
+        # path 1 adds a perturbation segment, so its memory score is path 0's pair
+        return Demonstration(ids, (5,) if path else (), origin=(path, iteration))
+
+    with mock.patch.object(optimizer_module, "evaluate_demo", wraps=evaluate_demo) as spy:
+        trace = run_two_stage(cfg, env, generator=same_demo)
+        assert sorted((c.args[1].ids, c.args[1].per_ids) for c in spy.call_args_list) == [
+            (ids, ()), (ids, (5,))
+        ]
+        run_two_stage(cfg, env, generator=same_demo)
+        assert spy.call_count == 4  # nothing is kept from one run to the next
+    for r in trace:
+        assert r.effect_d == evaluate_demo(env, r.demo, cfg.gen_steps).value

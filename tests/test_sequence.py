@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualgrad.errors import InvalidDimension
-from dualgrad.sequence import SegmentedSequence, Tag
+from dualgrad.sequence import SegmentedSequence, Tag, _unit_rows
 
 
 def _seq(n_t=3, n_d=2, k=2, n_per=0, normalize=True):
@@ -88,3 +91,22 @@ def test_dimension_mismatch_rejected():
         )
     with pytest.raises(InvalidDimension):
         _seq().append(np.ones(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    zero_rows=st.lists(st.booleans(), max_size=12),
+)
+@example(x=np.zeros((3, 4)), zero_rows=[])
+def test_unit_rows_is_bitwise_the_linalg_norm_form(x, zero_rows):
+    x = x.copy()
+    x[np.array(zero_rows + [False] * len(x))[: len(x)]] = 0.0
+    with np.errstate(over="ignore"):  # huge rows overflow to an infinite norm in both forms
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        assert _unit_rows(x).tobytes() == (x / norms).tobytes()

@@ -15,6 +15,7 @@ from dualgrad.dual import (
     build_dual_gqa,
     build_dual_stack,
     build_dual_transformer,
+    dual_gqa_forward,
     with_perturbation,
 )
 from dualgrad.errors import (
@@ -155,6 +156,38 @@ def test_query_token_is_excluded():
     h = exact_attention(params, seq, pos)
     other = seq.truncate(pos)
     assert np.allclose(exact_attention(params, other, pos), h, atol=1e-15)
+
+
+def _qkv_oracle(params, seq, query_pos):
+    """The former ``_qkv``: keys and query rotated by two separate calls."""
+    context = seq.tokens[: query_pos - 1].T
+    keys = _rotate(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
+    q = params.w_q @ seq.tokens[query_pos - 1]
+    return keys, params.w_v @ context, _rotate(q[:, None], [query_pos], params.rope_base)[:, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_o=st.sampled_from([1, 2, 3, 4, 5, 7, 8]),
+    n=st.integers(2, 48),
+    pos_draw=st.integers(0, 10**6),
+)
+@example(seed=0, d_o=1, n=2, pos_draw=0)
+@example(seed=1, d_o=5, n=48, pos_draw=0)  # query_pos = 2 in a long prompt
+@example(seed=2, d_o=6, n=48, pos_draw=46)
+def test_exact_attention_is_bitwise_the_two_rotation_oracle(seed, d_o, n, pos_draw):
+    rng = stream(seed, "qkv")
+    params = random_attention(rng, 5, d_o)
+    seq = random_sequence(rng, 5, n - 1, 0, 1)
+    pos = 2 + pos_draw % (n - 1)
+    keys, values, q = _qkv(params, seq, pos)
+    assert keys.flags.c_contiguous and q.flags.c_contiguous
+    for got, want in zip((keys, values, q), _qkv_oracle(params, seq, pos)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with mock.patch.object(transformer_module, "_qkv", _qkv_oracle):
+        want = exact_attention(params, seq, pos)
+    assert exact_attention(params, seq, pos).tobytes() == want.tobytes()
 
 
 def test_kernel_attention_approximates_exact():
@@ -463,6 +496,42 @@ def test_gqa_dimension_validation():
         GqaConfig(n=1, g=2, d_o=8, w_concat=np.zeros((2, 3, 3)))
 
 
+@pytest.mark.parametrize(
+    "n, g, groups",
+    [(2, 1, [0, 0]), (1, 2, [0, 1]), (3, 2, [0, 0, 0, 1, 1, 1]), (2, 3, [0, 0, 1, 1, 2, 2])],
+)
+def test_gqa_heads_use_their_groups_key_and_value(n, g, groups):
+    rng = stream(11, "gqa-groups")
+    d_i, hd = 5, 2
+    cfg = GqaConfig(n=n, g=g, d_o=hd * n * g)
+    params = GqaParams(*(rng.normal(0, 0.5, (k, hd, d_i)) for k in (cfg.heads, g, g)))
+    seq = random_sequence(rng, d_i, 5, 3, 2)
+    fmap = sample_feature_map(hd, 128, seed=11)
+    pos = len(seq)
+    assert [cfg.group_of(s) for s in range(cfg.heads)] == groups
+    per_head = [
+        kernel_attention(
+            AttentionParams(params.w_q[s], params.w_k[grp], params.w_v[grp]), fmap, seq, pos
+        )
+        for s, grp in enumerate(groups)
+    ]
+    h = gqa_attention(params, cfg, fmap, seq, pos)
+    assert np.allclose(h, np.concatenate(per_head), atol=1e-12)
+    assert np.allclose(dual_gqa_forward(build_dual_gqa(params, cfg, fmap, seq, pos)), h, atol=1e-12)
+
+
+def test_gqa_params_must_match_heads_and_groups():
+    cfg = GqaConfig(n=2, g=1, d_o=4)  # two query heads, one key/value group
+
+    def params(heads, k_groups, v_groups):
+        return GqaParams(*(np.zeros((k, 2, 3)) for k in (heads, k_groups, v_groups)))
+
+    assert params(2, 1, 1).head(cfg, 1).w_k.shape == (2, 3)
+    for bad in ((2, 2, 2), (1, 1, 1), (2, 1, 2), (3, 1, 1)):
+        with pytest.raises(InvalidDimension):
+            params(*bad).head(cfg, 0)
+
+
 # ---------------------------------------------------------------------------
 # prefix-key feature cache
 
@@ -472,7 +541,7 @@ def _kernel_parts_oracle(params, fmap, seq, query_pos):
     _check_pos(seq, query_pos)
     if fmap.input_dim != params.d_o:
         raise InvalidDimension("feature map input_dim must equal d_o")
-    keys, values, q = _qkv(params, seq, query_pos)
+    keys, values, q = _qkv_oracle(params, seq, query_pos)
     scale = params.d_o**0.25
     feat_keys = phi_matrix(fmap, keys / scale)
     feat_q = phi(fmap, q / scale)
@@ -498,8 +567,8 @@ def _cache_case(seed, d_o, D, n_d, n_per, pos_draw):
     ffn = _scaled_ffn(rng, d_o, 4)
     layers = [(params, ffn)] + [(random_attention(rng, d_o, d_o), ffn) for _ in range(2)]
     stack = LayerStack(tuple(layers))
-    gcfg = GqaConfig(n=1, g=2, d_o=4)  # two query heads share key group 0
-    gqa = GqaParams(*(rng.normal(0, 0.5, (k, 2, d_i)) for k in (2, 2, 2)))
+    gcfg = GqaConfig(n=2, g=1, d_o=4)  # two query heads share key group 0
+    gqa = GqaParams(*(rng.normal(0, 0.5, (k, 2, d_i)) for k in (2, 1, 1)))
     seq = random_sequence(rng, d_i, 3, n_d, 2, n_per)
     pos = 2 + pos_draw % (len(seq) - 1)  # pos_draw = 0 gives query_pos = 2
     fmap = sample_feature_map(d_o, D, seed=seed)
@@ -749,6 +818,40 @@ def test_generate_exclude_emitted_until_exhausted_matches_oracle(kind):
         cur = cur.append(vocab.input_embeddings[tok], Tag.T_LEAD)
     trace = generate(forward, seq, 50, vocab, mask=mask, exclude_emitted=True)
     assert list(trace.ids) == expected
+
+
+@pytest.mark.parametrize("exclude_emitted", [False, True])
+@pytest.mark.parametrize("kind", [None, set, np.array])
+def test_generate_stop_id_gives_the_prefix_ending_at_the_target(kind, exclude_emitted):
+    vocab = _int_vocab(3, size=12, d_o=4)
+    rng = stream(15, "gen")
+    params = random_attention(rng, 5, 4)
+    seq = random_sequence(rng, 5, 4, 3, 2)
+    mask = None if kind is None else kind([0, 2, 3, 5, 6, 8, 9, 11])
+
+    def forward(s, p):
+        return np.round(3 * exact_attention(params, s, p))  # integer scores, many ties
+
+    def run(steps=9, **kw):
+        return generate(forward, seq, steps, vocab, mask=mask, exclude_emitted=exclude_emitted,
+                        **kw)
+
+    full = run()
+    assert len(set(full.ids)) >= 2  # several targets; without exclusion ids repeat
+    for target in range(-1, vocab.size):
+        stopped = run(stop_id=target)
+        hit = target in full.ids
+        p = full.ids.index(target) + 1 if hit else len(full.ids)
+        assert stopped.ids == full.ids[:p] and (stopped.ids[-1] == target) == hit
+        assert stopped.positions == full.positions[:p]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stopped.hiddens, full.hiddens))
+        # the trace is the one of steps = p, final sequence included
+        same = run(steps=p)
+        assert stopped.ids == same.ids
+        assert stopped.final_seq.tokens.tobytes() == same.final_seq.tokens.tobytes()
+        assert stopped.final_seq.tags == same.final_seq.tags
+        if not hit:
+            assert stopped.final_seq.tokens.tobytes() == full.final_seq.tokens.tobytes()
 
 
 def test_generate_validates_steps():
