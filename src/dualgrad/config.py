@@ -8,7 +8,8 @@ separators and full float round-trip precision.
 import dataclasses
 import os
 
-from .errors import InvalidConfig, IoError, ParseError
+from .dual import parse_schedule
+from .errors import InvalidConfig, InvalidParameter, IoError, ParseError
 from .experiments import ExperimentConfig
 
 # config-document keys that differ from the dataclass field names
@@ -91,9 +92,10 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
         raise InvalidConfig("dims and sizes must be positive")
     if cfg.mode not in ("exact", "kernel"):
         raise InvalidConfig(f"mode must be exact|kernel, got {cfg.mode!r}")
-    prefix, _, passes = cfg.schedule.partition(":")
-    if cfg.schedule != "per-token" and not (prefix == "fractional" and passes.isdecimal()):
-        raise InvalidConfig(f"schedule must be per-token|fractional:<S>, got {cfg.schedule!r}")
+    try:
+        parse_schedule(cfg.schedule)
+    except InvalidParameter as exc:
+        raise InvalidConfig(str(exc)) from None
     return cfg
 
 

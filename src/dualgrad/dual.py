@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidIndex, InvalidParameter
+from .errors import InvalidDimension, InvalidParameter
 from .kernelmap import FourierFeatureMap
 from .sequence import SegmentedSequence, Tag
 from .transformer import (
@@ -26,7 +26,6 @@ from .transformer import (
     GqaParams,
     LayerStack,
     _kernel_parts,
-    freeze_sigma_diag,
     stack_trace,
 )
 
@@ -90,15 +89,39 @@ def loss_icl(dual: DualModel, w: np.ndarray) -> float:
 # builders
 
 
-def _demo_columns(seq: SegmentedSequence, query_pos: int, include_per: bool):
-    task, demo = [], []
-    for i in range(query_pos - 1):
-        tag = seq.tags[i]
-        if tag in (Tag.T_INSTR, Tag.T_LEAD):
-            task.append(i)
-        elif tag is Tag.D_CURR or (tag is Tag.D_PER and include_per):
-            demo.append(i)
-    return np.array(task, dtype=int), np.array(demo, dtype=int)
+def _dual(
+    seq: SegmentedSequence,
+    query_pos: int,
+    parts: tuple,
+    left,
+    beta: float,
+    include_per: bool = False,
+    alpha: float = 0.0,
+    bias: np.ndarray | None = None,
+) -> DualModel:
+    """The dual at query_pos whose every term multiplies its value by ``left``.
+
+    ``parts`` is the (values, feat_keys, feat_q, c) of ``_kernel_parts`` and
+    ``left`` maps value columns to their label columns: c V for plain
+    attention, c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V
+    for a grouped-query head.  The task-side columns form W_0 = left(V_T)
+    phi(K~_T)', the demonstration columns the labels left(V_D).
+    """
+    values, feat_keys, feat_q, c = parts
+    tags = seq.tags[: query_pos - 1]
+    demo_tags = (Tag.D_CURR, Tag.D_PER) if include_per else (Tag.D_CURR,)
+    task = [i for i, t in enumerate(tags) if t in (Tag.T_INSTR, Tag.T_LEAD)]
+    demo = [i for i, t in enumerate(tags) if t in demo_tags]
+    return DualModel(
+        w0=left(values[:, task]) @ feat_keys[:, task].T,
+        labels=left(values[:, demo]),
+        feats=feat_keys[:, demo],
+        phi_q=feat_q,
+        c=c,
+        beta=beta,
+        alpha=alpha,
+        bias=bias,
+    )
 
 
 def build_dual_attention(
@@ -111,18 +134,9 @@ def build_dual_attention(
     include_per: bool = False,
 ) -> DualModel:
     """Dual of plain kernel attention at query_pos."""
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
-    task, demo = _demo_columns(seq, query_pos, include_per)
-    w0 = c * values[:, task] @ feat_keys[:, task].T
-    return DualModel(
-        w0=w0,
-        labels=c * values[:, demo],
-        feats=feat_keys[:, demo],
-        phi_q=feat_q,
-        c=c,
-        beta=beta,
-        alpha=alpha,
-    )
+    parts = _kernel_parts(params, fmap, seq, query_pos)
+    c = parts[3]
+    return _dual(seq, query_pos, parts, lambda v: c * v, beta, include_per, alpha)
 
 
 def with_perturbation(
@@ -136,11 +150,7 @@ def with_perturbation(
     per = [i for i in seq.idx_per if i < query_pos - 1]
     if not per:
         return dual
-    _, demo = _demo_columns(seq, query_pos, include_per=False)
-    if set(per) & set(demo.tolist()):
-        raise InvalidIndex("perturbation indices overlap the demonstration set")
     values, feat_keys, _, _ = _kernel_parts(params, fmap, seq, query_pos)
-    per = np.array(per, dtype=int)
     return replace(
         dual,
         labels=np.hstack([dual.labels, dual.c * values[:, per]]),
@@ -184,21 +194,15 @@ def build_dual_transformer(
     beta: float = 1.0,
 ) -> DualModel:
     """Dual of attention + FFN with the activation frozen at the reference pass."""
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
-    h_ref = c * values @ (feat_keys.T @ feat_q)
-    sigma = freeze_sigma_diag(ffn, h_ref)
+    parts = _kernel_parts(params, fmap, seq, query_pos)
+    values, feat_keys, feat_q, c = parts
+    sigma = np.ones(ffn.d_h)
+    if ffn.activation == "relu":  # frozen at the reference pass
+        h_ref = c * values @ (feat_keys.T @ feat_q)
+        sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
     w_hat = c * (ffn.w1 * sigma) @ ffn.w2  # c W_FFN1 Sigma W_FFN2
     bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
-    task, demo = _demo_columns(seq, query_pos, include_per=False)
-    return DualModel(
-        w0=w_hat @ values[:, task] @ feat_keys[:, task].T,
-        labels=w_hat @ values[:, demo],
-        feats=feat_keys[:, demo],
-        phi_q=feat_q,
-        c=c,
-        beta=beta,
-        bias=bias,
-    )
+    return _dual(seq, query_pos, parts, lambda v: w_hat @ v, beta, bias=bias)
 
 
 def build_dual_stack(
@@ -233,19 +237,9 @@ def build_dual_gqa(
     """Blockwise duals, one per query head; concatenated forwards equal GQA."""
     duals = []
     for s in range(cfg.heads):
-        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
-        task, demo = _demo_columns(seq, query_pos, include_per=False)
-        mix = cfg.mix(s)
-        duals.append(
-            DualModel(
-                w0=c * mix @ values[:, task] @ feat_keys[:, task].T,
-                labels=c * mix @ values[:, demo],
-                feats=feat_keys[:, demo],
-                phi_q=feat_q,
-                c=c,
-                beta=beta,
-            )
-        )
+        parts = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
+        left = parts[3] * cfg.mix(s)  # c W_concat^(s)
+        duals.append(_dual(seq, query_pos, parts, lambda v: left @ v, beta))
     return duals
 
 
@@ -267,20 +261,21 @@ class DescentState:
     se_log: list[tuple[int, float]] = field(default_factory=list)
 
 
-def start_descent(dual: DualModel, schedule: str = "per-token") -> DescentState:
-    _pass_length(dual, schedule)  # validate early
-    return DescentState(w=dual.w0.copy(), schedule=schedule)
-
-
-def _pass_length(dual: DualModel, schedule: str) -> int:
+def parse_schedule(schedule: str) -> int | None:
+    """S of "fractional:<S>" (S >= 1), or None for "per-token"."""
     if schedule == "per-token":
-        return max(dual.n_demo, 1)
-    if schedule.startswith("fractional:"):
-        s = schedule.split(":", 1)[1]
-        if not s.isdecimal() or int(s) < 1:
-            raise InvalidParameter(f"fractional schedule needs an integer S >= 1, got {s!r}")
-        return int(s) * max(dual.n_demo, 1)
-    raise InvalidParameter(f"unknown schedule {schedule!r}")
+        return None
+    prefix, _, s = schedule.partition(":")
+    if prefix != "fractional" or not s.isdecimal() or int(s) < 1:
+        raise InvalidParameter(
+            f"schedule must be per-token|fractional:<S> with integer S >= 1, got {schedule!r}"
+        )
+    return int(s)
+
+
+def start_descent(dual: DualModel, schedule: str = "per-token") -> DescentState:
+    parse_schedule(schedule)  # validate early
+    return DescentState(w=dual.w0.copy(), schedule=schedule)
 
 
 def descend(
@@ -298,10 +293,11 @@ def descend(
     """
     if n_steps < 0:
         raise InvalidParameter("n_steps must be >= 0")
-    length = _pass_length(dual, state.schedule)
+    passes = parse_schedule(state.schedule)
+    length = (passes or 1) * max(dual.n_demo, 1)
     reg_share = dual.alpha * dual.w0 / length if dual.alpha else None
     for _ in range(n_steps):
-        if state.schedule == "per-token":
+        if passes is None:
             if dual.n_demo:
                 j = state.steps_applied % dual.n_demo
                 state.w += dual.contribution(j)

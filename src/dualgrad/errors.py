@@ -14,7 +14,7 @@ class InvalidParameter(DualgradError):
 
 
 class InvalidIndex(DualgradError):
-    """A position or index set is out of range or overlaps where it must not."""
+    """A position or index set is out of range."""
 
 
 class InvalidConfig(DualgradError):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import _pass_length, build_dual_attention, descend, start_descent
+from .dual import DualModel, build_dual_attention, descend, parse_schedule, start_descent
 from .engineering import build_scenario
 from .errors import NormalizationDegenerate
 from .kernelmap import sample_feature_map
@@ -74,6 +74,16 @@ def random_sequence(
     )
 
 
+def _se_curve(
+    dual: DualModel, reference: np.ndarray, schedule: str, n_steps: int
+) -> list[tuple[int, float]]:
+    """(step, squared error against reference) from W_0 alone (step 0) through n_steps."""
+    state = start_descent(dual, schedule)
+    pred0 = state.w @ dual.phi_q
+    descend(dual, state, n_steps, reference=reference)
+    return [(0, float(np.sum((reference - pred0) ** 2))), *state.se_log]
+
+
 EQUIV_HEADER = ["seed", "n_d", "step", "se", "schedule", "mode"]
 
 
@@ -100,15 +110,8 @@ def run_equiv(cfg: ExperimentConfig) -> list[list]:
             break
         else:
             raise NormalizationDegenerate(f"seed {seed}: no usable draw in 20 attempts")
-        state = start_descent(dual, cfg.schedule)
-        n_pass = _pass_length(dual, cfg.schedule)
-        # step 0 row: distance of the constant part alone
-        pred0 = state.w @ dual.phi_q
-        rows.append(
-            [seed, cfg.n_d, 0, float(np.sum((reference - pred0) ** 2)), cfg.schedule, cfg.mode]
-        )
-        descend(dual, state, n_pass, reference=reference)
-        for step, se in state.se_log:
+        n_pass = (parse_schedule(cfg.schedule) or 1) * max(dual.n_demo, 1)
+        for step, se in _se_curve(dual, reference, cfg.schedule, n_pass):
             rows.append([seed, cfg.n_d, step, se, cfg.schedule, cfg.mode])
     return rows
 
@@ -155,15 +158,9 @@ def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
             p = len(seq)
             reference = kernel_attention(scen.params, fmap, seq, p)
             dual = build_dual_attention(scen.params, fmap, seq, p)
-            state = start_descent(dual, "per-token")
-            pred0 = state.w @ dual.phi_q
-            report.rows.append(
-                [kind, token_step, 0, float(np.sum((reference - pred0) ** 2))]
-            )
-            descend(dual, state, scen.n_d, reference=reference)
-            for step, se in state.se_log:
-                report.rows.append([kind, token_step, step, se])
-            terminal = max(terminal, state.se_log[-1][1])
+            curve = _se_curve(dual, reference, "per-token", scen.n_d)
+            report.rows.extend([kind, token_step, step, se] for step, se in curve)
+            terminal = max(terminal, curve[-1][1])
             seq = seq.append(scen.vocab.input_embeddings[tok])
         report.terminal_se[kind] = terminal
     return report

@@ -1,9 +1,9 @@
 """Self-contained invariant suites behind the ``props`` subcommand.
 
-Each suite returns (passed, failed, messages); messages describe failures
-only.  The ``inject_fault`` hook exists so the harness itself can be shown to
-catch a broken identity (it flips the sign of the analytic gradient inside
-the gradient suite).
+Each suite yields one (ok, message) pair per case; the message describes
+the case's failure.  The ``inject_fault`` hook exists so the harness itself
+can be shown to catch a broken identity (it flips the sign of the analytic
+gradient inside the gradient suite).
 """
 
 import numpy as np
@@ -35,36 +35,23 @@ def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4, n_per=0, feature_dim=64):
 
 
 def suite_kernelmap(n_cases=50, seed0=0):
-    passed, failed, msgs = 0, 0, []
     for i in range(n_cases):
         rng = stream(seed0 + i, "props-kernel")
         fmap = sample_feature_map(4, 64, seed=seed0 + i)
         x = rng.normal(0, 0.5, 4)
         f = phi(fmap, x)
         norm_ok = abs(float(f @ f) - np.exp(x @ x) / 2) <= 1e-10 * np.exp(x @ x)
-        if norm_ok:
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(f"kernel norm identity failed at case {i}")
-    return passed, failed, msgs
+        yield norm_ok, f"kernel norm identity failed at case {i}"
 
 
 def suite_rope(seed0=0):
-    passed, failed, msgs = 0, 0, []
     for m, n in [(1, 1), (17, 4), (511, 212), (3, 300)]:
         lhs = rope(m, 8).T @ rope(n, 8)
         rhs = rope(n - m, 8) if n >= m else rope(m - n, 8).T
-        if np.max(np.abs(lhs - rhs)) <= 1e-12:
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(f"rope group law failed for (m={m}, n={n})")
-    return passed, failed, msgs
+        yield np.max(np.abs(lhs - rhs)) <= 1e-12, f"rope group law failed for (m={m}, n={n})"
 
 
 def suite_attention(n_cases=25, seed0=0):
-    passed, failed, msgs = 0, 0, []
     for i in range(n_cases):
         try:
             params, seq, fmap, pos = _draw(seed0 + i)
@@ -72,83 +59,71 @@ def suite_attention(n_cases=25, seed0=0):
             h_t, h_d = split_attention(params, fmap, seq, pos)
             exact_attention(params, seq, pos)  # must not raise
         except NormalizationDegenerate:
-            passed += 1  # an explicitly signalled degenerate draw is not a failure
+            yield True, ""  # an explicitly signalled degenerate draw is not a failure
             continue
-        if np.max(np.abs(h_t + h_d - h)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(f"split recomposition failed at case {i}")
-    return passed, failed, msgs
+        ok = np.max(np.abs(h_t + h_d - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+        yield ok, f"split recomposition failed at case {i}"
+
+
+def gradient_error(dual, w, flip_sign=False) -> float:
+    """Max |beta * central-difference gradient - analytic gradient| of loss_icl at w.
+
+    The step is 1e-5; ``flip_sign`` negates the analytic side (the grad-sign fault).
+    """
+    analytic = -(dual.labels @ dual.feats.T) + dual.alpha * w
+    if flip_sign:
+        analytic = -analytic
+    num = np.zeros_like(w)
+    hstep = 1e-5
+    for idx in np.ndindex(w.shape):
+        wp, wm = w.copy(), w.copy()
+        wp[idx] += hstep
+        wm[idx] -= hstep
+        num[idx] = (loss_icl(dual, wp) - loss_icl(dual, wm)) / (2 * hstep)
+    return float(np.max(np.abs(dual.beta * num - analytic)))
 
 
 def suite_dual(n_cases=25, seed0=0, inject_fault=""):
-    passed, failed, msgs = 0, 0, []
     for i in range(n_cases):
         try:
             params, seq, fmap, pos = _draw(seed0 + i, n_per=2)
             h = kernel_attention(params, fmap, seq, pos)
             dual = build_dual_attention(params, fmap, seq, pos)
         except NormalizationDegenerate:
-            passed += 1
+            yield True, ""
             continue
-        ok = True
         # the forward attends over the perturbation tokens too, so the exact
         # identity holds once their contributions are appended
         dual_p = with_perturbation(dual, params, fmap, seq, pos)
         f = dual_forward(dual_p)
         if np.max(np.abs(f - h)) > 1e-9 * max(1.0, np.max(np.abs(h))):
-            ok, msg = False, f"dual/forward mismatch at case {i}"
+            yield False, f"dual/forward mismatch at case {i}"
+            continue
         # gradient vs central finite differences
-        if ok:
-            rng = stream(seed0 + i, "props-dual-w")
-            w = rng.normal(0, 1, dual.w0.shape)
-            dual_pr = with_value_regularization(dual_p, 0.3)
-            analytic = -(dual_pr.labels @ dual_pr.feats.T) + dual_pr.alpha * w
-            if inject_fault == "grad-sign":
-                analytic = -analytic
-            num = np.zeros_like(w)
-            hstep = 1e-5
-            for r in range(w.shape[0]):
-                for cidx in range(w.shape[1]):
-                    wp, wm = w.copy(), w.copy()
-                    wp[r, cidx] += hstep
-                    wm[r, cidx] -= hstep
-                    num[r, cidx] = (loss_icl(dual_pr, wp) - loss_icl(dual_pr, wm)) / (2 * hstep)
-            if np.max(np.abs(dual_pr.beta * num - analytic)) > 1e-5:
-                ok, msg = False, f"gradient check failed at case {i}"
+        rng = stream(seed0 + i, "props-dual-w")
+        w = rng.normal(0, 1, dual.w0.shape)
+        dual_pr = with_value_regularization(dual_p, 0.3)
+        if gradient_error(dual_pr, w, flip_sign=inject_fault == "grad-sign") > 1e-5:
+            yield False, f"gradient check failed at case {i}"
+            continue
         # schedule independence
-        if ok:
-            s1 = descend(dual, start_descent(dual, "per-token"), dual.n_demo)
-            s2 = descend(dual, start_descent(dual, "fractional:3"), 3 * dual.n_demo)
-            if np.max(np.abs(s1.w - s2.w)) > 1e-10:
-                ok, msg = False, f"schedule endpoint mismatch at case {i}"
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(msg)
-    return passed, failed, msgs
+        s1 = descend(dual, start_descent(dual, "per-token"), dual.n_demo)
+        s2 = descend(dual, start_descent(dual, "fractional:3"), 3 * dual.n_demo)
+        yield np.max(np.abs(s1.w - s2.w)) <= 1e-10, f"schedule endpoint mismatch at case {i}"
 
 
 def suite_linear_duality(n_cases=20, seed0=0):
-    passed, failed, msgs = 0, 0, []
     for i in range(n_cases):
         rng = stream(seed0 + i, "props-linear")
         w0 = rng.normal(0, 1, (5, 5))
         xs = rng.normal(0, 1, (5, 8))
         es = rng.normal(0, 1, (5, 8))
         lhs, rhs = linear_dual_equivalence(w0, xs, es, rng.normal(0, 1, 5))
-        if np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs))):
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(f"linear duality failed at case {i}")
-    return passed, failed, msgs
+        ok = np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
+        yield ok, f"linear duality failed at case {i}"
 
 
 def suite_metrics():
-    passed, failed, msgs = 0, 0, []
     checks = [
         abs(effect_d(1) - 1.0) < 1e-15,
         abs(effect_d(3) - 0.5) < 1e-15,
@@ -156,12 +131,7 @@ def suite_metrics():
         effect_d(None) == 0.0,
     ]
     for i, ok in enumerate(checks):
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            msgs.append(f"metric check {i} failed")
-    return passed, failed, msgs
+        yield ok, f"metric check {i} failed"
 
 
 SUITES = {
@@ -177,11 +147,12 @@ SUITES = {
 def run_all(inject_fault: str = ""):
     """Run every suite; returns (all_passed, report_lines)."""
     lines = []
-    ok = True
+    all_passed = True
     for name, fn in SUITES.items():
-        passed, failed, msgs = fn(inject_fault)
-        status = "PASS" if failed == 0 else "FAIL"
-        lines.append(f"{status} {name}: {passed} passed, {failed} failed")
+        results = list(fn(inject_fault))
+        msgs = [msg for ok, msg in results if not ok]
+        status = "FAIL" if msgs else "PASS"
+        lines.append(f"{status} {name}: {len(results) - len(msgs)} passed, {len(msgs)} failed")
         lines.extend(f"  {m}" for m in msgs)
-        ok = ok and failed == 0
-    return ok, lines
+        all_passed = all_passed and not msgs
+    return all_passed, lines

@@ -429,28 +429,8 @@ def split_attention(
     return values @ (weights * task), values @ (weights * ~task)
 
 
-def _attention_or_zero(
-    params: AttentionParams,
-    seq: SegmentedSequence,
-    pos: int,
-    fmap: FourierFeatureMap | None,
-) -> np.ndarray:
-    if pos < 2:
-        return np.zeros(params.d_o)
-    if fmap is None:
-        return exact_attention(params, seq, pos)
-    return kernel_attention(params, fmap, seq, pos)
-
-
 # ---------------------------------------------------------------------------
 # feed-forward and stacking
-
-
-def freeze_sigma_diag(ffn: FfnParams, h: np.ndarray) -> np.ndarray:
-    if ffn.activation == "identity":
-        return np.ones(ffn.d_h)
-    z = ffn.w2 @ h + ffn.b2
-    return (z > 0).astype(float)
 
 
 def _ffn_forward(ffn: FfnParams, h: np.ndarray) -> np.ndarray:
@@ -469,7 +449,13 @@ def layer_forward(
     fmap: FourierFeatureMap | None = None,
 ) -> np.ndarray:
     """Attention followed by the FFN; kernel mode when a feature map is given."""
-    return _ffn_forward(ffn, _attention_or_zero(params, seq, query_pos, fmap))
+    if query_pos < 2:
+        h = np.zeros(params.d_o)
+    elif fmap is None:
+        h = exact_attention(params, seq, query_pos)
+    else:
+        h = kernel_attention(params, fmap, seq, query_pos)
+    return _ffn_forward(ffn, h)
 
 
 def _layer_scan(
@@ -560,11 +546,10 @@ def gqa_attention(
     query_pos: int,
 ) -> np.ndarray:
     """Concatenation of per-head block outputs W_concat^(s) c^(s) V phi(K)' phi(q)."""
-    blocks = []
-    for s in range(cfg.heads):
-        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
-        blocks.append(cfg.mix(s) @ (c * values @ (feat_keys.T @ feat_q)))
-    return np.concatenate(blocks)
+    return np.concatenate(
+        [cfg.mix(s) @ kernel_attention(params.head(cfg, s), fmap, seq, query_pos)
+         for s in range(cfg.heads)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def test_load_config_validation(tmp_path):
         load_config("equiv", None, {"mode": "both"})
     with pytest.raises(InvalidConfig):
         load_config("equiv", None, {"schedule": "sgd"})
+    with pytest.raises(InvalidConfig):
+        load_config("equiv", None, {"schedule": "fractional:0"})
     with pytest.raises(IoError):
         load_config("equiv", str(tmp_path / "missing.cfg"), {})
 
@@ -168,6 +170,7 @@ def test_missing_config_file_exits_3(tmp_path):
         (["equiv", "--schedule", "fractional:abc"], {}, 2),
         (["plot", "missing.csv"], {}, 3),
         (["equiv", "--config", "layers.cfg"], {}, 2),  # layers is no setting any more
+        (["fig7", "--schedule", "fractional:0"], {}, 2),  # rejected at load, though unused
     ],
 )
 def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):

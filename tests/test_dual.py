@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualgrad.dual import (
+    DualModel,
     advance_start,
     build_dual_attention,
     build_dual_gqa,
@@ -17,11 +22,12 @@ from dualgrad.dual import (
     with_perturbation,
     with_value_regularization,
 )
-from dualgrad.errors import InvalidDimension, InvalidParameter
+from dualgrad.errors import InvalidDimension, InvalidParameter, NormalizationDegenerate
 from dualgrad.experiments import random_attention, random_sequence
 from dualgrad.kernelmap import sample_feature_map
+from dualgrad.props import gradient_error
 from dualgrad.rng import stream
-from dualgrad.sequence import Tag
+from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
     FfnParams,
     GqaConfig,
@@ -32,6 +38,7 @@ from dualgrad.transformer import (
     layer_forward,
     split_attention,
     stack_forward,
+    _kernel_parts,
 )
 
 
@@ -125,18 +132,8 @@ def test_loss_gradient_finite_differences():
         ),
         0.3,
     )
-    rng = stream(8, "fd")
-    w = rng.normal(0, 1, dual.w0.shape)
-    h = 1e-5
-    num = np.zeros_like(w)
-    for r in range(w.shape[0]):
-        for c in range(w.shape[1]):
-            wp, wm = w.copy(), w.copy()
-            wp[r, c] += h
-            wm[r, c] -= h
-            num[r, c] = (loss_icl(dual, wp) - loss_icl(dual, wm)) / (2 * h)
-    analytic = -(dual.labels @ dual.feats.T) + dual.alpha * w
-    assert np.max(np.abs(dual.beta * num - analytic)) < 1e-5
+    w = stream(8, "fd").normal(0, 1, dual.w0.shape)
+    assert gradient_error(dual, w) < 1e-5
 
 
 def test_descent_schedules_share_endpoint():
@@ -281,6 +278,200 @@ def test_gqa_dual_with_mixing_matrices():
         gqa_attention(params, cfg, fmap, seq, pos),
         atol=1e-12,
     )
+
+
+# ---------------------------------------------------------------------------
+# one DualModel constructor: the per-builder assembly it replaced, as oracles
+
+
+def _demo_columns_oracle(seq, query_pos, include_per):
+    task, demo = [], []
+    for i in range(query_pos - 1):
+        tag = seq.tags[i]
+        if tag in (Tag.T_INSTR, Tag.T_LEAD):
+            task.append(i)
+        elif tag is Tag.D_CURR or (tag is Tag.D_PER and include_per):
+            demo.append(i)
+    return np.array(task, dtype=int), np.array(demo, dtype=int)
+
+
+def _dual_attention_oracle(params, fmap, seq, query_pos, alpha=0.0, include_per=False):
+    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
+    task, demo = _demo_columns_oracle(seq, query_pos, include_per)
+    w0 = c * values[:, task] @ feat_keys[:, task].T
+    return DualModel(
+        w0=w0, labels=c * values[:, demo], feats=feat_keys[:, demo], phi_q=feat_q, c=c,
+        alpha=alpha,
+    )
+
+
+def _with_perturbation_oracle(dual, params, fmap, seq, query_pos):
+    per = [i for i in seq.idx_per if i < query_pos - 1]
+    if not per:
+        return dual
+    values, feat_keys, _, _ = _kernel_parts(params, fmap, seq, query_pos)
+    per = np.array(per, dtype=int)
+    return replace(
+        dual,
+        labels=np.hstack([dual.labels, dual.c * values[:, per]]),
+        feats=np.hstack([dual.feats, feat_keys[:, per]]),
+    )
+
+
+def _dual_transformer_oracle(params, ffn, fmap, seq, query_pos):
+    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
+    h_ref = c * values @ (feat_keys.T @ feat_q)
+    if ffn.activation == "identity":
+        sigma = np.ones(ffn.d_h)
+    else:
+        sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
+    w_hat = c * (ffn.w1 * sigma) @ ffn.w2
+    bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
+    task, demo = _demo_columns_oracle(seq, query_pos, include_per=False)
+    return DualModel(
+        w0=w_hat @ values[:, task] @ feat_keys[:, task].T,
+        labels=w_hat @ values[:, demo],
+        feats=feat_keys[:, demo],
+        phi_q=feat_q,
+        c=c,
+        bias=bias,
+    )
+
+
+def _dual_gqa_oracle(params, cfg, fmap, seq, query_pos):
+    duals = []
+    for s in range(cfg.heads):
+        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
+        task, demo = _demo_columns_oracle(seq, query_pos, include_per=False)
+        mix = cfg.mix(s)
+        duals.append(
+            DualModel(
+                w0=c * mix @ values[:, task] @ feat_keys[:, task].T,
+                labels=c * mix @ values[:, demo],
+                feats=feat_keys[:, demo],
+                phi_q=feat_q,
+                c=c,
+            )
+        )
+    return duals
+
+
+_ARRAYS = ("w0", "labels", "feats", "phi_q")
+
+
+def _assert_bitwise(a, b):
+    for name in _ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.c, a.beta, a.alpha) == (b.c, b.beta, b.alpha)
+    assert (a.bias is None) == (b.bias is None)
+    if a.bias is not None:
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+def _assert_close(a, b, rel=1e-12):
+    for name in (*_ARRAYS, "bias"):
+        x, y = getattr(a, name), getattr(b, name)
+        if y is None:
+            assert x is None
+            continue
+        assert x.shape == y.shape, name
+        assert np.max(np.abs(x - y), initial=0.0) <= rel * max(1.0, np.max(np.abs(y), initial=0.0))
+    assert abs(a.c - b.c) <= rel * abs(b.c)
+
+
+def _built(oracle, build):
+    """(build(), oracle()), or None when both raise NormalizationDegenerate."""
+    try:
+        want = oracle()
+    except NormalizationDegenerate:
+        with pytest.raises(NormalizationDegenerate):
+            build()
+        return None
+    return build(), want
+
+
+@st.composite
+def _prompts(draw):
+    """(rng, d_i, d_o, sequence, query_pos), with odd d_o, empty segments (n_demo = 0),
+    perturbation tokens and query_pos = 2 among the draws."""
+    seed = draw(st.integers(0, 2**16))
+    d_i, d_o = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    sizes = [draw(st.integers(lo, 4)) for lo in (0, 0, 0, 1)]  # instr, demo, per, leads
+    rng = np.random.default_rng(seed)
+    seq = SegmentedSequence.build(
+        *(rng.normal(0, 1, (n, d_i)) for n in (sizes[0], sizes[1])),
+        rng.normal(0, 1, (sizes[3], d_i)),
+        per=rng.normal(0, 1, (sizes[2], d_i)),
+        normalize=True,
+    )
+    if len(seq) < 2:
+        seq = seq.append(rng.normal(0, 1, d_i))
+    query_pos = draw(st.integers(2, len(seq)))
+    return rng, d_i, d_o, seq, query_pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_prompts(), alpha=st.sampled_from([0.0, 1.0]), include_per=st.booleans())
+def test_dual_attention_is_bitwise_the_per_builder_oracle(case, alpha, include_per):
+    rng, d_i, d_o, seq, pos = case
+    params = random_attention(rng, d_i, d_o)
+    fmap = sample_feature_map(d_o, 32, seed=int(rng.integers(1 << 30)))
+    built = _built(
+        lambda: _dual_attention_oracle(params, fmap, seq, pos, alpha, include_per),
+        lambda: build_dual_attention(params, fmap, seq, pos, alpha=alpha, include_per=include_per),
+    )
+    if built is None:
+        return
+    got, want = built
+    _assert_bitwise(got, want)
+    if not include_per:
+        _assert_bitwise(
+            with_perturbation(got, params, fmap, seq, pos),
+            _with_perturbation_oracle(want, params, fmap, seq, pos),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_prompts(), activation=st.sampled_from(["relu", "identity"]), d_h=st.integers(1, 5))
+def test_dual_transformer_matches_the_per_builder_oracle(case, activation, d_h):
+    rng, d_i, d_o, seq, pos = case
+    params = random_attention(rng, d_i, d_o)
+    ffn = replace(_ffn(rng, d_o, d_h), activation=activation)
+    fmap = sample_feature_map(d_o, 32, seed=int(rng.integers(1 << 30)))
+    built = _built(
+        lambda: _dual_transformer_oracle(params, ffn, fmap, seq, pos),
+        lambda: build_dual_transformer(params, ffn, fmap, seq, pos),
+    )
+    if built is not None:
+        _assert_close(*built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_prompts(),
+    n=st.integers(1, 3),
+    g=st.integers(1, 3),
+    head_dim=st.sampled_from([1, 2, 3]),
+    mixed=st.booleans(),
+)
+def test_dual_gqa_matches_the_per_builder_oracle(case, n, g, head_dim, mixed):
+    rng, d_i, _, seq, pos = case
+    heads = n * g
+    w_concat = rng.normal(0, 0.5, (heads, head_dim, head_dim)) if mixed else None
+    cfg = GqaConfig(n=n, g=g, d_o=heads * head_dim, w_concat=w_concat)
+    params = GqaParams(*(rng.normal(0, 0.4, (k, head_dim, d_i)) for k in (heads, g, g)))
+    fmap = sample_feature_map(head_dim, 32, seed=int(rng.integers(1 << 30)))
+    built = _built(
+        lambda: _dual_gqa_oracle(params, cfg, fmap, seq, pos),
+        lambda: build_dual_gqa(params, cfg, fmap, seq, pos),
+    )
+    if built is None:
+        return
+    got, want = built
+    assert len(got) == len(want) == heads
+    for a, b in zip(got, want):
+        _assert_close(a, b)
 
 
 # ---------------------------------------------------------------------------
