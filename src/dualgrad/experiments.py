@@ -16,6 +16,7 @@ from .transformer import (
     AttentionParams,
     Vocabulary,
     exact_attention,
+    exact_attention_batch,
     generate,
     kernel_attention,
 )
@@ -186,11 +187,8 @@ def make_toy_env(
     candidates = rng.choice(vocab_size, size=n_candidates, replace=False)
     target = int(candidates[0])
 
-    def forward(seq, pos):
-        return exact_attention(params, seq, pos)
-
     return OptimizerEnv(
-        forward=forward,
+        forward=lambda tokens: exact_attention_batch(params, tokens),
         instr=rng.normal(0, 1, (4, d_i)),
         leads=rng.normal(0, 1, (2, d_i)),
         vocab=vocab,
@@ -212,7 +210,10 @@ def run_generate(cfg: ExperimentConfig) -> list[list]:
         normalize=True,
         candidate_mask=env.candidate_mask,
     )
-    trace = generate(env.forward, seq, cfg.steps, env.vocab, env.candidate_mask)
+    trace = generate(
+        lambda s, pos: env.forward(s.tokens[None, :pos])[0], seq, cfg.steps, env.vocab,
+        env.candidate_mask,
+    )
     return [
         [i + 1, p, t] for i, (p, t) in enumerate(zip(trace.positions, trace.ids))
     ]

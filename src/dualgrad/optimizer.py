@@ -13,14 +13,17 @@ import numpy as np
 
 from .errors import (
     DegenerateEmbedding,
+    EmptyCandidateSet,
     InsufficientHistory,
     InvalidConfig,
+    InvalidDimension,
     InvalidDonor,
+    InvalidParameter,
 )
-from .metrics import EffectDScore, score_output
+from .metrics import EffectDScore, effect_d
 from .rng import stream
-from .sequence import SegmentedSequence
-from .transformer import Vocabulary, generate
+from .sequence import _unit_rows
+from .transformer import Vocabulary, _candidate_ids
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerEnv:
-    """Fixed evaluation environment: model forward, prompt frame, and target."""
+    """Fixed evaluation environment: batched model forward, prompt frame, and target."""
 
-    forward: object  # callable(seq, pos) -> hidden
+    forward: object  # callable((B, N, d_i) prompts) -> (B, d_o) hiddens at position N
     instr: np.ndarray
     leads: np.ndarray
     vocab: Vocabulary
@@ -118,24 +121,61 @@ class TraceRecord:
     demo: Demonstration
 
 
+def _prompt_tables(env: OptimizerEnv):
+    """Instruction rows, lead rows and input embeddings, normalized as ``build`` would."""
+    tables = [np.atleast_2d(np.asarray(t, dtype=float))
+              for t in (env.instr, env.leads, env.vocab.input_embeddings)]
+    if len({t.shape[1] for t in tables}) != 1:
+        raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
+    return [_unit_rows(t) for t in tables] if env.normalize else tables
+
+
+def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[EffectDScore]:
+    """Stage 2 of several demonstrations at once: splice each into the frame, generate, score.
+
+    Greedy, emitted ids excluded, stopped at the target (the score reads only
+    its first hit).  Prompts of one length run as one block of ``env.forward``;
+    a prompt leaves it on the target or when out of candidates.  Each score
+    is bitwise that of ``generate`` over ``SegmentedSequence.build``.
+    """
+    if steps < 1:
+        raise InvalidParameter("steps must be >= 1")
+    instr, leads, emb = tables or _prompt_tables(env)
+    mask = env.candidate_mask
+    cand = np.arange(env.vocab.size) if mask is None else _candidate_ids(mask)
+    if not cand.size:
+        raise EmptyCandidateSet("candidate mask is empty")
+    hits: list[int | None] = [None] * len(demos)
+    groups: dict[int, list[int]] = {}
+    for b, demo in enumerate(demos):
+        groups.setdefault(len(demo.ids) + len(demo.per_ids), []).append(b)
+    for n_demo, live in groups.items():
+        n0 = len(instr) + n_demo + len(leads)
+        rows = np.empty((len(live), n0 + steps, emb.shape[1]))
+        rows[:, : len(instr)] = instr
+        rows[:, len(instr) : n0 - len(leads)] = emb[[demos[b].ids + demos[b].per_ids for b in live]]
+        rows[:, n0 - len(leads) : n0] = leads
+        live = np.array(live)
+        remaining = np.tile(cand, (len(live), 1))
+        for k in range(steps):
+            h = env.forward(rows[:, : n0 + k])
+            logits = np.matmul(env.vocab.output_embeddings[remaining], h[:, :, None])[:, :, 0]
+            toks = remaining[np.arange(len(live)), logits.argmax(axis=1)]
+            go = toks != env.target_id
+            for b in live[~go]:
+                hits[b] = k + 1
+            remaining = remaining[remaining != toks[:, None]].reshape(len(live), -1)
+            if not (remaining.shape[1] and go.any()):
+                break
+            rows[:, n0 + k] = emb[toks]
+            if not go.all():
+                rows, remaining, live = rows[go], remaining[go], live[go]
+    return [EffectDScore(effect_d(pos), pos) for pos in hits]
+
+
 def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectDScore:
-    """Splice the demonstration into the prompt frame, generate, and score."""
-    emb = env.vocab.input_embeddings
-    per = emb[list(demo.per_ids)] if demo.per_ids else None
-    seq = SegmentedSequence.build(
-        env.instr,
-        emb[list(demo.ids)],
-        env.leads,
-        per=per,
-        normalize=env.normalize,
-        candidate_mask=env.candidate_mask,
-    )
-    # the score reads only the first hit, so generation stops there
-    trace = generate(
-        env.forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True,
-        stop_id=env.target_id,
-    )
-    return score_output(trace.ids, env.target_id)
+    """Stage 2 of one demonstration: ``score_demos`` for a block of one prompt."""
+    return score_demos(env, [demo], steps)[0]
 
 
 def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float:
@@ -203,8 +243,10 @@ def run_two_stage(
 ) -> list[TraceRecord]:
     """Run the m-path loop; deterministic given (config, env, generator).
 
-    Each distinct (ids, per_ids) is evaluated once per call: its score
-    depends on nothing else, and the scores are kept only for this run.
+    An iteration draws its m proposals first, in path order (none depends on
+    a score of its own iteration), then scores their distinct unscored
+    (ids, per_ids) pairs, memory twins included, in one ``score_demos`` call.
+    Each pair is scored once per call; scores are kept only for this run.
     """
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
@@ -213,26 +255,17 @@ def run_two_stage(
     last_demo: list[Demonstration | None] = [None] * config.m
     trace: list[TraceRecord] = []
     vocab_size = env.vocab.size
+    tables = _prompt_tables(env)
     scores: dict[tuple[tuple[int, ...], tuple[int, ...]], EffectDScore] = {}
 
-    def score_of(demo: Demonstration) -> EffectDScore:
-        key = (demo.ids, demo.per_ids)
-        if key not in scores:
-            scores[key] = evaluate_demo(env, demo, config.gen_steps)
-        return scores[key]
-
     for it in range(1, config.iterations + 1):
+        drawn = []
         for p in range(config.m):
             records = history[p]
-            collapsed = False
-            if len(records) >= 2:
-                collapsed = detect_collapse(
-                    [r.effect_d for r in records],
-                    [r.similarity for r in records],
-                    config.tau_sim,
-                    config.eps_imp,
-                    config.window,
-                )
+            collapsed = len(records) >= 2 and detect_collapse(
+                [r.effect_d for r in records], [r.similarity for r in records],
+                config.tau_sim, config.eps_imp, config.window,
+            )
             donor = None
             if collapsed and config.perturbation_enabled:
                 # random other path; prefer its best stored demonstration
@@ -245,28 +278,21 @@ def run_two_stage(
                 p, it, memories[p], rngs[p], vocab_size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
-            score = score_of(demo)
-            sim = 0.0
-            if last_demo[p] is not None:
-                sim = similarity(env.vocab, last_demo[p], demo)
-            # memory tracks the demonstration's own quality: score it without
-            # the transient perturbation segment so donor content cannot
-            # inflate the stored value of a weak demonstration
-            mem_score = score
-            if demo.per_ids:
-                mem_score = score_of(Demonstration(demo.ids, origin=demo.origin))
-            memories[p].admit(demo, mem_score, it)
-            rec = TraceRecord(
-                iteration=it,
-                path=p,
-                effect_d=score.value,
-                similarity=sim,
-                collapse=collapsed,
-                perturbed=donor is not None,
-                demo_id=f"p{p}i{it}",
-                demo=demo,
-            )
-            records.append(rec)
-            trace.append(rec)
+            sim = 0.0 if last_demo[p] is None else similarity(env.vocab, last_demo[p], demo)
+            drawn.append((demo, collapsed, donor is not None, sim))
             last_demo[p] = demo
+        # memory tracks the demonstration's own quality: it is scored without
+        # the transient perturbation segment, so donor content cannot inflate
+        # the stored value of a weak demonstration
+        keys = [k for d, *_ in drawn for k in ((d.ids, d.per_ids), (d.ids, ())) if k not in scores]
+        if keys:
+            keys = list(dict.fromkeys(keys))
+            demos = [Demonstration(*k) for k in keys]
+            scores.update(zip(keys, score_demos(env, demos, config.gen_steps, tables)))
+        for p, (demo, collapsed, perturbed, sim) in enumerate(drawn):
+            memories[p].admit(demo, scores[(demo.ids, ())], it)
+            effect = scores[(demo.ids, demo.per_ids)].value
+            rec = TraceRecord(it, p, effect, sim, collapsed, perturbed, f"p{p}i{it}", demo)
+            history[p].append(rec)
+            trace.append(rec)
     return trace

@@ -44,11 +44,16 @@ def suite_kernelmap(n_cases=50, seed0=0):
         yield norm_ok, f"kernel norm identity failed at case {i}"
 
 
+def rope_group_error(m: int, n: int, d: int) -> float:
+    """Max |R_m' R_n - R_{n-m}| entry, with R_{n-m} = R_{m-n}' when n < m."""
+    lhs = rope(m, d).T @ rope(n, d)
+    rhs = rope(n - m, d) if n >= m else rope(m - n, d).T
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def suite_rope(seed0=0):
     for m, n in [(1, 1), (17, 4), (511, 212), (3, 300)]:
-        lhs = rope(m, 8).T @ rope(n, 8)
-        rhs = rope(n - m, 8) if n >= m else rope(m - n, 8).T
-        yield np.max(np.abs(lhs - rhs)) <= 1e-12, f"rope group law failed for (m={m}, n={n})"
+        yield rope_group_error(m, n, 8) <= 1e-12, f"rope group law failed for (m={m}, n={n})"
 
 
 def suite_attention(n_cases=25, seed0=0):

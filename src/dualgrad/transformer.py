@@ -226,15 +226,15 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
 
 
 def _rotate(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
-    """Columnwise rope(positions[i], d) @ x[:, i] for x of shape (d, n), elementwise."""
-    d = x.shape[0]
+    """Columnwise rope(positions[i], d) @ x[..., :, i] for x of shape (..., d, n), elementwise."""
+    d = x.shape[-2]
     half = d // 2
     angles = np.outer(base ** (-2.0 * np.arange(half) / d), positions)
     c, s = np.cos(angles), np.sin(angles)
-    even, odd = x[0 : 2 * half : 2], x[1 : 2 * half : 2]
+    even, odd = x[..., 0 : 2 * half : 2, :], x[..., 1 : 2 * half : 2, :]
     out = x.copy()
-    out[0 : 2 * half : 2] = c * even - s * odd
-    out[1 : 2 * half : 2] = s * even + c * odd
+    out[..., 0 : 2 * half : 2, :] = c * even - s * odd
+    out[..., 1 : 2 * half : 2, :] = s * even + c * odd
     return out
 
 
@@ -247,19 +247,38 @@ def _check_pos(seq: SegmentedSequence, query_pos: int) -> None:
         raise InvalidIndex(f"query_pos {query_pos} out of range for length {len(seq)}")
 
 
-def _qkv(params: AttentionParams, seq: SegmentedSequence, query_pos: int):
-    """Rotated keys / plain values for positions < query_pos, rotated query at query_pos.
+def _qkv(params: AttentionParams, tokens: np.ndarray):
+    """Rotated keys, values (B, d_o, N-1) and rotated query (B, d_o, 1) of (B, N, d_i) tokens.
 
-    Keys and query are rotated together, as columns 1..query_pos of one block.
-    Both come back as C-contiguous copies: a strided view would change the
-    BLAS path of ``keys.T @ q`` and with it the last bits of the scores.
+    Keys and query are rotated together, as columns 1..N.  A stacked
+    ``np.matmul`` calls BLAS once per prompt with a lone prompt's strides, so
+    no prompt's bits depend on the others.  Keys and query are C-contiguous
+    copies: a strided view would change the BLAS path and last bits of the scores.
     """
-    context = seq.tokens[: query_pos - 1].T
-    block = np.empty((params.d_o, query_pos))
-    block[:, :-1] = params.w_k @ context
-    block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
-    block = _rotate(block, np.arange(1, query_pos + 1), params.rope_base)
-    return np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
+    n = tokens.shape[1]
+    context = tokens[:, :-1].transpose(0, 2, 1)
+    block = np.empty((len(tokens), params.d_o, n))
+    block[:, :, :-1] = np.matmul(params.w_k, context)
+    block[:, :, -1:] = np.matmul(params.w_q, tokens[:, -1, :, None])
+    block = _rotate(block, np.arange(1, n + 1), params.rope_base)
+    keys = np.ascontiguousarray(block[:, :, :-1])
+    return keys, np.matmul(params.w_v, context), block[:, :, -1:].copy()
+
+
+def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.ndarray:
+    """Masked softmax attention at the last position of each prompt in a (B, N, d_i) block.
+
+    Row b is bitwise the output for prompt b alone.  Prompts of different
+    lengths need separate blocks: padding would reassociate the softmax sum.
+    """
+    if tokens.ndim != 3 or tokens.shape[1] < 2:
+        raise InvalidIndex(f"need a (B, N >= 2, d_i) token block, got shape {tokens.shape}")
+    keys, values, q = _qkv(params, tokens)
+    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / np.sqrt(params.d_o)
+    scores -= scores.max(axis=1, keepdims=True)
+    w = np.exp(scores)
+    w /= w.sum(axis=1, keepdims=True)
+    return np.matmul(values, w[:, :, None])[:, :, 0]
 
 
 def exact_attention(
@@ -267,12 +286,7 @@ def exact_attention(
 ) -> np.ndarray:
     """Masked softmax attention output at query_pos, numerically stable."""
     _check_pos(seq, query_pos)
-    keys, values, q = _qkv(params, seq, query_pos)
-    scores = keys.T @ q / np.sqrt(params.d_o)
-    scores -= scores.max()
-    w = np.exp(scores)
-    w /= w.sum()
-    return values @ w
+    return exact_attention_batch(params, seq.tokens[None, :query_pos])[0]
 
 
 class _KeyPrefix:

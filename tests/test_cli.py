@@ -1,9 +1,11 @@
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -145,6 +147,46 @@ def test_generate_emits_rows(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "step,position,token_id"
     assert len(lines) == 6  # header + five steps
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _cells(text):
+    return [c for c in re.split(r"[,\s=]+", text) if c]
+
+
+def _same_cell(got, want) -> bool:
+    """Integer, flag, id and name cells exactly; float cells to 1e-12 relative."""
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return got == want
+    if re.fullmatch(r"-?\d+", want):
+        return got == want
+    return abs(g - w) <= 1e-12 * abs(w)
+
+
+@pytest.mark.parametrize(
+    "argv, config, golden",
+    [
+        (["optimize"], "paired = 0\n", "optimize.txt"),
+        (["optimize"], "paired = 1\n", "optimize_paired.txt"),
+        (["generate", "--seed", "0"], "", "generate.txt"),
+    ],
+)
+def test_cli_output_matches_golden(tmp_path, capsys, monkeypatch, argv, config, golden):
+    # the outputs at default settings, recorded before stage 2 was batched
+    monkeypatch.delenv("DUALGRAD_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(argv + ["--config", str(cfg)]) == 0
+    got, want = capsys.readouterr().out, (GOLDEN / golden).read_text()
+    assert got.count("\n") == want.count("\n")
+    got_cells, want_cells = _cells(got), _cells(want)
+    assert len(got_cells) == len(want_cells)
+    bad = [(g, w) for g, w in zip(got_cells, want_cells) if not _same_cell(g, w)]
+    assert not bad
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

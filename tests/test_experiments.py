@@ -12,9 +12,16 @@ from dualgrad.experiments import (
     run_generate,
 )
 from dualgrad.kernelmap import sample_feature_map
-from dualgrad.metrics import hit_position
-from dualgrad.optimizer import Demonstration, OptimizerEnv, evaluate_demo
-from dualgrad.transformer import Vocabulary, exact_attention, generate, kernel_attention
+from dualgrad.metrics import hit_position, score_output
+from dualgrad.optimizer import Demonstration, OptimizerEnv, evaluate_demo, score_demos
+from dualgrad.sequence import SegmentedSequence
+from dualgrad.transformer import (
+    Vocabulary,
+    exact_attention,
+    exact_attention_batch,
+    generate,
+    kernel_attention,
+)
 
 
 def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
@@ -30,7 +37,7 @@ def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
     instr = scen.seq.tokens[: scen.seq.n_t]
     leads = scen.seq.tokens[scen.seq.idx_task[scen.seq.n_t] :]
     env = OptimizerEnv(
-        forward=lambda s, p: exact_attention(scen.params, s, p),
+        forward=lambda tokens: exact_attention_batch(scen.params, tokens),
         instr=instr,
         leads=leads,
         vocab=vocab,
@@ -46,6 +53,31 @@ def test_engineered_good_demo_scores_one_via_evaluator():
     env, demo_id = _scenario_env("good")
     score = evaluate_demo(env, Demonstration((demo_id,) * 15), steps=5)
     assert score.value == 1.0 and score.hit_position == 1
+
+
+@pytest.mark.parametrize("kind", ["good", "bad"])
+def test_scenario_env_scores_equal_per_demonstration_generation(kind):
+    # an unnormalized frame with zero rows; prompts of several lengths in one call
+    env, demo_id = _scenario_env(kind)
+    n_demo = env.vocab.size - demo_id
+    rng = np.random.default_rng(0)
+    demos = [
+        Demonstration(tuple(int(v) for v in rng.integers(0, env.vocab.size, length)),
+                      tuple(demo_id + rng.permutation(n_demo)[: length % 3]))
+        for length in rng.integers(1, 16, 12)
+    ] + [Demonstration((demo_id,) * 15)]
+    emb = env.vocab.input_embeddings
+    want = []
+    for d in demos:
+        seq = SegmentedSequence.build(
+            env.instr, emb[list(d.ids)], env.leads, per=emb[list(d.per_ids)] if d.per_ids else None,
+            normalize=False,
+        )
+        trace = generate(lambda s, p: env.forward(s.tokens[None, :p])[0], seq, 5, env.vocab,
+                         env.candidate_mask, exclude_emitted=True)
+        want.append(score_output(trace.ids, env.target_id))
+    assert score_demos(env, demos, 5) == want
+    assert {s.hit_position for s in want} != {None}
 
 
 def test_mask_forcing_overrides_demo_quality():

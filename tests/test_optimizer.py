@@ -3,9 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dualgrad.optimizer as optimizer_module
 from dualgrad.errors import (
+    EmptyCandidateSet,
     InsufficientHistory,
     InvalidConfig,
     InvalidDonor,
@@ -20,12 +23,13 @@ from dualgrad.optimizer import (
     detect_collapse,
     evaluate_demo,
     run_two_stage,
+    score_demos,
     similarity,
     synth_generate,
 )
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence
-from dualgrad.transformer import generate
+from dualgrad.transformer import Vocabulary, generate
 
 
 def _config(**kw):
@@ -210,15 +214,26 @@ def test_scores_are_valid_effect_values():
 # stage-2 work: stop at the target, one evaluation per distinct demonstration
 
 
-def _evaluate_demo_oracle(env, demo, steps):
-    """Reference stage 2: full-length generation, then the first hit."""
+def _evaluate_demo_oracle(env, demo, steps, seen=None):
+    """Reference stage 2: build, full-length generation, then the first hit.
+
+    With ``seen``, the bytes of every prompt given to the forward map to the
+    bytes of its output.
+    """
     emb = env.vocab.input_embeddings
     per = emb[list(demo.per_ids)] if demo.per_ids else None
     seq = SegmentedSequence.build(
         env.instr, emb[list(demo.ids)], env.leads, per=per,
         normalize=env.normalize, candidate_mask=env.candidate_mask,
     )
-    trace = generate(env.forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True)
+
+    def forward(s, pos):
+        h = env.forward(s.tokens[None, :pos])[0]
+        if seen is not None:
+            seen[s.tokens[:pos].tobytes()] = h.tobytes()
+        return h
+
+    trace = generate(forward, seq, steps, env.vocab, env.candidate_mask, exclude_emitted=True)
     return score_output(trace.ids, env.target_id)
 
 
@@ -274,9 +289,9 @@ def test_evaluate_demo_stops_at_the_target():
     env = make_toy_env(8)
     calls = []
 
-    def forward(seq, pos):
-        calls.append(pos)
-        return env.forward(seq, pos)
+    def forward(tokens):
+        calls.append(tokens.shape)
+        return env.forward(tokens)
 
     counted = replace(env, forward=forward)
     rng = np.random.default_rng(8)
@@ -287,6 +302,7 @@ def test_evaluate_demo_stops_at_the_target():
         score = evaluate_demo(counted, demo, steps=5)
         assert score == _evaluate_demo_oracle(env, demo, 5)
         assert len(calls) == (score.hit_position or 5)
+        assert all(shape[0] == 1 for shape in calls)
         hits.add(score.hit_position)
     assert len(hits) > 2  # misses and hits at several positions were exercised
 
@@ -301,12 +317,67 @@ def test_repeated_demonstration_is_evaluated_once_per_run():
         # path 1 adds a perturbation segment, so its memory score is path 0's pair
         return Demonstration(ids, (5,) if path else (), origin=(path, iteration))
 
-    with mock.patch.object(optimizer_module, "evaluate_demo", wraps=evaluate_demo) as spy:
+    def scored(spy):
+        return sorted((d.ids, d.per_ids) for c in spy.call_args_list for d in c.args[1])
+
+    with mock.patch.object(optimizer_module, "score_demos", wraps=score_demos) as spy:
         trace = run_two_stage(cfg, env, generator=same_demo)
-        assert sorted((c.args[1].ids, c.args[1].per_ids) for c in spy.call_args_list) == [
-            (ids, ()), (ids, (5,))
-        ]
+        assert scored(spy) == [(ids, ()), (ids, (5,))]
         run_two_stage(cfg, env, generator=same_demo)
-        assert spy.call_count == 4  # nothing is kept from one run to the next
+        assert len(scored(spy)) == 4  # nothing is kept from one run to the next
     for r in trace:
         assert r.effect_d == evaluate_demo(env, r.demo, cfg.gen_steps).value
+
+
+def _toy_env(seed, variant):
+    env = make_toy_env(seed, d_i=int(3 + seed % 6), d_o=int(1 + seed % 7))
+    if variant == "no-mask":
+        return replace(env, candidate_mask=None)
+    if variant == "unnormalized":
+        return replace(env, normalize=False)
+    if variant == "ties":  # ids 2j and 2j+1 score alike, so the smaller one must win
+        out = env.vocab.output_embeddings.copy()
+        out[1::2] = out[::2]
+        return replace(env, vocab=Vocabulary(out, env.vocab.input_embeddings))
+    return env
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    variant=st.sampled_from(["mask", "no-mask", "unnormalized", "ties"]),
+    demos=st.lists(
+        st.tuples(st.lists(st.integers(0, 23), min_size=1, max_size=3),
+                  st.lists(st.integers(0, 23), max_size=2)),
+        min_size=1, max_size=8,
+    ),
+    steps=st.integers(1, 8),
+)
+@example(seed=3, variant="mask", demos=[([1], []), ([2], [3, 4]), ([5], [6])], steps=12)
+def test_score_demos_is_bitwise_per_demonstration_generation(seed, variant, demos, steps):
+    env = _toy_env(seed, variant)
+    demos = [Demonstration(tuple(ids), tuple(per)) for ids, per in demos]
+    seen = {}
+    want = [_evaluate_demo_oracle(env, d, steps, seen) for d in demos]
+    blocks = []
+
+    def forward(tokens):
+        h = env.forward(tokens)
+        blocks.append((tokens.copy(), h))
+        return h
+
+    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    assert [evaluate_demo(env, d, steps) for d in demos] == want
+    # every row a block fed to the forward is a prompt that per-demonstration
+    # generation builds, and its output has the same bits
+    for tokens, h in blocks:
+        for row, out in zip(tokens, h):
+            assert seen[row.tobytes()] == out.tobytes()
+
+
+def test_score_demos_with_an_empty_candidate_mask_raises():
+    env = replace(make_toy_env(0), candidate_mask=frozenset())
+    with pytest.raises(EmptyCandidateSet):
+        score_demos(env, [Demonstration((1, 2))], 5)
+    with pytest.raises(EmptyCandidateSet):
+        evaluate_demo(env, Demonstration((1, 2)), 5)

@@ -1,5 +1,6 @@
 from contextlib import ExitStack
 from dataclasses import astuple
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from dualgrad.errors import (
 )
 from dualgrad.experiments import random_attention, random_sequence
 from dualgrad.kernelmap import FourierFeatureMap, phi, phi_matrix, sample_feature_map
+from dualgrad.props import rope_group_error
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
@@ -39,6 +41,7 @@ from dualgrad.transformer import (
     Vocabulary,
     decode,
     exact_attention,
+    exact_attention_batch,
     generate,
     gqa_attention,
     kernel_attention,
@@ -97,9 +100,7 @@ def test_rope_frequency_spectrum():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 400), st.integers(0, 400))
 def test_rope_group_law(m, n):
-    lhs = rope(m, 8).T @ rope(n, 8)
-    rhs = rope(n - m, 8) if n >= m else rope(m - n, 8).T
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    assert rope_group_error(m, n, 8) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,6 +167,13 @@ def _qkv_oracle(params, seq, query_pos):
     return keys, params.w_v @ context, _rotate(q[:, None], [query_pos], params.rope_base)[:, 0]
 
 
+def _stacked_qkv_oracle(params, tokens):
+    """``_qkv_oracle`` of each prompt in a (B, N, d_i) block, stacked as ``_qkv`` stacks."""
+    parts = [_qkv_oracle(params, SimpleNamespace(tokens=t), len(t)) for t in tokens]
+    keys, values, q = (np.stack(x) for x in zip(*parts))
+    return keys, values, q[:, :, None]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -181,13 +189,64 @@ def test_exact_attention_is_bitwise_the_two_rotation_oracle(seed, d_o, n, pos_dr
     params = random_attention(rng, 5, d_o)
     seq = random_sequence(rng, 5, n - 1, 0, 1)
     pos = 2 + pos_draw % (n - 1)
-    keys, values, q = _qkv(params, seq, pos)
+    keys, values, q = _qkv(params, seq.tokens[None, :pos])
     assert keys.flags.c_contiguous and q.flags.c_contiguous
-    for got, want in zip((keys, values, q), _qkv_oracle(params, seq, pos)):
+    for got, want in zip((keys[0], values[0], q[0, :, 0]), _qkv_oracle(params, seq, pos)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with mock.patch.object(transformer_module, "_qkv", _qkv_oracle):
+    with mock.patch.object(transformer_module, "_qkv", _stacked_qkv_oracle):
         want = exact_attention(params, seq, pos)
     assert exact_attention(params, seq, pos).tobytes() == want.tobytes()
+
+
+def _exact_attention_oracle(params, seq, query_pos):
+    """The former per-prompt ``exact_attention``: 2-D products, one prompt per call."""
+    context = seq.tokens[: query_pos - 1].T
+    block = np.empty((params.d_o, query_pos))
+    block[:, :-1] = params.w_k @ context
+    block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
+    block = _rotate(block, np.arange(1, query_pos + 1), params.rope_base)
+    keys, values, q = np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
+    scores = keys.T @ q / np.sqrt(params.d_o)
+    scores -= scores.max()
+    w = np.exp(scores)
+    w /= w.sum()
+    return values @ w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_i=st.integers(1, 9),
+    d_o=st.integers(1, 8),
+    lengths=st.lists(st.integers(2, 40), min_size=1, max_size=8),
+    pos_draw=st.integers(0, 10**6),
+)
+@example(seed=0, d_i=5, d_o=3, lengths=[2, 30, 9], pos_draw=0)  # query_pos = 2
+@example(seed=1, d_i=8, d_o=7, lengths=[40] * 8, pos_draw=38)
+def test_batched_exact_attention_is_bitwise_the_per_prompt_oracle(
+    seed, d_i, d_o, lengths, pos_draw
+):
+    rng = stream(seed, "batch")
+    params = random_attention(rng, d_i, d_o)
+    seqs = [random_sequence(rng, d_i, n - 1, 0, 1) for n in lengths]
+    pos = 2 + pos_draw % (min(lengths) - 1)
+    # prompts of different lengths, cut at one query position inside a wider buffer
+    buf = np.zeros((len(seqs), max(lengths) + 3, d_i))
+    for b, seq in enumerate(seqs):
+        buf[b, : len(seq)] = seq.tokens
+    got = exact_attention_batch(params, buf[:, :pos])
+    assert got.shape == (len(seqs), d_o)
+    for row, seq in zip(got, seqs):
+        want = _exact_attention_oracle(params, seq, pos)
+        assert row.tobytes() == want.tobytes()
+        assert exact_attention(params, seq, pos).tobytes() == want.tobytes()
+
+
+def test_batched_exact_attention_validates_the_block():
+    params = random_attention(stream(0, "batch"), 3, 2)
+    for shape in ((2, 1, 3), (4, 3)):
+        with pytest.raises(InvalidIndex):
+            exact_attention_batch(params, np.ones(shape))
 
 
 def test_kernel_attention_approximates_exact():
