@@ -10,7 +10,7 @@ import os
 
 from .dual import parse_schedule
 from .errors import InvalidConfig, InvalidParameter, IoError, ParseError
-from .experiments import ExperimentConfig
+from .experiments import TOY_CANDIDATES, ExperimentConfig
 
 # config-document keys that differ from the dataclass field names
 _ALIASES = {
@@ -88,8 +88,12 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
         raise InvalidConfig("D (feature_dim) must be even and >= 2")
     if cfg.reps < 1:
         raise InvalidConfig("repetitions must be >= 1")
-    if min(cfg.d_i, cfg.d_o, cfg.n_t, cfg.n_d) < 1:
+    if min(cfg.d_i, cfg.d_o, cfg.n_t, cfg.n_d, cfg.demo_len) < 1:
         raise InvalidConfig("dims and sizes must be positive")
+    if min(cfg.k_leads, cfg.window) < 0:
+        raise InvalidConfig("k_leads and window must be >= 0")
+    if cfg.vocab_size < TOY_CANDIDATES:
+        raise InvalidConfig(f"vocab_size must be >= {TOY_CANDIDATES}, the toy candidate count")
     if cfg.mode not in ("exact", "kernel"):
         raise InvalidConfig(f"mode must be exact|kernel, got {cfg.mode!r}")
     try:

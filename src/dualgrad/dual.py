@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidParameter
 from .kernelmap import FourierFeatureMap
-from .sequence import SegmentedSequence, Tag
+from .sequence import SegmentedSequence
 from .transformer import (
     AttentionParams,
     FfnParams,
@@ -94,9 +94,6 @@ def _dual(
     query_pos: int,
     parts: tuple,
     left,
-    beta: float,
-    include_per: bool = False,
-    alpha: float = 0.0,
     bias: np.ndarray | None = None,
 ) -> DualModel:
     """The dual at query_pos whose every term multiplies its value by ``left``.
@@ -105,21 +102,17 @@ def _dual(
     ``left`` maps value columns to their label columns: c V for plain
     attention, c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V
     for a grouped-query head.  The task-side columns form W_0 = left(V_T)
-    phi(K~_T)', the demonstration columns the labels left(V_D).
+    phi(K~_T)', the current demonstration columns the labels left(V_D).
     """
     values, feat_keys, feat_q, c = parts
-    tags = seq.tags[: query_pos - 1]
-    demo_tags = (Tag.D_CURR, Tag.D_PER) if include_per else (Tag.D_CURR,)
-    task = [i for i, t in enumerate(tags) if t in (Tag.T_INSTR, Tag.T_LEAD)]
-    demo = [i for i, t in enumerate(tags) if t in demo_tags]
+    task, demo = seq.idx_task, seq.idx_demo
+    task, demo = task[task < query_pos - 1], demo[demo < query_pos - 1]
     return DualModel(
         w0=left(values[:, task]) @ feat_keys[:, task].T,
         labels=left(values[:, demo]),
         feats=feat_keys[:, demo],
         phi_q=feat_q,
         c=c,
-        beta=beta,
-        alpha=alpha,
         bias=bias,
     )
 
@@ -129,14 +122,15 @@ def build_dual_attention(
     fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
-    beta: float = 1.0,
-    alpha: float = 0.0,
-    include_per: bool = False,
 ) -> DualModel:
-    """Dual of plain kernel attention at query_pos."""
+    """Dual of plain kernel attention at query_pos, over the current demonstration.
+
+    ``with_perturbation`` adds the perturbation tokens and
+    ``with_value_regularization`` the L2 coefficient alpha.
+    """
     parts = _kernel_parts(params, fmap, seq, query_pos)
     c = parts[3]
-    return _dual(seq, query_pos, parts, lambda v: c * v, beta, include_per, alpha)
+    return _dual(seq, query_pos, parts, lambda v: c * v)
 
 
 def with_perturbation(
@@ -170,7 +164,6 @@ def advance_start(
     fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     last_generated: np.ndarray,
-    beta: float = 1.0,
 ) -> tuple[SegmentedSequence, DualModel]:
     """Append the generated token and rebuild the dual at the next position.
 
@@ -181,8 +174,8 @@ def advance_start(
     W_0' = W_0 + c v phi(k~) would reuse a c that no longer matches the
     extended key set, so it is only an approximation.
     """
-    extended = seq.append(last_generated, Tag.T_LEAD)
-    return extended, build_dual_attention(params, fmap, extended, len(extended), beta=beta)
+    extended = seq.append(last_generated)  # a lead token
+    return extended, build_dual_attention(params, fmap, extended, len(extended))
 
 
 def build_dual_transformer(
@@ -191,7 +184,6 @@ def build_dual_transformer(
     fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
-    beta: float = 1.0,
 ) -> DualModel:
     """Dual of attention + FFN with the activation frozen at the reference pass."""
     parts = _kernel_parts(params, fmap, seq, query_pos)
@@ -202,7 +194,7 @@ def build_dual_transformer(
         sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
     w_hat = c * (ffn.w1 * sigma) @ ffn.w2  # c W_FFN1 Sigma W_FFN2
     bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
-    return _dual(seq, query_pos, parts, lambda v: w_hat @ v, beta, bias=bias)
+    return _dual(seq, query_pos, parts, lambda v: w_hat @ v, bias)
 
 
 def build_dual_stack(
@@ -210,7 +202,6 @@ def build_dual_stack(
     fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
-    beta: float = 1.0,
 ) -> list[DualModel]:
     """One dual per layer, frozen from a reference kernel-mode forward pass.
 
@@ -222,7 +213,7 @@ def build_dual_stack(
     layer_inputs = stack_trace(stack, fmap, seq, query_pos)
     duals = []
     for (att, ffn), layer_seq in zip(stack.layers, layer_inputs):
-        duals.append(build_dual_transformer(att, ffn, fmap, layer_seq, query_pos, beta))
+        duals.append(build_dual_transformer(att, ffn, fmap, layer_seq, query_pos))
     return duals
 
 
@@ -232,14 +223,13 @@ def build_dual_gqa(
     fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
-    beta: float = 1.0,
 ) -> list[DualModel]:
     """Blockwise duals, one per query head; concatenated forwards equal GQA."""
     duals = []
     for s in range(cfg.heads):
         parts = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
         left = parts[3] * cfg.mix(s)  # c W_concat^(s)
-        duals.append(_dual(seq, query_pos, parts, lambda v: left @ v, beta))
+        duals.append(_dual(seq, query_pos, parts, lambda v: left @ v))
     return duals
 
 

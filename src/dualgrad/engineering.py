@@ -65,6 +65,8 @@ def build_scenario(
         raise ConstructionFailed("need at least 3 embedding coordinates")
     if d_o < 1:
         raise ConstructionFailed("need d_o >= 1")
+    if k_leads < 1:
+        raise ConstructionFailed("need a lead token to carry the initial query")
     coord = _score_coord(d_o)
     gain = d_o**0.25  # keeps k.q / sqrt(d_o) invariant in d_o
     if d_o > 1 and d_o % 2 == 0:
@@ -102,7 +104,5 @@ def build_scenario(
     feedback[4] = _embed(d_i, q=2.0)  # large query again: still negative
     vocab = Vocabulary(out, feedback)
 
-    seq = SegmentedSequence.build(
-        instr, demo, leads, normalize=False, candidate_mask=mask
-    )
+    seq = SegmentedSequence.build(instr, demo, leads, normalize=False)
     return EngineeredScenario(params, seq, vocab, mask, TARGET_ID, n_d)

@@ -168,6 +168,7 @@ def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
 
 
 GENERATE_HEADER = ["step", "position", "token_id"]
+TOY_CANDIDATES = 12  # candidate ids a toy environment draws from its vocabulary
 
 
 def make_toy_env(
@@ -175,7 +176,6 @@ def make_toy_env(
     d_i: int = 6,
     d_o: int = 4,
     vocab_size: int = 24,
-    n_candidates: int = 12,
 ) -> OptimizerEnv:
     """Random but fully deterministic generation environment."""
     rng = stream(seed, "toy-env")
@@ -184,7 +184,7 @@ def make_toy_env(
     feedback = rng.normal(0, 1, (vocab_size, d_i))
     feedback /= np.linalg.norm(feedback, axis=1, keepdims=True)
     vocab = Vocabulary(out, feedback)
-    candidates = rng.choice(vocab_size, size=n_candidates, replace=False)
+    candidates = rng.choice(vocab_size, size=TOY_CANDIDATES, replace=False)
     target = int(candidates[0])
 
     return OptimizerEnv(
@@ -204,11 +204,7 @@ def run_generate(cfg: ExperimentConfig) -> list[list]:
     rng = stream(cfg.seed, "generate-demo")
     demo_ids = rng.integers(0, cfg.vocab_size, size=cfg.n_d)
     seq = SegmentedSequence.build(
-        env.instr,
-        env.vocab.input_embeddings[demo_ids],
-        env.leads,
-        normalize=True,
-        candidate_mask=env.candidate_mask,
+        env.instr, env.vocab.input_embeddings[demo_ids], env.leads, normalize=True
     )
     trace = generate(
         lambda s, pos: env.forward(s.tokens[None, :pos])[0], seq, cfg.steps, env.vocab,

@@ -7,7 +7,7 @@ lead tokens form the "task" index set; the demonstration tokens form the
 "demo" index set that drives the dual model's gradient.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,7 +35,6 @@ class SegmentedSequence:
 
     tokens: np.ndarray  # (N, d_i), one row per token
     tags: tuple[Tag, ...]
-    candidate_mask: frozenset[int] | None = None
     normalized: bool = True
 
     def __post_init__(self):
@@ -53,7 +52,6 @@ class SegmentedSequence:
         leads: np.ndarray,
         per: np.ndarray | None = None,
         normalize: bool = True,
-        candidate_mask=None,
     ) -> "SegmentedSequence":
         """Assemble instruction, demonstration, perturbation and lead segments."""
         parts = [np.atleast_2d(np.asarray(instr, dtype=float))]
@@ -75,8 +73,7 @@ class SegmentedSequence:
         tokens = np.vstack(parts)
         if normalize:
             tokens = _unit_rows(tokens)
-        mask = None if candidate_mask is None else frozenset(int(v) for v in candidate_mask)
-        return cls(tokens, tuple(tags), mask, normalize)
+        return cls(tokens, tuple(tags), normalize)
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -84,22 +81,6 @@ class SegmentedSequence:
     @property
     def dim(self) -> int:
         return self.tokens.shape[1]
-
-    @property
-    def n_t(self) -> int:
-        return sum(1 for t in self.tags if t is Tag.T_INSTR)
-
-    @property
-    def n_d(self) -> int:
-        return sum(1 for t in self.tags if t is Tag.D_CURR)
-
-    @property
-    def lead_len(self) -> int:
-        return sum(1 for t in self.tags if t is Tag.T_LEAD)
-
-    def t(self, k: int) -> int:
-        """Position index of the k-th generated token: N_T + N_D + k."""
-        return self.n_t + self.n_d + k
 
     def _where(self, *tags: Tag) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.tags) if t in tags], dtype=int)
@@ -136,7 +117,7 @@ class SegmentedSequence:
         return replace(self, tokens=self.tokens[:length], tags=self.tags[:length])
 
     def with_tokens(self, tokens: np.ndarray) -> "SegmentedSequence":
-        """Same tags and mask, different embeddings (used between layers)."""
+        """Same tags, different embeddings (used between layers)."""
         if tokens.shape[0] != len(self):
             raise InvalidDimension("token count must be preserved")
         return replace(self, tokens=np.asarray(tokens, dtype=float), normalized=False)

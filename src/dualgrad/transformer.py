@@ -610,15 +610,12 @@ def generate(
     vocab: Vocabulary,
     mask=None,
     exclude_emitted: bool = False,
-    stop_id: int | None = None,
 ) -> GenerationTrace:
     """Autoregressive greedy loop: forward at the last position, decode, append.
 
     ``forward(seq, pos) -> hidden`` abstracts over the attention variants.
     With ``exclude_emitted`` the output behaves like a ranked list of distinct
-    items: an id is removed from the candidate set once emitted.  The loop
-    ends right after ``stop_id`` is emitted, so the trace is then the one of
-    ``steps`` = its hit position: a prefix of the unstopped trace.
+    items: an id is removed from the candidate set once emitted.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
@@ -639,6 +636,4 @@ def generate(
             if not remaining.size:
                 break
         seq = seq.append(vocab.input_embeddings[tok], Tag.T_LEAD)
-        if tok == stop_id:
-            break
     return GenerationTrace(tuple(ids), tuple(hiddens), tuple(positions), seq)

@@ -16,7 +16,7 @@ import dualgrad
 from dualgrad.cli import main
 from dualgrad.config import _ALIASES, format_cell, load_config, parse_config_text, write_csv
 from dualgrad.errors import InvalidConfig, IoError, ParseError
-from dualgrad.experiments import ExperimentConfig
+from dualgrad.experiments import TOY_CANDIDATES, ExperimentConfig
 from dualgrad.svgplot import line_chart, read_csv
 
 
@@ -204,20 +204,42 @@ def test_missing_config_file_exits_3(tmp_path):
     assert main(["equiv", "--config", str(tmp_path / "nope.cfg")]) == 3
 
 
+# config files for the rows below, written into the working directory
+_CONFIGS = {
+    "bad.cfg": "d_i = x",
+    "layers.cfg": "layers = 3",  # layers is no setting any more
+    "vocab0.cfg": "vocab_size = 0",
+    "vocab5.cfg": "vocab_size = 5",  # fewer ids than the toy environment's candidates
+    "leads-1.cfg": "k_leads = -1",
+    "leads0.cfg": "k_leads = 0",
+    "window-1.cfg": "window = -1",
+    "demo_len-1.cfg": "demo_len = -1",
+}
+
+
 @pytest.mark.parametrize(
     "argv, env, code",
     [
-        (["equiv", "--config", "bad.cfg"], {}, 2),  # bad.cfg holds d_i = x
+        (["equiv", "--config", "bad.cfg"], {}, 2),
         (["equiv"], {"DUALGRAD_SEED": "abc"}, 2),
         (["equiv", "--schedule", "fractional:abc"], {}, 2),
         (["plot", "missing.csv"], {}, 3),
-        (["equiv", "--config", "layers.cfg"], {}, 2),  # layers is no setting any more
+        (["equiv", "--config", "layers.cfg"], {}, 2),
         (["fig7", "--schedule", "fractional:0"], {}, 2),  # rejected at load, though unused
+        (["optimize", "--config", "vocab0.cfg"], {}, 2),
+        (["generate", "--config", "vocab0.cfg"], {}, 2),
+        (["optimize", "--config", "vocab5.cfg"], {}, 2),
+        (["generate", "--config", "vocab5.cfg"], {}, 2),
+        (["equiv", "--config", "leads-1.cfg"], {}, 2),
+        (["fig7", "--config", "leads-1.cfg"], {}, 2),
+        (["fig7", "--config", "leads0.cfg"], {}, 1),  # the scenario needs a lead token
+        (["optimize", "--config", "window-1.cfg"], {}, 2),
+        (["optimize", "--config", "demo_len-1.cfg"], {}, 2),
     ],
 )
 def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
-    (tmp_path / "bad.cfg").write_text("d_i = x\n")
-    (tmp_path / "layers.cfg").write_text("layers = 3\n")
+    for name, line in _CONFIGS.items():
+        (tmp_path / name).write_text(line + "\n")
     src = os.path.dirname(os.path.dirname(dualgrad.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dualgrad.cli", *argv],
@@ -270,8 +292,11 @@ _BAD_LINES = st.one_of(
         lambda line: not line.strip().partition(":")[2].isdecimal()),
     _TEXT.filter(lambda v: "=" not in v and v.strip()),
     st.integers(-5, 0).map(lambda v: f"reps = {v}"),
-    st.tuples(st.sampled_from(["d_i", "d_o", "n_t", "n_d"]), st.integers(-5, 0)).map(
-        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.one_of(
+        st.tuples(st.sampled_from(["d_i", "d_o", "n_t", "n_d", "demo_len"]), st.integers(-5, 0)),
+        st.tuples(st.sampled_from(["k_leads", "window"]), st.integers(-5, -1)),
+        st.tuples(st.just("vocab_size"), st.integers(-5, TOY_CANDIDATES - 1)),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.integers(-5, 99).filter(lambda v: v % 2 or v < 2).map(lambda v: f"feature_dim = {v}"),
 )
 # settings that no range check reads, so they cannot repair a bad line

@@ -80,7 +80,7 @@ def test_perturbation_equals_concatenated_build():
     params, seq, fmap, pos = _setup(3, n_per=3)
     base = build_dual_attention(params, fmap, seq, pos)
     extended = with_perturbation(base, params, fmap, seq, pos)
-    direct = build_dual_attention(params, fmap, seq, pos, include_per=True)
+    direct = _dual_attention_oracle(params, fmap, seq, pos, include_per=True)
     assert extended.n_demo == base.n_demo + 3
     assert np.allclose(extended.labels, direct.labels, atol=1e-15)
     assert np.allclose(extended.feats, direct.feats, atol=1e-15)
@@ -417,10 +417,13 @@ def test_dual_attention_is_bitwise_the_per_builder_oracle(case, alpha, include_p
     rng, d_i, d_o, seq, pos = case
     params = random_attention(rng, d_i, d_o)
     fmap = sample_feature_map(d_o, 32, seed=int(rng.integers(1 << 30)))
-    built = _built(
-        lambda: _dual_attention_oracle(params, fmap, seq, pos, alpha, include_per),
-        lambda: build_dual_attention(params, fmap, seq, pos, alpha=alpha, include_per=include_per),
-    )
+    def build():
+        dual = build_dual_attention(params, fmap, seq, pos)
+        if include_per:
+            dual = with_perturbation(dual, params, fmap, seq, pos)
+        return with_value_regularization(dual, alpha)
+
+    built = _built(lambda: _dual_attention_oracle(params, fmap, seq, pos, alpha, include_per), build)
     if built is None:
         return
     got, want = built

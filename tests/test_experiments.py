@@ -14,7 +14,7 @@ from dualgrad.experiments import (
 from dualgrad.kernelmap import sample_feature_map
 from dualgrad.metrics import hit_position, score_output
 from dualgrad.optimizer import Demonstration, OptimizerEnv, evaluate_demo, score_demos
-from dualgrad.sequence import SegmentedSequence
+from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
     Vocabulary,
     exact_attention,
@@ -34,8 +34,9 @@ def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
         np.vstack([scen.vocab.input_embeddings, demo_rows]),
     )
     first_demo_id = scen.vocab.size
-    instr = scen.seq.tokens[: scen.seq.n_t]
-    leads = scen.seq.tokens[scen.seq.idx_task[scen.seq.n_t] :]
+    n_t = scen.seq.tags.count(Tag.T_INSTR)
+    instr = scen.seq.tokens[:n_t]
+    leads = scen.seq.tokens[scen.seq.idx_task[n_t] :]
     env = OptimizerEnv(
         forward=lambda tokens: exact_attention_batch(scen.params, tokens),
         instr=instr,

@@ -224,7 +224,7 @@ def _evaluate_demo_oracle(env, demo, steps, seen=None):
     per = emb[list(demo.per_ids)] if demo.per_ids else None
     seq = SegmentedSequence.build(
         env.instr, emb[list(demo.ids)], env.leads, per=per,
-        normalize=env.normalize, candidate_mask=env.candidate_mask,
+        normalize=env.normalize,
     )
 
     def forward(s, pos):

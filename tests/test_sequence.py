@@ -32,17 +32,9 @@ def test_segment_order_and_tags():
 
 def test_counts_and_index_sets():
     seq = _seq(3, 2, 2, n_per=2)
-    assert seq.n_t == 3 and seq.n_d == 2 and seq.lead_len == 2
     assert list(seq.idx_task) == [0, 1, 2, 7, 8]
     assert list(seq.idx_demo) == [3, 4]
     assert list(seq.idx_per) == [5, 6]
-
-
-def test_generated_token_position():
-    seq = _seq(3, 2, 2)
-    # position of the k-th generated token counts instruction + demo tokens
-    assert seq.t(1) == 6
-    assert seq.t(3) == 8
 
 
 def test_normalization():

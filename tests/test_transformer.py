@@ -643,7 +643,6 @@ def _consumers(c, seq=None, pos=None, params=None, fmap=None):
     params = c["params"] if params is None else params
     fmap = c["fmap"] if fmap is None else fmap
     duals = [
-        build_dual_attention(params, fmap, seq, pos, include_per=True),
         with_perturbation(build_dual_attention(params, fmap, seq, pos), params, fmap, seq, pos),
         advance_start(params, fmap, seq.truncate(pos - 1), seq.tokens[pos - 1])[1],
         build_dual_transformer(params, c["ffn"], fmap, seq, pos),
@@ -877,40 +876,6 @@ def test_generate_exclude_emitted_until_exhausted_matches_oracle(kind):
         cur = cur.append(vocab.input_embeddings[tok], Tag.T_LEAD)
     trace = generate(forward, seq, 50, vocab, mask=mask, exclude_emitted=True)
     assert list(trace.ids) == expected
-
-
-@pytest.mark.parametrize("exclude_emitted", [False, True])
-@pytest.mark.parametrize("kind", [None, set, np.array])
-def test_generate_stop_id_gives_the_prefix_ending_at_the_target(kind, exclude_emitted):
-    vocab = _int_vocab(3, size=12, d_o=4)
-    rng = stream(15, "gen")
-    params = random_attention(rng, 5, 4)
-    seq = random_sequence(rng, 5, 4, 3, 2)
-    mask = None if kind is None else kind([0, 2, 3, 5, 6, 8, 9, 11])
-
-    def forward(s, p):
-        return np.round(3 * exact_attention(params, s, p))  # integer scores, many ties
-
-    def run(steps=9, **kw):
-        return generate(forward, seq, steps, vocab, mask=mask, exclude_emitted=exclude_emitted,
-                        **kw)
-
-    full = run()
-    assert len(set(full.ids)) >= 2  # several targets; without exclusion ids repeat
-    for target in range(-1, vocab.size):
-        stopped = run(stop_id=target)
-        hit = target in full.ids
-        p = full.ids.index(target) + 1 if hit else len(full.ids)
-        assert stopped.ids == full.ids[:p] and (stopped.ids[-1] == target) == hit
-        assert stopped.positions == full.positions[:p]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(stopped.hiddens, full.hiddens))
-        # the trace is the one of steps = p, final sequence included
-        same = run(steps=p)
-        assert stopped.ids == same.ids
-        assert stopped.final_seq.tokens.tobytes() == same.final_seq.tokens.tobytes()
-        assert stopped.final_seq.tags == same.final_seq.tags
-        if not hit:
-            assert stopped.final_seq.tokens.tobytes() == full.final_seq.tokens.tobytes()
 
 
 def test_generate_validates_steps():
