@@ -9,7 +9,6 @@ optimizer and CLI harness on top of that identity.
 from .dual import (
     DescentState,
     DualModel,
-    advance_start,
     build_dual_attention,
     build_dual_gqa,
     build_dual_stack,
@@ -21,7 +20,6 @@ from .dual import (
     linear_dual_equivalence,
     loss_icl,
     start_descent,
-    with_perturbation,
     with_value_regularization,
 )
 from .errors import DualgradError
@@ -79,7 +77,6 @@ __all__ = [
     "Tag",
     "TraceRecord",
     "Vocabulary",
-    "advance_start",
     "build_dual_attention",
     "build_dual_gqa",
     "build_dual_stack",
@@ -112,6 +109,5 @@ __all__ = [
     "stack_trace",
     "start_descent",
     "stream",
-    "with_perturbation",
     "with_value_regularization",
 ]

@@ -66,17 +66,14 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfig:
     """Assemble the effective config: defaults, then file, then flags."""
-    values = {"kind": kind}
-    values.update(_KIND_DEFAULTS.get(kind, {}))
+    values = dict(_KIND_DEFAULTS.get(kind, {}))
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise IoError(f"cannot read config {path}: {exc}") from exc
-        file_values = parse_config_text(text)
-        file_values.pop("kind", None)
-        values.update(file_values)
+        values.update(parse_config_text(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "seed" not in values and "DUALGRAD_SEED" in os.environ:
         try:

@@ -6,10 +6,13 @@ terms and grad collects the demonstration terms:
 
     W_0  = c V_T phi(K~_T)'          grad = -c V_D phi(K~_D)'
 
-Descending the in-context loss from W_0 with one full pass of step size beta
-lands exactly on W, so token generation is gradient descent of the dual.
-The transformer, layer-stack and grouped-query variants differ only in what
-multiplies each value vector and in an additive bias.
+D is every demonstration token before the query in position order: the
+current demonstration, then the perturbation demonstration, whose terms are
+extra loss terms of the same pass.  Descending the in-context loss from W_0
+with one full pass of step size 1 lands exactly on W, so token generation is
+gradient descent of the dual.  The transformer, layer-stack and grouped-query
+variants differ only in what multiplies each value vector and in an additive
+bias.
 """
 
 from dataclasses import dataclass, field, replace
@@ -44,7 +47,6 @@ class DualModel:
     feats: np.ndarray  # (D, n_demo)
     phi_q: np.ndarray  # (D,) feature vector of the build query
     c: float
-    beta: float = 1.0
     alpha: float = 0.0
     bias: np.ndarray | None = None
 
@@ -57,7 +59,7 @@ class DualModel:
 
 
 def grad_full(dual: DualModel) -> np.ndarray:
-    """beta * dL/dW at W_0: minus the contribution sum, plus the L2 term."""
+    """dL/dW at W_0: minus the contribution sum, plus the L2 term."""
     g = -(dual.labels @ dual.feats.T)
     if dual.alpha:
         g = g + dual.alpha * dual.w0
@@ -79,9 +81,9 @@ def loss_icl(dual: DualModel, w: np.ndarray) -> float:
     """In-context loss whose one-step descent reproduces the forward output."""
     if w.shape != dual.w0.shape:
         raise InvalidDimension(f"W must be {dual.w0.shape}, got {w.shape}")
-    val = -np.sum(dual.labels * (w @ dual.feats)) / dual.beta
+    val = -np.sum(dual.labels * (w @ dual.feats))
     if dual.alpha:
-        val += dual.alpha / (2.0 * dual.beta) * float(np.sum(w * w))
+        val += dual.alpha / 2.0 * float(np.sum(w * w))
     return float(val)
 
 
@@ -102,11 +104,13 @@ def _dual(
     ``left`` maps value columns to their label columns: c V for plain
     attention, c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V
     for a grouped-query head.  The task-side columns form W_0 = left(V_T)
-    phi(K~_T)', the current demonstration columns the labels left(V_D).
+    phi(K~_T)', every other column before the query (the current, then the
+    perturbation demonstration) the labels left(V_D).
     """
     values, feat_keys, feat_q, c = parts
-    task, demo = seq.idx_task, seq.idx_demo
-    task, demo = task[task < query_pos - 1], demo[demo < query_pos - 1]
+    task = seq.idx_task
+    task = task[task < query_pos - 1]
+    demo = np.delete(np.arange(query_pos - 1), task)
     return DualModel(
         w0=left(values[:, task]) @ feat_keys[:, task].T,
         labels=left(values[:, demo]),
@@ -123,33 +127,13 @@ def build_dual_attention(
     seq: SegmentedSequence,
     query_pos: int,
 ) -> DualModel:
-    """Dual of plain kernel attention at query_pos, over the current demonstration.
+    """Dual of plain kernel attention at query_pos.
 
-    ``with_perturbation`` adds the perturbation tokens and
-    ``with_value_regularization`` the L2 coefficient alpha.
+    ``with_value_regularization`` sets the L2 coefficient alpha.
     """
     parts = _kernel_parts(params, fmap, seq, query_pos)
     c = parts[3]
     return _dual(seq, query_pos, parts, lambda v: c * v)
-
-
-def with_perturbation(
-    dual: DualModel,
-    params: AttentionParams,
-    fmap: FourierFeatureMap,
-    seq: SegmentedSequence,
-    query_pos: int,
-) -> DualModel:
-    """Append contributions for the perturbation demonstration tokens."""
-    per = [i for i in seq.idx_per if i < query_pos - 1]
-    if not per:
-        return dual
-    values, feat_keys, _, _ = _kernel_parts(params, fmap, seq, query_pos)
-    return replace(
-        dual,
-        labels=np.hstack([dual.labels, dual.c * values[:, per]]),
-        feats=np.hstack([dual.feats, feat_keys[:, per]]),
-    )
 
 
 def with_value_regularization(dual: DualModel, alpha: float) -> DualModel:
@@ -157,25 +141,6 @@ def with_value_regularization(dual: DualModel, alpha: float) -> DualModel:
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"alpha must lie in [0, 1], got {alpha}")
     return replace(dual, alpha=float(alpha))
-
-
-def advance_start(
-    params: AttentionParams,
-    fmap: FourierFeatureMap,
-    seq: SegmentedSequence,
-    last_generated: np.ndarray,
-) -> tuple[SegmentedSequence, DualModel]:
-    """Append the generated token and rebuild the dual at the next position.
-
-    The rebuild featurizes one key only, the one the new position adds (the
-    token that was the query): the earlier keys' features come from the
-    key-feature cache of ``_kernel_parts`` while it holds this prompt.  c,
-    W_0 and the query features are recomputed; the incremental update
-    W_0' = W_0 + c v phi(k~) would reuse a c that no longer matches the
-    extended key set, so it is only an approximation.
-    """
-    extended = seq.append(last_generated)  # a lead token
-    return extended, build_dual_attention(params, fmap, extended, len(extended))
 
 
 def build_dual_transformer(
@@ -243,11 +208,16 @@ def dual_gqa_forward(duals: list[DualModel]) -> np.ndarray:
 
 @dataclass
 class DescentState:
-    """Single-owner mutable descent trajectory of W."""
+    """Single-owner mutable descent trajectory of W.
+
+    ``passes`` is the S of a fractional:<S> schedule (None for per-token) and
+    ``pass_length`` the number of steps of one complete pass.
+    """
 
     w: np.ndarray
+    passes: int | None
+    pass_length: int
     steps_applied: int = 0
-    schedule: str = "per-token"  # "per-token" | "fractional:<S>"
     se_log: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -264,8 +234,8 @@ def parse_schedule(schedule: str) -> int | None:
 
 
 def start_descent(dual: DualModel, schedule: str = "per-token") -> DescentState:
-    parse_schedule(schedule)  # validate early
-    return DescentState(w=dual.w0.copy(), schedule=schedule)
+    passes = parse_schedule(schedule)
+    return DescentState(dual.w0.copy(), passes, (passes or 1) * max(dual.n_demo, 1))
 
 
 def descend(
@@ -283,16 +253,14 @@ def descend(
     """
     if n_steps < 0:
         raise InvalidParameter("n_steps must be >= 0")
-    passes = parse_schedule(state.schedule)
-    length = (passes or 1) * max(dual.n_demo, 1)
-    reg_share = dual.alpha * dual.w0 / length if dual.alpha else None
+    reg_share = dual.alpha * dual.w0 / state.pass_length if dual.alpha else None
     for _ in range(n_steps):
-        if passes is None:
+        if state.passes is None:
             if dual.n_demo:
                 j = state.steps_applied % dual.n_demo
                 state.w += dual.contribution(j)
         else:
-            state.w += (dual.labels @ dual.feats.T) / length
+            state.w += (dual.labels @ dual.feats.T) / state.pass_length
         if reg_share is not None:
             state.w -= reg_share
         state.steps_applied += 1

@@ -41,7 +41,6 @@ class EngineeredScenario:
     vocab: Vocabulary
     candidate_mask: frozenset
     target_id: int
-    n_d: int
 
 
 def _score_coord(d_o: int) -> int:
@@ -88,10 +87,8 @@ def build_scenario(
     leads[-1] = _embed(d_i, q=2.0)  # initial query magnitude
 
     if kind == "good":
-        n_d = 15
-        demo = np.tile(_embed(d_i, k=3.0, v=1.0), (n_d, 1))
+        demo = np.tile(_embed(d_i, k=3.0, v=1.0), (15, 1))
     else:
-        n_d = 10
         strong = np.tile(_embed(d_i, k=3.0, v=-1.0), (8, 1))
         weak = np.tile(_embed(d_i, k=0.5, v=8.0), (2, 1))
         demo = np.vstack([strong, weak])
@@ -105,4 +102,4 @@ def build_scenario(
     vocab = Vocabulary(out, feedback)
 
     seq = SegmentedSequence.build(instr, demo, leads, normalize=False)
-    return EngineeredScenario(params, seq, vocab, mask, TARGET_ID, n_d)
+    return EngineeredScenario(params, seq, vocab, mask, TARGET_ID)

@@ -4,9 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import DualModel, build_dual_attention, descend, parse_schedule, start_descent
+from .dual import DualModel, build_dual_attention, descend, start_descent
 from .engineering import build_scenario
-from .errors import NormalizationDegenerate
+from .errors import InvalidConfig, NormalizationDegenerate
 from .kernelmap import sample_feature_map
 from .metrics import effect_d, hit_position
 from .optimizer import OptimizerConfig, OptimizerEnv, TraceRecord, run_two_stage
@@ -26,7 +26,6 @@ from .transformer import (
 class ExperimentConfig:
     """Flat configuration shared by the CLI subcommands."""
 
-    kind: str = "equiv"
     d_i: int = 8
     d_o: int = 6
     feature_dim: int = 128
@@ -75,13 +74,11 @@ def random_sequence(
     )
 
 
-def _se_curve(
-    dual: DualModel, reference: np.ndarray, schedule: str, n_steps: int
-) -> list[tuple[int, float]]:
-    """(step, squared error against reference) from W_0 alone (step 0) through n_steps."""
+def _se_curve(dual: DualModel, reference: np.ndarray, schedule: str) -> list[tuple[int, float]]:
+    """(step, squared error against reference) from W_0 alone (step 0) through one pass."""
     state = start_descent(dual, schedule)
     pred0 = state.w @ dual.phi_q
-    descend(dual, state, n_steps, reference=reference)
+    descend(dual, state, state.pass_length, reference=reference)
     return [(0, float(np.sum((reference - pred0) ** 2))), *state.se_log]
 
 
@@ -111,8 +108,7 @@ def run_equiv(cfg: ExperimentConfig) -> list[list]:
             break
         else:
             raise NormalizationDegenerate(f"seed {seed}: no usable draw in 20 attempts")
-        n_pass = (parse_schedule(cfg.schedule) or 1) * max(dual.n_demo, 1)
-        for step, se in _se_curve(dual, reference, cfg.schedule, n_pass):
+        for step, se in _se_curve(dual, reference, cfg.schedule):
             rows.append([seed, cfg.n_d, step, se, cfg.schedule, cfg.mode])
     return rows
 
@@ -159,7 +155,7 @@ def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
             p = len(seq)
             reference = kernel_attention(scen.params, fmap, seq, p)
             dual = build_dual_attention(scen.params, fmap, seq, p)
-            curve = _se_curve(dual, reference, "per-token", scen.n_d)
+            curve = _se_curve(dual, reference, "per-token")
             report.rows.extend([kind, token_step, step, se] for step, se in curve)
             terminal = max(terminal, curve[-1][1])
             seq = seq.append(scen.vocab.input_embeddings[tok])
@@ -178,6 +174,8 @@ def make_toy_env(
     vocab_size: int = 24,
 ) -> OptimizerEnv:
     """Random but fully deterministic generation environment."""
+    if vocab_size < TOY_CANDIDATES:
+        raise InvalidConfig(f"vocab_size must be >= {TOY_CANDIDATES}, the toy candidate count")
     rng = stream(seed, "toy-env")
     params = random_attention(rng, d_i, d_o)
     out = rng.normal(0, 1, (vocab_size, d_o))

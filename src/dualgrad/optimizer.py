@@ -92,6 +92,8 @@ class OptimizerConfig:
             raise InvalidConfig("m and iterations must be >= 1")
         if not 0.0 < self.tau_sim <= 1.0:
             raise InvalidConfig("tau_sim must lie in (0, 1]")
+        if self.window < 0:
+            raise InvalidConfig("window must be >= 0")
         if self.perturbation_enabled and self.m < 2:
             raise InvalidConfig("perturbation needs a donor path: m >= 2")
 

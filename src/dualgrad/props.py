@@ -15,7 +15,6 @@ from .dual import (
     linear_dual_equivalence,
     loss_icl,
     start_descent,
-    with_perturbation,
     with_value_regularization,
 )
 from .errors import NormalizationDegenerate
@@ -71,7 +70,7 @@ def suite_attention(n_cases=25, seed0=0):
 
 
 def gradient_error(dual, w, flip_sign=False) -> float:
-    """Max |beta * central-difference gradient - analytic gradient| of loss_icl at w.
+    """Max |central-difference gradient - analytic gradient| of loss_icl at w.
 
     The step is 1e-5; ``flip_sign`` negates the analytic side (the grad-sign fault).
     """
@@ -85,7 +84,7 @@ def gradient_error(dual, w, flip_sign=False) -> float:
         wp[idx] += hstep
         wm[idx] -= hstep
         num[idx] = (loss_icl(dual, wp) - loss_icl(dual, wm)) / (2 * hstep)
-    return float(np.max(np.abs(dual.beta * num - analytic)))
+    return float(np.max(np.abs(num - analytic)))
 
 
 def suite_dual(n_cases=25, seed0=0, inject_fault=""):
@@ -97,18 +96,15 @@ def suite_dual(n_cases=25, seed0=0, inject_fault=""):
         except NormalizationDegenerate:
             yield True, ""
             continue
-        # the forward attends over the perturbation tokens too, so the exact
-        # identity holds once their contributions are appended
-        dual_p = with_perturbation(dual, params, fmap, seq, pos)
-        f = dual_forward(dual_p)
+        f = dual_forward(dual)
         if np.max(np.abs(f - h)) > 1e-9 * max(1.0, np.max(np.abs(h))):
             yield False, f"dual/forward mismatch at case {i}"
             continue
         # gradient vs central finite differences
         rng = stream(seed0 + i, "props-dual-w")
         w = rng.normal(0, 1, dual.w0.shape)
-        dual_pr = with_value_regularization(dual_p, 0.3)
-        if gradient_error(dual_pr, w, flip_sign=inject_fault == "grad-sign") > 1e-5:
+        dual_r = with_value_regularization(dual, 0.3)
+        if gradient_error(dual_r, w, flip_sign=inject_fault == "grad-sign") > 1e-5:
             yield False, f"gradient check failed at case {i}"
             continue
         # schedule independence

@@ -3,8 +3,8 @@
 A sequence is an ordered list of token embeddings, each carrying one of four
 segment tags: task instruction, lead (previously generated or primer) tokens,
 current demonstration, and perturbation demonstration.  The instruction and
-lead tokens form the "task" index set; the demonstration tokens form the
-"demo" index set that drives the dual model's gradient.
+lead tokens form the "task" index set; every other token is a demonstration
+token, whose terms drive the dual model's gradient.
 """
 
 from dataclasses import dataclass, replace
@@ -82,23 +82,11 @@ class SegmentedSequence:
     def dim(self) -> int:
         return self.tokens.shape[1]
 
-    def _where(self, *tags: Tag) -> np.ndarray:
-        return np.array([i for i, t in enumerate(self.tags) if t in tags], dtype=int)
-
     @property
     def idx_task(self) -> np.ndarray:
         """0-based indices of the task side (instruction + lead tokens)."""
-        return self._where(Tag.T_INSTR, Tag.T_LEAD)
-
-    @property
-    def idx_demo(self) -> np.ndarray:
-        """0-based indices of the current demonstration tokens."""
-        return self._where(Tag.D_CURR)
-
-    @property
-    def idx_per(self) -> np.ndarray:
-        """0-based indices of the perturbation demonstration tokens."""
-        return self._where(Tag.D_PER)
+        task = (Tag.T_INSTR, Tag.T_LEAD)
+        return np.array([i for i, t in enumerate(self.tags) if t in task], dtype=int)
 
     def append(self, embedding: np.ndarray, tag: Tag = Tag.T_LEAD) -> "SegmentedSequence":
         """Return a new sequence with one token appended under the same norm policy."""

@@ -19,16 +19,16 @@ from dualgrad.dual import (
     descend,
     dual_forward,
     dual_gqa_forward,
-    loss_icl,
     start_descent,
-    with_perturbation,
     with_value_regularization,
 )
 from dualgrad.errors import NormalizationDegenerate
 from dualgrad.experiments import ExperimentConfig, collapse_comparison, random_attention, random_sequence, run_fig7
 from dualgrad.kernelmap import sample_feature_map
 from dualgrad.metrics import effect_d
+from dualgrad.props import gradient_error
 from dualgrad.rng import stream
+from dualgrad.sequence import SegmentedSequence, Tag
 from dualgrad.transformer import (
     FfnParams,
     GqaConfig,
@@ -96,7 +96,7 @@ def test_criterion_1_dual_equivalence(capsys):
 
 def test_criterion_2_engineered_demonstrations(capsys):
     t0 = time.time()
-    report = run_fig7(ExperimentConfig(kind="fig7", d_i=11, d_o=1, n_t=15, k_leads=2))
+    report = run_fig7(ExperimentConfig(d_i=11, d_o=1, n_t=15, k_leads=2))
     elapsed = time.time() - t0
     terminal = max(report.terminal_se.values())
     ok = (
@@ -172,37 +172,23 @@ def test_criterion_4_gradient_check(capsys):
         params = random_attention(rng, 5, 3)
         seq = random_sequence(rng, 5, 5, 3, 2, n_per=2)
         fmap = sample_feature_map(3, 16, seed=seed)
-        pos = len(seq)
+        keep = [i for i, tag in enumerate(seq.tags) if tag is not Tag.D_PER]
+        plain = SegmentedSequence(seq.tokens[keep], tuple(seq.tags[i] for i in keep))
         try:
-            base = build_dual_attention(params, fmap, seq, pos)
+            duals = [build_dual_attention(params, fmap, s, len(s)) for s in (seq, plain)]
         except NormalizationDegenerate:
             continue
-        variants = [
-            base,
-            with_perturbation(base, params, fmap, seq, pos),
-            with_value_regularization(base, 0.4),
-            with_value_regularization(
-                with_perturbation(base, params, fmap, seq, pos), 0.4
-            ),
-        ]
-        w = rng.normal(0, 1, base.w0.shape)
-        h = 1e-5
-        for dual in variants:
-            analytic = -(dual.labels @ dual.feats.T) + dual.alpha * w
-            num = np.zeros_like(w)
-            for r in range(w.shape[0]):
-                for c in range(w.shape[1]):
-                    wp, wm = w.copy(), w.copy()
-                    wp[r, c] += h
-                    wm[r, c] -= h
-                    num[r, c] = (loss_icl(dual, wp) - loss_icl(dual, wm)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(dual.beta * num - analytic))))
+        w = rng.normal(0, 1, duals[0].w0.shape)
+        for dual in duals:
+            for variant in (dual, with_value_regularization(dual, 0.4)):
+                worst = max(worst, gradient_error(variant, w))
     ok = worst <= 1e-5
     _report(
         capsys,
         "criterion 4 (gradient vs finite differences)",
         ok,
-        f"20 pairs x 4 variants, max abs dev {worst:.1e} (<=1e-5)",
+        f"20 prompts, with and without perturbation tokens, x 2 variants, "
+        f"max abs dev {worst:.1e} (<=1e-5)",
     )
 
 
@@ -278,7 +264,7 @@ def test_criterion_7_effect_metric(capsys):
 
 
 def test_criterion_8_collapse_mitigation(capsys):
-    cfg = ExperimentConfig(kind="optimize", m=3, iterations=15, seed=0)
+    cfg = ExperimentConfig(m=3, iterations=15, seed=0)
     summary = collapse_comparison(cfg, n_seeds=20)
     lower_similarity = summary.sim_with < summary.sim_without
     no_worse_effect = summary.best_with >= summary.best_without

@@ -208,6 +208,7 @@ def test_missing_config_file_exits_3(tmp_path):
 _CONFIGS = {
     "bad.cfg": "d_i = x",
     "layers.cfg": "layers = 3",  # layers is no setting any more
+    "kind.cfg": "kind = fig7",  # nor is kind: the subcommand names it
     "vocab0.cfg": "vocab_size = 0",
     "vocab5.cfg": "vocab_size = 5",  # fewer ids than the toy environment's candidates
     "leads-1.cfg": "k_leads = -1",
@@ -235,6 +236,7 @@ _CONFIGS = {
         (["fig7", "--config", "leads0.cfg"], {}, 1),  # the scenario needs a lead token
         (["optimize", "--config", "window-1.cfg"], {}, 2),
         (["optimize", "--config", "demo_len-1.cfg"], {}, 2),
+        (["equiv", "--config", "kind.cfg"], {}, 2),
     ],
 )
 def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):

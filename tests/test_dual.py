@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dualgrad.dual import (
     DualModel,
-    advance_start,
     build_dual_attention,
     build_dual_gqa,
     build_dual_stack,
@@ -19,10 +18,9 @@ from dualgrad.dual import (
     linear_dual_equivalence,
     loss_icl,
     start_descent,
-    with_perturbation,
     with_value_regularization,
 )
-from dualgrad.errors import InvalidDimension, InvalidParameter, NormalizationDegenerate
+from dualgrad.errors import InvalidDimension, InvalidParameter, NormalizationDegenerate, OverflowGuard
 from dualgrad.experiments import random_attention, random_sequence
 from dualgrad.kernelmap import sample_feature_map
 from dualgrad.props import gradient_error
@@ -75,30 +73,21 @@ def test_one_contribution_per_demo_token():
 
 
 def test_perturbation_equals_concatenated_build():
-    # appending perturbation contributions must equal building the dual over
-    # the full demonstration set directly
+    # the perturbation contributions follow the current demonstration's, as
+    # in a build over the full demonstration set
     params, seq, fmap, pos = _setup(3, n_per=3)
-    base = build_dual_attention(params, fmap, seq, pos)
-    extended = with_perturbation(base, params, fmap, seq, pos)
-    direct = _dual_attention_oracle(params, fmap, seq, pos, include_per=True)
-    assert extended.n_demo == base.n_demo + 3
-    assert np.allclose(extended.labels, direct.labels, atol=1e-15)
-    assert np.allclose(extended.feats, direct.feats, atol=1e-15)
-    assert np.allclose(extended.w0, direct.w0, atol=1e-15)
-
-
-def test_perturbation_without_per_tokens_is_identity():
-    params, seq, fmap, pos = _setup(4)
     dual = build_dual_attention(params, fmap, seq, pos)
-    assert with_perturbation(dual, params, fmap, seq, pos) is dual
+    direct = _dual_attention_oracle(params, fmap, seq, pos, include_per=True)
+    assert dual.n_demo == 4 + 3
+    assert np.allclose(dual.labels, direct.labels, atol=1e-15)
+    assert np.allclose(dual.feats, direct.feats, atol=1e-15)
+    assert np.allclose(dual.w0, direct.w0, atol=1e-15)
 
 
 def test_perturbed_forward_matches_full_attention():
     params, seq, fmap, pos = _setup(5, n_per=2)
     h = kernel_attention(params, fmap, seq, pos)
-    dual = with_perturbation(
-        build_dual_attention(params, fmap, seq, pos), params, fmap, seq, pos
-    )
+    dual = build_dual_attention(params, fmap, seq, pos)
     assert np.allclose(dual_forward(dual), h, atol=1e-12)
 
 
@@ -126,12 +115,7 @@ def test_regularization_bounds():
 
 def test_loss_gradient_finite_differences():
     params, seq, fmap, pos = _setup(8, n_per=2, feature_dim=32)
-    dual = with_value_regularization(
-        with_perturbation(
-            build_dual_attention(params, fmap, seq, pos), params, fmap, seq, pos
-        ),
-        0.3,
-    )
+    dual = with_value_regularization(build_dual_attention(params, fmap, seq, pos), 0.3)
     w = stream(8, "fd").normal(0, 1, dual.w0.shape)
     assert gradient_error(dual, w) < 1e-5
 
@@ -183,12 +167,11 @@ def test_schedule_non_integer_s_is_invalid_parameter(schedule):
         start_descent(dual, schedule)
 
 
-def test_advance_start_rebuilds_exactly():
+def test_rebuild_after_appending_a_lead_token_is_exact():
     params, seq, fmap, pos = _setup(13)
-    token = stream(13, "tok").normal(0, 1, seq.dim)
-    extended, dual = advance_start(params, fmap, seq, token)
-    assert len(extended) == len(seq) + 1
+    extended = seq.append(stream(13, "tok").normal(0, 1, seq.dim))
     assert extended.tags[-1] is Tag.T_LEAD
+    dual = build_dual_attention(params, fmap, extended, len(extended))
     h = kernel_attention(params, fmap, extended, len(extended))
     assert np.allclose(dual_forward(dual), h, atol=1e-12)
 
@@ -306,7 +289,7 @@ def _dual_attention_oracle(params, fmap, seq, query_pos, alpha=0.0, include_per=
 
 
 def _with_perturbation_oracle(dual, params, fmap, seq, query_pos):
-    per = [i for i in seq.idx_per if i < query_pos - 1]
+    per = [i for i in range(query_pos - 1) if seq.tags[i] is Tag.D_PER]
     if not per:
         return dual
     values, feat_keys, _, _ = _kernel_parts(params, fmap, seq, query_pos)
@@ -327,7 +310,7 @@ def _dual_transformer_oracle(params, ffn, fmap, seq, query_pos):
         sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
     w_hat = c * (ffn.w1 * sigma) @ ffn.w2
     bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
-    task, demo = _demo_columns_oracle(seq, query_pos, include_per=False)
+    task, demo = _demo_columns_oracle(seq, query_pos, include_per=True)
     return DualModel(
         w0=w_hat @ values[:, task] @ feat_keys[:, task].T,
         labels=w_hat @ values[:, demo],
@@ -342,7 +325,7 @@ def _dual_gqa_oracle(params, cfg, fmap, seq, query_pos):
     duals = []
     for s in range(cfg.heads):
         values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
-        task, demo = _demo_columns_oracle(seq, query_pos, include_per=False)
+        task, demo = _demo_columns_oracle(seq, query_pos, include_per=True)
         mix = cfg.mix(s)
         duals.append(
             DualModel(
@@ -363,7 +346,7 @@ def _assert_bitwise(a, b):
     for name in _ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
-    assert (a.c, a.beta, a.alpha) == (b.c, b.beta, b.alpha)
+    assert (a.c, a.alpha) == (b.c, b.alpha)
     assert (a.bias is None) == (b.bias is None)
     if a.bias is not None:
         assert a.bias.tobytes() == b.bias.tobytes()
@@ -392,12 +375,12 @@ def _built(oracle, build):
 
 
 @st.composite
-def _prompts(draw):
+def _prompts(draw, min_per=0):
     """(rng, d_i, d_o, sequence, query_pos), with odd d_o, empty segments (n_demo = 0),
-    perturbation tokens and query_pos = 2 among the draws."""
+    perturbation tokens (at least ``min_per``) and query_pos = 2 among the draws."""
     seed = draw(st.integers(0, 2**16))
     d_i, d_o = draw(st.integers(1, 6)), draw(st.integers(1, 7))
-    sizes = [draw(st.integers(lo, 4)) for lo in (0, 0, 0, 1)]  # instr, demo, per, leads
+    sizes = [draw(st.integers(lo, 4)) for lo in (0, 0, min_per, 1)]  # instr, demo, per, leads
     rng = np.random.default_rng(seed)
     seq = SegmentedSequence.build(
         *(rng.normal(0, 1, (n, d_i)) for n in (sizes[0], sizes[1])),
@@ -412,27 +395,21 @@ def _prompts(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_prompts(), alpha=st.sampled_from([0.0, 1.0]), include_per=st.booleans())
-def test_dual_attention_is_bitwise_the_per_builder_oracle(case, alpha, include_per):
+@given(case=_prompts(), alpha=st.sampled_from([0.0, 1.0]))
+def test_dual_attention_is_bitwise_the_per_builder_oracle(case, alpha):
+    # the oracle is the former two-step path: current demonstration first,
+    # perturbation columns appended afterwards
     rng, d_i, d_o, seq, pos = case
     params = random_attention(rng, d_i, d_o)
     fmap = sample_feature_map(d_o, 32, seed=int(rng.integers(1 << 30)))
-    def build():
-        dual = build_dual_attention(params, fmap, seq, pos)
-        if include_per:
-            dual = with_perturbation(dual, params, fmap, seq, pos)
-        return with_value_regularization(dual, alpha)
-
-    built = _built(lambda: _dual_attention_oracle(params, fmap, seq, pos, alpha, include_per), build)
-    if built is None:
-        return
-    got, want = built
-    _assert_bitwise(got, want)
-    if not include_per:
-        _assert_bitwise(
-            with_perturbation(got, params, fmap, seq, pos),
-            _with_perturbation_oracle(want, params, fmap, seq, pos),
-        )
+    built = _built(
+        lambda: _with_perturbation_oracle(
+            _dual_attention_oracle(params, fmap, seq, pos, alpha), params, fmap, seq, pos
+        ),
+        lambda: with_value_regularization(build_dual_attention(params, fmap, seq, pos), alpha),
+    )
+    if built is not None:
+        _assert_bitwise(*built)
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,6 +452,45 @@ def test_dual_gqa_matches_the_per_builder_oracle(case, n, g, head_dim, mixed):
     assert len(got) == len(want) == heads
     for a, b in zip(got, want):
         _assert_close(a, b)
+
+
+def _forward_pairs(case):
+    """(dual output, forward output) of plain attention, a transformer layer, a
+    2-layer stack and a grouped-query layer on one prompt; None for a pair
+    whose forward trips a numerical guard."""
+    rng, d_i, d_o, seq, pos = case
+    params = random_attention(rng, d_i, d_o)
+    ffn = FfnParams(*(rng.normal(0, 0.5, shape) for shape in ((d_o, 3), d_o, (3, d_o), 3)))
+    stack = LayerStack(((params, ffn), (random_attention(rng, d_o, d_o), ffn)))
+    gcfg = GqaConfig(n=2, g=1, d_o=2 * d_o)  # two query heads share one key group
+    gqa = GqaParams(*(rng.normal(0, 0.4, (k, d_o, d_i)) for k in (2, 1, 1)))
+    fmap = sample_feature_map(d_o, 64, seed=int(rng.integers(1 << 30)))
+    pairs = [
+        lambda: (dual_forward(build_dual_attention(params, fmap, seq, pos)),
+                 kernel_attention(params, fmap, seq, pos)),
+        lambda: (dual_forward(build_dual_transformer(params, ffn, fmap, seq, pos)),
+                 layer_forward(params, ffn, seq, pos, fmap)),
+        lambda: (dual_forward(build_dual_stack(stack, fmap, seq, pos)[-1]),
+                 stack_forward(stack, fmap, seq, pos)),
+        lambda: (dual_gqa_forward(build_dual_gqa(gqa, gcfg, fmap, seq, pos)),
+                 gqa_attention(gqa, gcfg, fmap, seq, pos)),
+    ]
+    for pair in pairs:
+        try:
+            yield pair()
+        except (NormalizationDegenerate, OverflowGuard):
+            yield None
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_prompts(min_per=1))
+def test_every_dual_reproduces_its_forward_on_perturbation_prompts(case):
+    # the forward attends over the perturbation tokens, so every builder's
+    # dual carries their terms
+    for pair in _forward_pairs(case):
+        if pair is not None:
+            got, want = pair
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 
 from dualgrad.dual import build_dual_attention
 from dualgrad.engineering import build_scenario
-from dualgrad.errors import ConstructionFailed
+from dualgrad.errors import ConstructionFailed, InvalidConfig
 from dualgrad.experiments import (
+    TOY_CANDIDATES,
     ExperimentConfig,
     make_toy_env,
     run_equiv,
@@ -27,7 +28,8 @@ from dualgrad.transformer import (
 def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
     """Wrap an engineered scenario so its demo tokens are addressable by id."""
     scen = build_scenario(kind)
-    demo_rows = np.unique(scen.seq.tokens[scen.seq.idx_demo], axis=0)
+    demo = [i for i, tag in enumerate(scen.seq.tags) if tag is Tag.D_CURR]
+    demo_rows = np.unique(scen.seq.tokens[demo], axis=0)
     d_o = scen.vocab.output_embeddings.shape[1]
     vocab = Vocabulary(
         np.vstack([scen.vocab.output_embeddings, np.zeros((len(demo_rows), d_o))]),
@@ -101,7 +103,7 @@ def test_scenario_validation():
 
 
 def test_equiv_step_zero_row_is_demo_contribution_norm():
-    cfg = ExperimentConfig(kind="equiv", reps=1, seed=0)
+    cfg = ExperimentConfig(reps=1, seed=0)
     rows = run_equiv(cfg)
     zero = next(r for r in rows if r[2] == 0)
     # reconstruct: SE at step 0 is ||h - W_0 phi(q)||^2 by definition
@@ -119,7 +121,7 @@ def test_equiv_step_zero_row_is_demo_contribution_norm():
 
 
 def test_equiv_terminal_se_vanishes_for_all_seeds():
-    rows = run_equiv(ExperimentConfig(kind="equiv", reps=5, seed=0))
+    rows = run_equiv(ExperimentConfig(reps=5, seed=0))
     terminal = {}
     for seed, _, step, se, _, _ in rows:
         terminal[seed] = se
@@ -127,7 +129,7 @@ def test_equiv_terminal_se_vanishes_for_all_seeds():
 
 
 def test_fig7_curves_cover_both_scenarios():
-    report = run_fig7(ExperimentConfig(kind="fig7", d_i=11, d_o=1, n_t=15, k_leads=2))
+    report = run_fig7(ExperimentConfig(d_i=11, d_o=1, n_t=15, k_leads=2))
     kinds = {row[0] for row in report.rows}
     assert kinds == {"good", "bad"}
     assert all(se >= 0.0 for *_, se in report.rows)
@@ -140,8 +142,15 @@ def test_toy_env_deterministic_and_masked():
     assert a.target_id in a.candidate_mask
 
 
+@pytest.mark.parametrize("vocab_size", [5, TOY_CANDIDATES - 1])
+def test_toy_env_needs_its_candidate_count(vocab_size):
+    # not numpy's ValueError from drawing the candidate ids
+    with pytest.raises(InvalidConfig):
+        make_toy_env(0, vocab_size=vocab_size)
+
+
 def test_run_generate_emits_masked_ids():
-    cfg = ExperimentConfig(kind="generate", seed=0, steps=4)
+    cfg = ExperimentConfig(seed=0, steps=4)
     rows = run_generate(cfg)
     env = make_toy_env(cfg.seed, cfg.d_i, cfg.d_o, cfg.vocab_size)
     assert len(rows) == 4

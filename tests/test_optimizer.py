@@ -81,6 +81,12 @@ def test_config_validation():
     _config(m=1, perturbation_enabled=False)  # fine
 
 
+def test_negative_window_is_a_config_error():
+    # not an IndexError from detect_collapse's anchor
+    with pytest.raises(InvalidConfig):
+        run_two_stage(OptimizerConfig(m=2, iterations=6, window=-1), make_toy_env(0))
+
+
 def test_similarity_is_cosine_of_mean_embeddings():
     env = make_toy_env(0)
     d1 = Demonstration((0, 1))

@@ -33,8 +33,6 @@ def test_segment_order_and_tags():
 def test_counts_and_index_sets():
     seq = _seq(3, 2, 2, n_per=2)
     assert list(seq.idx_task) == [0, 1, 2, 7, 8]
-    assert list(seq.idx_demo) == [3, 4]
-    assert list(seq.idx_per) == [5, 6]
 
 
 def test_normalization():

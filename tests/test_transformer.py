@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 import dualgrad.dual as dual_module
 import dualgrad.transformer as transformer_module
 from dualgrad.dual import (
-    advance_start,
     build_dual_attention,
     build_dual_gqa,
     build_dual_stack,
     build_dual_transformer,
     dual_gqa_forward,
-    with_perturbation,
 )
 from dualgrad.errors import (
     EmptyCandidateSet,
@@ -642,9 +640,10 @@ def _consumers(c, seq=None, pos=None, params=None, fmap=None):
     pos = c["pos"] if pos is None else pos
     params = c["params"] if params is None else params
     fmap = c["fmap"] if fmap is None else fmap
+    appended = seq.truncate(pos - 1).append(seq.tokens[pos - 1])
     duals = [
-        with_perturbation(build_dual_attention(params, fmap, seq, pos), params, fmap, seq, pos),
-        advance_start(params, fmap, seq.truncate(pos - 1), seq.tokens[pos - 1])[1],
+        build_dual_attention(params, fmap, seq, pos),
+        build_dual_attention(params, fmap, appended, pos),
         build_dual_transformer(params, c["ffn"], fmap, seq, pos),
         *build_dual_stack(c["stack"], fmap, seq, pos),
         *build_dual_gqa(c["gqa"], c["gcfg"], c["fmap_head"], seq, pos),
