@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 suite/acceptance failure, 2 config error, 3 I/O error.
 """
 
 import argparse
+import os
 import sys
 
 from . import props as props_mod
@@ -163,7 +164,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # what is still buffered would fail again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("io error: stdout closed", file=sys.stderr)
+        return 3
     except (InvalidConfig, InvalidParameter, ParseError, EmptyData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -149,16 +149,14 @@ def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
 
         # one full descent pass per generated token, logged against the
         # kernel-mode output at that position
-        seq = scen.seq
+        seq = trace.final_seq
         terminal = 0.0
-        for token_step, tok in enumerate(trace.ids, start=1):
-            p = len(seq)
+        for token_step, p in enumerate(trace.positions, start=1):
             reference = kernel_attention(scen.params, fmap, seq, p)
             dual = build_dual_attention(scen.params, fmap, seq, p)
             curve = _se_curve(dual, reference, "per-token")
             report.rows.extend([kind, token_step, step, se] for step, se in curve)
             terminal = max(terminal, curve[-1][1])
-            seq = seq.append(scen.vocab.input_embeddings[tok])
         report.terminal_se[kind] = terminal
     return report
 

@@ -144,7 +144,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
         raise InvalidParameter("steps must be >= 1")
     instr, leads, emb = tables or _prompt_tables(env)
     mask = env.candidate_mask
-    cand = np.arange(env.vocab.size) if mask is None else _candidate_ids(mask)
+    cand = np.arange(env.vocab.size) if mask is None else _candidate_ids(mask, env.vocab.size)
     if not cand.size:
         raise EmptyCandidateSet("candidate mask is empty")
     hits: list[int | None] = [None] * len(demos)

@@ -17,7 +17,7 @@ from .dual import (
     start_descent,
     with_value_regularization,
 )
-from .errors import NormalizationDegenerate
+from .errors import InvalidConfig, NormalizationDegenerate
 from .experiments import random_attention, random_sequence
 from .kernelmap import phi, sample_feature_map
 from .metrics import effect_d
@@ -145,8 +145,13 @@ SUITES = {
 }
 
 
+FAULTS = ("", "grad-sign")  # no fault, then each fault ``inject_fault`` can name
+
+
 def run_all(inject_fault: str = ""):
     """Run every suite; returns (all_passed, report_lines)."""
+    if inject_fault not in FAULTS:
+        raise InvalidConfig(f"unknown inject_fault {inject_fault!r}")
     lines = []
     all_passed = True
     for name, fn in SUITES.items():

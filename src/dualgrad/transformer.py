@@ -19,7 +19,6 @@ Conventions:
     when propagating every position through a layer stack).
 """
 
-import mmap
 import threading
 from dataclasses import dataclass
 
@@ -98,10 +97,12 @@ class LayerStack:
     conn: tuple[np.ndarray | None, ...] = ()
 
     def __post_init__(self):
+        if not self.layers:
+            raise InvalidDimension("a stack needs at least one layer")
         conn = self.conn if self.conn else tuple([None] * len(self.layers))
         if len(conn) != len(self.layers):
             raise InvalidDimension("need one connection slot per layer")
-        if conn and conn[0] is not None:
+        if conn[0] is not None:
             raise InvalidDimension("conn[0] is unused and must be None")
         object.__setattr__(self, "conn", conn)
         for l in range(1, len(self.layers)):
@@ -289,54 +290,25 @@ def exact_attention(
     return exact_attention_batch(params, seq.tokens[None, :query_pos])[0]
 
 
-class _KeyPrefix:
-    """Context rows x_1..x_n of one (feature map, W_k, rope base) and their key features."""
-
-    def __init__(self, fmap: FourierFeatureMap, w_k: np.ndarray, rope_base: float, m: int):
-        self.fmap, self.w_k, self.rope_base = fmap, w_k.copy(), rope_base
-        self.n = 0
-        self.rows = np.empty((m, w_k.shape[1]))
-        self.feats = np.empty((m, fmap.feature_dim))  # one key per row
-
-    def serves(self, fmap: FourierFeatureMap, w_k: np.ndarray, rope_base: float, rows) -> bool:
-        k = min(len(rows), self.n)
-        return (
-            self.fmap is fmap
-            and self.rope_base == rope_base
-            and _same_bits(self.w_k, w_k)
-            and _same_bits(self.rows[:k], rows[:k])
-        )
-
-    def extend(self, new_rows: np.ndarray) -> None:
-        """Featurize rows n+1..n+k, doubling the buffers when they are full."""
-        n, k = self.n, len(new_rows)
-        keys = _rotate(matvecs(self.w_k, new_rows).T, np.arange(n + 1, n + k + 1), self.rope_base)
-        feats = phi_matrix(self.fmap, keys / self.w_k.shape[0] ** 0.25)  # guards run first
-        if n + k > len(self.rows):
-            cap = max(2 * len(self.rows), n + k)
-            self.rows, self.feats = (_grown(a, n, cap) for a in (self.rows, self.feats))
-        self.rows[n : n + k] = new_rows
-        self.feats[n : n + k] = feats.T
-        self.n = n + k
-
-
 class _KeyFeatureCache:
     """Bounded LRU of featurized key prefixes, checked by content.
 
-    An entry (``_KeyPrefix``) belongs to one feature map, compared by
-    identity, one W_k, compared bitwise with its shape, and one rope base.
-    A request for rows y_1..y_m is served by the most recent entry whose rows
-    agree bitwise with y on their common prefix: a slice when the entry holds
-    at least m rows, else the entry grows and only the rows it lacks are
-    rotated and featurized.  Any other request starts an exact-sized entry.
-    Features are computed per column (``matvecs``, ``phi_matrix``), so a
-    served array has exactly the bits of a cold computation, and the guards
-    of ``phi_matrix`` run on every row the first time it is featurized.
+    An entry is (feature map, W_k, rope base, rows, features): context rows
+    x_1..x_n and their (n, D) key features, both exact-sized, under one
+    feature map, compared by identity, one W_k, compared bitwise with its
+    shape, and one rope base.  A request for rows y_1..y_m is served by the
+    most recent entry whose rows agree bitwise with y on their common prefix:
+    a slice when the entry holds at least m rows, else only the rows it lacks
+    are rotated, featurized and concatenated on, and the longer entry
+    replaces it.  Any other request starts a new entry.  Features are
+    computed per column (``matvecs``, ``phi_matrix``), so a served array has
+    exactly the bits of a cold computation, and the guards of ``phi_matrix``
+    run on every row the first time it is featurized.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self.entries: list[_KeyPrefix] = []  # least recently used first
+        self.entries: list[tuple] = []  # least recently used first
         self._lock = threading.Lock()
 
     def clear(self) -> None:
@@ -347,41 +319,36 @@ class _KeyFeatureCache:
         self, params: AttentionParams, fmap: FourierFeatureMap, rows: np.ndarray
     ) -> np.ndarray:
         """Read-only (D, m) key features of context rows (m, d_i) at positions 1..m."""
+        if fmap.input_dim != params.d_o:
+            raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
         w_k = np.asarray(params.w_k, dtype=float)
+        base = params.rope_base
         with self._lock:
             hit = next(
-                (i for i in reversed(range(len(self.entries)))
-                 if self.entries[i].serves(fmap, w_k, params.rope_base, rows)),
+                (i for i, (f, w, b, have, _) in reversed(list(enumerate(self.entries)))
+                 if f is fmap and b == base and _same_bits(w, w_k)
+                 and _same_bits(have[: len(rows)], rows[: len(have)])),
                 None,
             )
             if hit is None:
-                entry = _KeyPrefix(fmap, w_k, params.rope_base, len(rows))
+                entry = (fmap, w_k.copy(), base, rows[:0], np.empty((0, fmap.feature_dim)))
             else:
                 entry = self.entries[hit]
-            if len(rows) > entry.n:
-                entry.extend(rows[entry.n :])  # a guard raised here leaves the cache as it was
+            have, feats = entry[3:]
+            n = len(have)
+            if len(rows) > n:  # a guard raised here leaves the cache as it was
+                keys = _rotate(matvecs(w_k, rows[n:]).T, np.arange(n + 1, len(rows) + 1), base)
+                new = phi_matrix(fmap, keys / w_k.shape[0] ** 0.25).T
+                have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
+                entry = entry[:3] + (have, feats)
             if hit is not None:
                 del self.entries[hit]
             self.entries.append(entry)
             del self.entries[: -self.size]
-            out = entry.feats[: len(rows)].T
+            out = feats[: len(rows)].T
         out.flags.writeable = False
         return out
-
-
-def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
-    """A cap-row buffer holding a's first n rows, in its own anonymous memory map.
-
-    Its pages become resident only once written and go back to the system
-    with the array, so the unwritten half of a doubled buffer costs no memory
-    and buffers grown and dropped leave no holes in the heap.
-    """
-    size = cap * a.shape[1]
-    out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float, count=size)
-    out = out.reshape(cap, a.shape[1])
-    out[:n] = a[:n]
-    return out
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -407,8 +374,6 @@ def _kernel_parts(
     The key features come from ``_KEY_FEATURES`` and are read-only.
     """
     _check_pos(seq, query_pos)
-    if fmap.input_dim != params.d_o:
-        raise InvalidDimension("feature map input_dim must equal d_o")
     context = seq.tokens[: query_pos - 1]
     feat_keys = _KEY_FEATURES.features(params, fmap, context)
     q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], [query_pos], params.rope_base)
@@ -496,8 +461,6 @@ def _layer_scan(
         scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
         w = np.exp(scores - scores.max(axis=0))
     else:
-        if fmap.input_dim != params.d_o:
-            raise InvalidDimension("feature map input_dim must equal d_o")
         feat_keys = _KEY_FEATURES.features(params, fmap, seq.tokens[:-1])
         w = np.where(causal, feat_keys.T @ phi_matrix(fmap, queries / params.d_o**0.25), 0.0)
     denom = w.sum(axis=0)
@@ -570,9 +533,12 @@ def gqa_attention(
 # decoding and generation
 
 
-def _candidate_ids(mask) -> np.ndarray:
-    """Ascending ids from a set or other iterable of ids, or from an int array."""
-    return np.sort(np.asarray(mask if isinstance(mask, np.ndarray) else list(mask), dtype=np.intp))
+def _candidate_ids(mask, size: int) -> np.ndarray:
+    """Ascending ids in [0, size) from a set or other iterable of ids, or from an int array."""
+    ids = np.sort(np.asarray(mask if isinstance(mask, np.ndarray) else list(mask), dtype=np.intp))
+    if ids.size and (ids[0] < 0 or ids[-1] >= size):
+        raise InvalidIndex(f"candidate ids must lie in [0, {size}), got {ids[0]}..{ids[-1]}")
+    return ids
 
 
 def _decode_sorted(vocab: Vocabulary, h: np.ndarray, ids: np.ndarray | None) -> int:
@@ -592,7 +558,7 @@ def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
 
     ``mask`` is any iterable of candidate ids (a set, or an int array).
     """
-    return _decode_sorted(vocab, h, None if mask is None else _candidate_ids(mask))
+    return _decode_sorted(vocab, h, None if mask is None else _candidate_ids(mask, vocab.size))
 
 
 @dataclass(frozen=True)
@@ -620,7 +586,7 @@ def generate(
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
     if mask is not None:
-        remaining = _candidate_ids(mask)
+        remaining = _candidate_ids(mask, vocab.size)
     else:
         remaining = np.arange(vocab.size) if exclude_emitted else None
     ids, hiddens, positions = [], [], []

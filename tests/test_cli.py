@@ -215,6 +215,7 @@ _CONFIGS = {
     "leads0.cfg": "k_leads = 0",
     "window-1.cfg": "window = -1",
     "demo_len-1.cfg": "demo_len = -1",
+    "fault.cfg": "inject_fault = grad-sgn",  # no fault has that name
 }
 
 
@@ -237,6 +238,7 @@ _CONFIGS = {
         (["optimize", "--config", "window-1.cfg"], {}, 2),
         (["optimize", "--config", "demo_len-1.cfg"], {}, 2),
         (["equiv", "--config", "kind.cfg"], {}, 2),
+        (["props", "--config", "fault.cfg"], {}, 2),
     ],
 )
 def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
@@ -252,6 +254,21 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
     )
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_3_with_one_stderr_line():
+    src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dualgrad.cli", "generate", "--seed", "0"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # before the interpreter has even imported dualgrad
+    stderr = proc.stderr.read()
+    assert proc.wait() == 3
+    assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dualgrad.errors import (
     InsufficientHistory,
     InvalidConfig,
     InvalidDonor,
+    InvalidIndex,
 )
 from dualgrad.experiments import make_toy_env
 from dualgrad.metrics import EffectDScore, score_output
@@ -29,7 +30,7 @@ from dualgrad.optimizer import (
 )
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence
-from dualgrad.transformer import Vocabulary, generate
+from dualgrad.transformer import Vocabulary, decode, generate
 
 
 def _config(**kw):
@@ -387,3 +388,17 @@ def test_score_demos_with_an_empty_candidate_mask_raises():
         score_demos(env, [Demonstration((1, 2))], 5)
     with pytest.raises(EmptyCandidateSet):
         evaluate_demo(env, Demonstration((1, 2)), 5)
+
+
+def test_candidate_ids_outside_the_vocabulary_raise():
+    env = make_toy_env(0)
+    h = np.ones(env.vocab.output_embeddings.shape[1])
+    seq = SegmentedSequence.build(np.ones((2, 6)), np.zeros((0, 6)), np.zeros((0, 6)))
+    for bad in (-1, env.vocab.size):
+        mask = frozenset({2, bad})
+        with pytest.raises(InvalidIndex):
+            decode(env.vocab, h, mask)
+        with pytest.raises(InvalidIndex):
+            generate(lambda s, p: h, seq, 3, env.vocab, mask=mask)
+        with pytest.raises(InvalidIndex):
+            score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 5)

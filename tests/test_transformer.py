@@ -368,6 +368,8 @@ def test_stack_shape_validation():
         LayerStack(layers, (np.eye(5), np.ones((3, 4))))  # conn[0] is unused
     with pytest.raises(InvalidDimension):
         LayerStack(layers, (None,))  # one slot per layer
+    with pytest.raises(InvalidDimension):
+        LayerStack(())  # no layer to take the output from
 
 
 def _stack_trace_oracle(stack, fmap, seq, query_pos):
@@ -754,8 +756,8 @@ def test_overflow_guard_fires_for_a_key_appended_to_a_warm_cache():
     with pytest.raises(OverflowGuard):
         kernel_attention(params, fmap, grown, len(grown))
     # the failed extension left the entry as it was
+    assert [len(rows) for *_, rows, _ in _KEY_FEATURES.entries] == [len(seq) - 1]
     assert kernel_attention(params, fmap, seq, len(seq)).tobytes() == before.tobytes()
-    assert [e.n for e in _KEY_FEATURES.entries] == [len(seq) - 1]
 
 
 def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
@@ -773,7 +775,8 @@ def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
     target = SegmentedSequence.build([key], [key, [0.0, 0.0]], np.zeros((0, 2)), normalize=False)
     with pytest.raises(NormalizationDegenerate):
         kernel_attention(params, fmap, target, 3)
-    assert [e.n for e in _KEY_FEATURES.entries] == [2]  # served by extending the warm entry
+    # served by extending the warm entry
+    assert [len(rows) for *_, rows, _ in _KEY_FEATURES.entries] == [2]
 
 
 # ---------------------------------------------------------------------------
