@@ -91,26 +91,30 @@ def loss_icl(dual: DualModel, w: np.ndarray) -> float:
 # builders
 
 
-def _dual(
-    seq: SegmentedSequence,
-    query_pos: int,
-    parts: tuple,
-    left,
-    bias: np.ndarray | None = None,
-) -> DualModel:
-    """The dual at query_pos whose every term multiplies its value by ``left``.
+def _split(seq: SegmentedSequence, query_pos: int):
+    """Task-side and demonstration columns of the context before query_pos.
 
-    ``parts`` is the (values, feat_keys, feat_q, c) of ``_kernel_parts`` and
-    ``left`` maps value columns to their label columns: c V for plain
-    attention, c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V
-    for a grouped-query head.  The task-side columns form W_0 = left(V_T)
+    It depends only on the tags, so one build computes it once for all its
+    heads or layers.
+    """
+    task = seq.idx_task
+    task = task[task < query_pos - 1]
+    return task, np.delete(np.arange(query_pos - 1), task)
+
+
+def _dual(split, parts: tuple, left, bias: np.ndarray | None = None) -> DualModel:
+    """The dual whose every term multiplies its value by ``left``.
+
+    ``split`` is the (task, demo) columns of ``_split`` and ``parts`` the
+    (values, feat_keys, feat_q, c) of ``_kernel_parts``; ``left`` maps value
+    columns to their label columns: c V for plain attention,
+    c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V for a
+    grouped-query head.  The task-side columns form W_0 = left(V_T)
     phi(K~_T)', every other column before the query (the current, then the
     perturbation demonstration) the labels left(V_D).
     """
     values, feat_keys, feat_q, c = parts
-    task = seq.idx_task
-    task = task[task < query_pos - 1]
-    demo = np.delete(np.arange(query_pos - 1), task)
+    task, demo = split
     return DualModel(
         w0=left(values[:, task]) @ feat_keys[:, task].T,
         labels=left(values[:, demo]),
@@ -133,7 +137,7 @@ def build_dual_attention(
     """
     parts = _kernel_parts(params, fmap, seq, query_pos)
     c = parts[3]
-    return _dual(seq, query_pos, parts, lambda v: c * v)
+    return _dual(_split(seq, query_pos), parts, lambda v: c * v)
 
 
 def with_value_regularization(dual: DualModel, alpha: float) -> DualModel:
@@ -141,6 +145,18 @@ def with_value_regularization(dual: DualModel, alpha: float) -> DualModel:
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"alpha must lie in [0, 1], got {alpha}")
     return replace(dual, alpha=float(alpha))
+
+
+def _transformer_dual(ffn: FfnParams, parts: tuple, split) -> DualModel:
+    """``_dual`` of attention + FFN with the activation frozen at the reference pass."""
+    values, feat_keys, feat_q, c = parts
+    sigma = np.ones(ffn.d_h)
+    if ffn.activation == "relu":  # frozen at the reference pass
+        h_ref = c * values @ (feat_keys.T @ feat_q)
+        sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
+    w_hat = c * (ffn.w1 * sigma) @ ffn.w2  # c W_FFN1 Sigma W_FFN2
+    bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
+    return _dual(split, parts, lambda v: w_hat @ v, bias)
 
 
 def build_dual_transformer(
@@ -152,14 +168,7 @@ def build_dual_transformer(
 ) -> DualModel:
     """Dual of attention + FFN with the activation frozen at the reference pass."""
     parts = _kernel_parts(params, fmap, seq, query_pos)
-    values, feat_keys, feat_q, c = parts
-    sigma = np.ones(ffn.d_h)
-    if ffn.activation == "relu":  # frozen at the reference pass
-        h_ref = c * values @ (feat_keys.T @ feat_q)
-        sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
-    w_hat = c * (ffn.w1 * sigma) @ ffn.w2  # c W_FFN1 Sigma W_FFN2
-    bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
-    return _dual(seq, query_pos, parts, lambda v: w_hat @ v, bias)
+    return _transformer_dual(ffn, parts, _split(seq, query_pos))
 
 
 def build_dual_stack(
@@ -176,10 +185,11 @@ def build_dual_stack(
     output reproduced.
     """
     layer_inputs = stack_trace(stack, fmap, seq, query_pos)
-    duals = []
-    for (att, ffn), layer_seq in zip(stack.layers, layer_inputs):
-        duals.append(build_dual_transformer(att, ffn, fmap, layer_seq, query_pos))
-    return duals
+    split = _split(seq, query_pos)  # every layer input carries the same tags
+    return [
+        _transformer_dual(ffn, _kernel_parts(att, fmap, layer_seq, query_pos), split)
+        for (att, ffn), layer_seq in zip(stack.layers, layer_inputs)
+    ]
 
 
 def build_dual_gqa(
@@ -190,11 +200,12 @@ def build_dual_gqa(
     query_pos: int,
 ) -> list[DualModel]:
     """Blockwise duals, one per query head; concatenated forwards equal GQA."""
+    heads = [_kernel_parts(params.head(cfg, s), fmap, seq, query_pos) for s in range(cfg.heads)]
+    split = _split(seq, query_pos)
     duals = []
-    for s in range(cfg.heads):
-        parts = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
+    for s, parts in enumerate(heads):
         left = parts[3] * cfg.mix(s)  # c W_concat^(s)
-        duals.append(_dual(seq, query_pos, parts, lambda v: left @ v))
+        duals.append(_dual(split, parts, lambda v: left @ v))
     return duals
 
 

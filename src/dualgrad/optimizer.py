@@ -7,6 +7,7 @@ toy model and scoring how early the target token appears.  Demonstrations
 that hit the target are admitted to the path's memory.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +183,12 @@ def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectD
 
 def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float:
     """Cosine similarity of the mean token embeddings of two demonstrations."""
+    # the arithmetic of ndarray.mean and np.linalg.norm for real rows, without their dispatch
     means = []
     for d in (d1, d2):
         ids = list(d.ids) + list(d.per_ids)
-        means.append(vocab.input_embeddings[ids].mean(axis=0))
-    n1, n2 = np.linalg.norm(means[0]), np.linalg.norm(means[1])
+        means.append(np.add.reduce(vocab.input_embeddings[ids], axis=0) / len(ids))
+    n1, n2 = math.sqrt(means[0] @ means[0]), math.sqrt(means[1] @ means[1])
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateEmbedding("zero-norm mean embedding")
     return float(means[0] @ means[1] / (n1 * n2))

@@ -290,20 +290,23 @@ def exact_attention(
     return exact_attention_batch(params, seq.tokens[None, :query_pos])[0]
 
 
-class _KeyFeatureCache:
-    """Bounded LRU of featurized key prefixes, checked by content.
+class _FeatureCache:
+    """Bounded LRU of featurized rotated projections, checked by content.
 
-    An entry is (feature map, W_k, rope base, rows, features): context rows
-    x_1..x_n and their (n, D) key features, both exact-sized, under one
-    feature map, compared by identity, one W_k, compared bitwise with its
-    shape, and one rope base.  A request for rows y_1..y_m is served by the
-    most recent entry whose rows agree bitwise with y on their common prefix:
-    a slice when the entry holds at least m rows, else only the rows it lacks
-    are rotated, featurized and concatenated on, and the longer entry
-    replaces it.  Any other request starts a new entry.  Features are
-    computed per column (``matvecs``, ``phi_matrix``), so a served array has
-    exactly the bits of a cold computation, and the guards of ``phi_matrix``
-    run on every row the first time it is featurized.
+    An entry is (feature map, W, rope base, first, rows, features): rows
+    x_1..x_n at positions first..first+n-1 and the (n, D) features of their
+    projections R_p W x_i / d_o^{1/4}, both exact-sized, under one feature
+    map, compared by identity, one W, compared bitwise with its shape, one
+    rope base and one first position.  Keys are served with W = W_k from
+    position 1, the queries of a layer scan with W = W_q from position 2.  A
+    request for rows y_1..y_m is served by the most recent entry whose rows
+    agree bitwise with y on their common prefix: a slice when the entry holds
+    at least m rows, else only the rows it lacks are rotated, featurized and
+    concatenated on, and the longer entry replaces it.  Any other request
+    starts a new entry.  Features are computed per column (``matvecs``,
+    ``phi_matrix``), so a served array has exactly the bits of a cold
+    computation, and the guards of ``phi_matrix`` run on every row the first
+    time it is featurized.
     """
 
     def __init__(self, size: int):
@@ -316,32 +319,38 @@ class _KeyFeatureCache:
             self.entries.clear()
 
     def features(
-        self, params: AttentionParams, fmap: FourierFeatureMap, rows: np.ndarray
+        self,
+        w: np.ndarray,
+        rope_base: float,
+        fmap: FourierFeatureMap,
+        rows: np.ndarray,
+        first: int,
     ) -> np.ndarray:
-        """Read-only (D, m) key features of context rows (m, d_i) at positions 1..m."""
-        if fmap.input_dim != params.d_o:
+        """Read-only (D, m) features of R_p W x for rows (m, d_i) at positions first..first+m-1."""
+        if fmap.input_dim != w.shape[0]:
             raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
-        w_k = np.asarray(params.w_k, dtype=float)
-        base = params.rope_base
+        w = np.asarray(w, dtype=float)
         with self._lock:
             hit = next(
-                (i for i, (f, w, b, have, _) in reversed(list(enumerate(self.entries)))
-                 if f is fmap and b == base and _same_bits(w, w_k)
+                (i for i, (f, v, b, p, have, _) in reversed(list(enumerate(self.entries)))
+                 if f is fmap and b == rope_base and p == first and _same_bits(v, w)
                  and _same_bits(have[: len(rows)], rows[: len(have)])),
                 None,
             )
             if hit is None:
-                entry = (fmap, w_k.copy(), base, rows[:0], np.empty((0, fmap.feature_dim)))
+                entry = (fmap, w.copy(), rope_base, first, rows[:0],
+                         np.empty((0, fmap.feature_dim)))
             else:
                 entry = self.entries[hit]
-            have, feats = entry[3:]
+            have, feats = entry[4:]
             n = len(have)
             if len(rows) > n:  # a guard raised here leaves the cache as it was
-                keys = _rotate(matvecs(w_k, rows[n:]).T, np.arange(n + 1, len(rows) + 1), base)
-                new = phi_matrix(fmap, keys / w_k.shape[0] ** 0.25).T
+                x = _rotate(matvecs(w, rows[n:]).T, np.arange(first + n, first + len(rows)),
+                            rope_base)
+                new = phi_matrix(fmap, x / w.shape[0] ** 0.25).T
                 have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
-                entry = entry[:3] + (have, feats)
+                entry = entry[:4] + (have, feats)
             if hit is not None:
                 del self.entries[hit]
             self.entries.append(entry)
@@ -355,10 +364,12 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# A prompt and its extensions share one entry; a forward pass and dual build
-# of an L-layer stack share L.  Every entry keeps its feature map and its
-# features alive, so each further slot costs memory.
-_KEY_FEATURES = _KeyFeatureCache(4)
+# A prompt and its extensions share one entry per projection.  An L-layer
+# stack's forward pass uses 2L - 1: keys and queries of each of its L - 1
+# scans, and the keys of its last layer; its dual build hits all of them.
+# Every entry keeps its feature map and its features alive, so each further
+# slot costs memory.
+_FEATURES = _FeatureCache(5)
 
 
 def _kernel_parts(
@@ -371,11 +382,11 @@ def _kernel_parts(
 
     Returns (values, feat_keys, feat_q, c) with keys and query pre-divided by
     d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
-    The key features come from ``_KEY_FEATURES`` and are read-only.
+    The key features come from ``_FEATURES`` and are read-only.
     """
     _check_pos(seq, query_pos)
     context = seq.tokens[: query_pos - 1]
-    feat_keys = _KEY_FEATURES.features(params, fmap, context)
+    feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, context, 1)
     q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], [query_pos], params.rope_base)
     feat_q = phi(fmap, q[:, 0] / params.d_o**0.25)
     denom = float(np.sum(feat_keys.T @ feat_q))
@@ -448,21 +459,23 @@ def _layer_scan(
     Causal linear attention (Katharopoulos et al. 2020): keys 1..n-1 and
     queries 2..n are rotated and featurized once, and the query at column j
     (position j+2) weighs key i (position i+1) iff i <= j.  Matches
-    ``layer_forward`` at every position, with the same guards.  Kernel-mode
-    key features come from ``_KEY_FEATURES``, so a dual build of the same
-    layer input featurizes no key again.
+    ``layer_forward`` at every position, with the same guards.  In kernel
+    mode both key and query features come from ``_FEATURES``, keys first, so
+    a repeated scan of the same layer input, as a stack's dual build makes,
+    featurizes no column again.  Position 1 is never featurized as a query.
     """
     n = len(seq)
     tokens = seq.tokens.T
-    queries = _rotate(params.w_q @ tokens[:, 1:], np.arange(2, n + 1), params.rope_base)
     causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
     if fmap is None:
+        queries = _rotate(params.w_q @ tokens[:, 1:], np.arange(2, n + 1), params.rope_base)
         keys = _rotate(params.w_k @ tokens[:, :-1], np.arange(1, n), params.rope_base)
         scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
         w = np.exp(scores - scores.max(axis=0))
     else:
-        feat_keys = _KEY_FEATURES.features(params, fmap, seq.tokens[:-1])
-        w = np.where(causal, feat_keys.T @ phi_matrix(fmap, queries / params.d_o**0.25), 0.0)
+        feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, seq.tokens[:-1], 1)
+        feat_q = _FEATURES.features(params.w_q, params.rope_base, fmap, seq.tokens[1:], 2)
+        w = np.where(causal, feat_keys.T @ feat_q, 0.0)
     denom = w.sum(axis=0)
     bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
     if bad.size:

@@ -99,6 +99,35 @@ def test_similarity_is_cosine_of_mean_embeddings():
     assert similarity(env.vocab, d1, d1) == pytest.approx(1.0)
 
 
+def _similarity_oracle(vocab, d1, d2):
+    """``similarity`` through numpy's generic ``ndarray.mean`` and ``np.linalg.norm``."""
+    means = [vocab.input_embeddings[list(d.ids) + list(d.per_ids)].mean(axis=0) for d in (d1, d2)]
+    n1, n2 = np.linalg.norm(means[0]), np.linalg.norm(means[1])
+    return float(means[0] @ means[1] / (n1 * n2))
+
+
+_ids = st.lists(st.integers(0, 23), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    ids1=_ids,
+    ids2=_ids,
+    per1=st.lists(st.integers(0, 23), max_size=4),
+    per2=st.lists(st.integers(0, 23), max_size=4),
+)
+def test_similarity_is_bitwise_the_generic_numpy_form(seed, d, scale, ids1, ids2, per1, per2):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(rng.normal(0, 1, (24, d)), rng.normal(0, scale, (24, d)))
+    d1 = Demonstration(tuple(ids1), tuple(per1))
+    d2 = Demonstration(tuple(ids2), tuple(per2))
+    got, want = similarity(vocab, d1, d2), _similarity_oracle(vocab, d1, d2)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_detect_collapse_on_similarity():
     assert detect_collapse([0.2, 0.9], [0.1, 0.96], tau_sim=0.95)
     assert not detect_collapse([0.2, 0.9], [0.1, 0.5], tau_sim=0.95)

@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import dualgrad.dual as dual_module
+import dualgrad.kernelmap as kernelmap_module
 import dualgrad.transformer as transformer_module
 from dualgrad.dual import (
     build_dual_attention,
@@ -26,7 +27,7 @@ from dualgrad.errors import (
     OverflowGuard,
 )
 from dualgrad.experiments import random_attention, random_sequence
-from dualgrad.kernelmap import FourierFeatureMap, phi, phi_matrix, sample_feature_map
+from dualgrad.kernelmap import MAX_SQ_NORM, FourierFeatureMap, phi, phi_matrix, sample_feature_map
 from dualgrad.props import rope_group_error
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence, Tag
@@ -49,7 +50,7 @@ from dualgrad.transformer import (
     stack_forward,
     stack_trace,
 )
-from dualgrad.transformer import _KEY_FEATURES, _check_pos, _qkv, _rotate
+from dualgrad.transformer import _FEATURES, _check_pos, _qkv, _rotate
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -522,6 +523,58 @@ def test_stack_trace_never_featurizes_the_last_key():
         stack_trace(stack, fmap, seq.append(tokens[0], Tag.T_LEAD), len(seq) + 1)
 
 
+def test_stack_trace_never_featurizes_the_first_query():
+    # position 1 attends to nothing, so the query of the first token is not guarded
+    rng = stream(45, "scan")
+    d_o = 4
+    att = random_attention(rng, 6, d_o)
+    big_query = AttentionParams(300.0 * att.w_q, att.w_k, att.w_v)
+    ffn = _scaled_ffn(rng, d_o, 5)
+    stack = LayerStack(((big_query, ffn), (random_attention(rng, d_o, d_o), ffn)))
+    tokens = np.zeros((5, 6))
+    tokens[:, 0] = 1e-3  # queries of small tokens stay small even after the x300
+    tokens[0] = rng.normal(0, 1, 6)
+    q = big_query.w_q @ tokens[0] / d_o**0.25
+    assert q @ q > MAX_SQ_NORM
+    seq = SegmentedSequence.build(tokens, np.zeros((0, 6)), np.zeros((0, 6)), normalize=False)
+    fmap = sample_feature_map(d_o, 64, seed=45)
+    got = stack_trace(stack, fmap, seq, len(seq))
+    want = _stack_trace_oracle(stack, fmap, seq, len(seq))
+    assert np.linalg.norm(got[1].tokens - want[1].tokens) <= 1e-12 * np.linalg.norm(want[1].tokens)
+    second = seq.with_tokens(tokens[[1, 0, 2, 3, 4]])  # the same token as the query at 2
+    with pytest.raises(OverflowGuard):
+        _stack_trace_oracle(stack, fmap, second, len(second))
+    with pytest.raises(OverflowGuard):
+        stack_trace(stack, fmap, second, len(second))
+
+
+def test_stack_dual_build_after_its_forward_featurizes_only_its_single_queries():
+    # the repeated stack_trace finds every scan key and query in the cache, and
+    # every layer's keys too, so only the L queries of _kernel_parts are new
+    rng = stream(46, "featurize-once")
+    d_i, d_o = 6, 4
+    stack = LayerStack(tuple(
+        (random_attention(rng, d_i if l == 0 else d_o, d_o), _scaled_ffn(rng, d_o, 5))
+        for l in range(3)
+    ))
+    seq = random_sequence(rng, d_i, 4, 3, 2)
+    fmap = sample_feature_map(d_o, 64, seed=46)
+    _FEATURES.clear()
+    h = stack_forward(stack, fmap, seq, len(seq))
+    columns = []
+
+    def counted(fmap, xs):
+        columns.append(np.shape(xs)[1])
+        return phi_matrix(fmap, xs)
+
+    # phi_matrix is reached through the cache (transformer) and through phi (kernelmap)
+    with mock.patch.object(kernelmap_module, "phi_matrix", counted), \
+            mock.patch.object(transformer_module, "phi_matrix", counted):
+        duals = build_dual_stack(stack, fmap, seq, len(seq))
+    assert columns == [1] * len(stack.layers)
+    assert np.linalg.norm(dual_module.dual_forward(duals[-1]) - h) <= 1e-9 * np.linalg.norm(h)
+
+
 def test_gqa_single_head_matches_plain_kernel_attention():
     rng = stream(10, "gqa")
     d_i, d_o = 5, 4
@@ -694,15 +747,15 @@ def _histories(c):
 @example(seed=8, d_o=3, D=8, n_d=3, n_per=2, pos_draw=10**6)
 def test_key_cache_consumers_match_oracle_and_history(seed, d_o, D, n_d, n_per, pos_draw):
     c = _cache_case(seed, d_o, D, n_d, n_per, pos_draw)
-    _KEY_FEATURES.clear()
+    _FEATURES.clear()
     try:
         want = _oracle_consumers(c)
     except (OverflowGuard, NormalizationDegenerate):
         reject()
-    assert not _KEY_FEATURES.entries  # the oracle run never touched the cache
+    assert not _FEATURES.entries  # the oracle run never touched the cache
     runs = {}
     for name, history in _histories(c).items():
-        _KEY_FEATURES.clear()
+        _FEATURES.clear()
         try:
             history()
         except (OverflowGuard, NormalizationDegenerate):
@@ -721,23 +774,23 @@ def test_key_cache_consumers_match_oracle_and_history(seed, d_o, D, n_d, n_per, 
 
 
 def test_key_cache_stays_within_its_bound():
-    _KEY_FEATURES.clear()
+    _FEATURES.clear()
     rng = stream(50, "bound")
     seq = random_sequence(rng, 5, 4, 3, 2)
     fmap = sample_feature_map(4, 32, seed=50)
-    for i in range(3 * _KEY_FEATURES.size):
+    for i in range(3 * _FEATURES.size):
         params = random_attention(rng, 5, 4)
         kernel_attention(params, fmap, seq, 2 + i % (len(seq) - 1))
-        assert len(_KEY_FEATURES.entries) <= _KEY_FEATURES.size
-    assert len(_KEY_FEATURES.entries) == _KEY_FEATURES.size
+        assert len(_FEATURES.entries) <= _FEATURES.size
+    assert len(_FEATURES.entries) == _FEATURES.size
 
 
 def test_key_cache_serves_read_only_features():
     params, seq = _draw(51)
     fmap = sample_feature_map(params.d_o, 32, seed=51)
-    _KEY_FEATURES.clear()
+    _FEATURES.clear()
     kernel_attention(params, fmap, seq, len(seq))
-    feats = _KEY_FEATURES.features(params, fmap, seq.tokens[: len(seq) - 1])  # a hit
+    feats = _FEATURES.features(params.w_k, params.rope_base, fmap, seq.tokens[:-1], 1)  # a hit
     with pytest.raises(ValueError):
         feats[0, 0] = 1.0
 
@@ -750,13 +803,13 @@ def test_overflow_guard_fires_for_a_key_appended_to_a_warm_cache():
     tokens[:, 0] = 1e-3  # small keys even after the x300
     seq = SegmentedSequence.build(tokens, np.zeros((0, 6)), np.zeros((0, 6)), normalize=False)
     fmap = sample_feature_map(4, 64, seed=52)
-    _KEY_FEATURES.clear()
+    _FEATURES.clear()
     before = kernel_attention(params, fmap, seq, len(seq))
     grown = seq.append(rng.normal(0, 1, 6)).append(tokens[0])
     with pytest.raises(OverflowGuard):
         kernel_attention(params, fmap, grown, len(grown))
     # the failed extension left the entry as it was
-    assert [len(rows) for *_, rows, _ in _KEY_FEATURES.entries] == [len(seq) - 1]
+    assert [len(rows) for *_, rows, _ in _FEATURES.entries] == [len(seq) - 1]
     assert kernel_attention(params, fmap, seq, len(seq)).tobytes() == before.tobytes()
 
 
@@ -770,13 +823,13 @@ def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
     )
     key, q1 = [np.pi / 2, 0.0], [0.0, 1.0]
     warm = SegmentedSequence.build([key], [q1], np.zeros((0, 2)), normalize=False)
-    _KEY_FEATURES.clear()
+    _FEATURES.clear()
     kernel_attention(params, fmap, warm, 2)
     target = SegmentedSequence.build([key], [key, [0.0, 0.0]], np.zeros((0, 2)), normalize=False)
     with pytest.raises(NormalizationDegenerate):
         kernel_attention(params, fmap, target, 3)
     # served by extending the warm entry
-    assert [len(rows) for *_, rows, _ in _KEY_FEATURES.entries] == [2]
+    assert [len(rows) for *_, rows, _ in _FEATURES.entries] == [2]
 
 
 # ---------------------------------------------------------------------------
