@@ -182,7 +182,9 @@ def build_dual_stack(
     Layer l's dual consumes the reference inputs x^(l) = W_conn x_hat^(l-1);
     the final dual's forward equals stack_forward.  The descent story is
     sequential: only after every layer completes its pass is the stacked
-    output reproduced.
+    output reproduced.  Right after ``stack_forward`` on the same inputs,
+    ``stack_trace`` returns that pass's layer inputs from its memo, so the
+    build scans no layer again and only featurizes each layer's query.
     """
     layer_inputs = stack_trace(stack, fmap, seq, query_pos)
     split = _split(seq, query_pos)  # every layer input carries the same tags

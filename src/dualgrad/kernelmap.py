@@ -77,6 +77,9 @@ def phi_matrix(fmap: FourierFeatureMap, xs: np.ndarray) -> np.ndarray:
     Every step is per column (``matvecs``, a row-wise norm, elementwise
     exp/sin/cos), so a column's features have the same bits in a batch of
     any width: features of keys computed one at a time equal those of a batch.
+    Sines and cosines are written straight into one (n, D) array, which is
+    then scaled in place; the result is its transpose, a fresh array that the
+    feature cache adopts without a copy.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
@@ -91,7 +94,12 @@ def phi_matrix(fmap: FourierFeatureMap, xs: np.ndarray) -> np.ndarray:
         raise OverflowGuard(f"squared norm {np.max(sq):.1f} exceeds {MAX_SQ_NORM}")
     proj = matvecs(fmap.frequencies, rows)
     scale = np.exp(0.5 * sq) / np.sqrt(fmap.feature_dim)
-    return (scale[:, None] * np.hstack([np.sin(proj), np.cos(proj)])).T
+    out = np.empty((len(rows), fmap.feature_dim))
+    half = fmap.feature_dim // 2
+    np.sin(proj, out=out[:, :half])
+    np.cos(proj, out=out[:, half:])
+    out *= scale[:, None]
+    return out.T
 
 
 def exp_estimate(fmap: FourierFeatureMap, x: np.ndarray, y: np.ndarray) -> float:

@@ -303,20 +303,26 @@ class _FeatureCache:
     agree bitwise with y on their common prefix: a slice when the entry holds
     at least m rows, else only the rows it lacks are rotated, featurized and
     concatenated on, and the longer entry replaces it.  Any other request
-    starts a new entry.  Features are computed per column (``matvecs``,
-    ``phi_matrix``), so a served array has exactly the bits of a cold
-    computation, and the guards of ``phi_matrix`` run on every row the first
-    time it is featurized.
+    starts a new entry, which keeps the array ``phi_matrix`` returned as its
+    features, without a copy.  Features are computed per column
+    (``matvecs``, ``phi_matrix``), so a served array has exactly the bits of a
+    cold computation, and the guards of ``phi_matrix`` run on every row the
+    first time it is featurized.
+
+    The cache also holds ``stack_trace``'s memo of its last result, under the
+    same lock; ``clear`` empties both.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.entries: list[tuple] = []  # least recently used first
+        self.trace: tuple | None = None  # (feature map, key, layer inputs 1..L-1)
         self._lock = threading.Lock()
 
     def clear(self) -> None:
         with self._lock:
             self.entries.clear()
+            self.trace = None
 
     def features(
         self,
@@ -349,7 +355,10 @@ class _FeatureCache:
                 x = _rotate(matvecs(w, rows[n:]).T, np.arange(first + n, first + len(rows)),
                             rope_base)
                 new = phi_matrix(fmap, x / w.shape[0] ** 0.25).T
-                have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
+                if n:
+                    have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
+                else:  # a new entry adopts the block phi_matrix just wrote
+                    have, feats = rows.copy(), new
                 entry = entry[:4] + (have, feats)
             if hit is not None:
                 del self.entries[hit]
@@ -360,13 +369,20 @@ class _FeatureCache:
         return out
 
 
+def _bits(a: np.ndarray) -> tuple:
+    """dtype, shape and bytes: equal for two arrays iff they hold the same bits."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return _bits(a) == _bits(b)
 
 
 # A prompt and its extensions share one entry per projection.  An L-layer
 # stack's forward pass uses 2L - 1: keys and queries of each of its L - 1
-# scans, and the keys of its last layer; its dual build hits all of them.
+# scans, and the keys of its last layer.  Its dual build takes the layer
+# inputs from stack_trace's memo and hits the L key entries; a scan repeated
+# after the memo has moved on hits the query entries too.
 # Every entry keeps its feature map and its features alive, so each further
 # slot costs memory.
 _FEATURES = _FeatureCache(5)
@@ -461,8 +477,8 @@ def _layer_scan(
     (position j+2) weighs key i (position i+1) iff i <= j.  Matches
     ``layer_forward`` at every position, with the same guards.  In kernel
     mode both key and query features come from ``_FEATURES``, keys first, so
-    a repeated scan of the same layer input, as a stack's dual build makes,
-    featurizes no column again.  Position 1 is never featurized as a query.
+    a repeated scan of the same layer input featurizes no column again.
+    Position 1 is never featurized as a query.
     """
     n = len(seq)
     tokens = seq.tokens.T
@@ -501,15 +517,42 @@ def stack_trace(
     feature pass over N keys and N queries plus a masked N x N product, so
     O(L N d D + L N^2 (D + d)) instead of the O(L N^2 d D) of N from-scratch
     attentions per layer.
+
+    The last result is memoized in ``_FEATURES.trace``, so a stack's dual
+    build right after its forward pass scans nothing again.  The memo is
+    checked by content: the feature map by identity, and bitwise every
+    projection, rope base, FFN array and activation, every connection matrix
+    (FFN and connection arrays are writable), the tokens and tags up to
+    query_pos.  A hit returns the caller's own prefix as layer 0's input and
+    the stored, read-only inputs of layers 1..L-1.  Only a trace that passed
+    every guard is stored, and ``_FEATURES.clear()`` drops it.
     """
     _check_pos(seq, query_pos)
+    key = _trace_key(stack, seq, query_pos)
+    with _FEATURES._lock:
+        memo = _FEATURES.trace
     layer_inputs = [seq.truncate(query_pos)]
+    if memo is not None and memo[0] is fmap and memo[1] == key:
+        return layer_inputs + list(memo[2])
     for l, (att, ffn) in enumerate(stack.layers[:-1]):
         outs = _layer_scan(att, ffn, layer_inputs[-1], fmap).T
         w = stack.conn[l + 1]
         nxt = outs if w is None else outs @ w.T
         layer_inputs.append(layer_inputs[-1].with_tokens(nxt))
+    with _FEATURES._lock:
+        _FEATURES.trace = (fmap, key, tuple(layer_inputs[1:]))
     return layer_inputs
+
+
+def _trace_key(stack: LayerStack, seq: SegmentedSequence, query_pos: int) -> tuple:
+    """Everything ``stack_trace`` reads except the feature map, as plain values and bytes."""
+    layers = tuple(
+        (*(_bits(m) for m in (att.w_q, att.w_k, att.w_v, ffn.w1, ffn.b1, ffn.w2, ffn.b2)),
+         att.rope_base, ffn.activation)
+        for att, ffn in stack.layers
+    )
+    conn = tuple(None if w is None else _bits(w) for w in stack.conn)
+    return layers, conn, query_pos, _bits(seq.tokens[:query_pos]), seq.tags[:query_pos]
 
 
 def stack_forward(

@@ -136,3 +136,28 @@ def test_phi_matrix_columns_are_batch_invariant(d, D, n, seed):
     assert parts.tobytes() == batch.tobytes()
     for j in {0, n // 2, n - 1}:
         assert phi_matrix(fmap, xs[:, j : j + 1]).tobytes() == batch[:, j].tobytes()
+
+
+def _phi_matrix_oracle(fmap, xs):
+    """phi_matrix in its plain form, sines and cosines stacked and then scaled."""
+    rows = np.ascontiguousarray(xs.T)
+    sq = np.einsum("ij,ij->i", rows, rows)
+    proj = np.matmul(fmap.frequencies, rows[:, :, None])[:, :, 0]
+    scale = np.exp(0.5 * sq) / np.sqrt(fmap.feature_dim)
+    return (scale[:, None] * np.hstack([np.sin(proj), np.cos(proj)])).T
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([2, 8, 1024]),
+    st.integers(0, 70),
+    st.integers(0, 2**32 - 1),
+)
+def test_phi_matrix_is_bitwise_the_stacked_oracle(d, D, n, seed):
+    # the in-place sin/cos/scale writes give the bits of the stacked form
+    fmap = sample_feature_map(d, D, seed=seed % 83)
+    xs = np.random.default_rng(seed).normal(0, 0.6, (d, n))
+    got, want = phi_matrix(fmap, xs), _phi_matrix_oracle(fmap, xs)
+    assert got.shape == want.shape == (D, n)
+    assert got.tobytes() == want.tobytes()

@@ -1,5 +1,5 @@
 from contextlib import ExitStack
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -27,7 +27,14 @@ from dualgrad.errors import (
     OverflowGuard,
 )
 from dualgrad.experiments import random_attention, random_sequence
-from dualgrad.kernelmap import MAX_SQ_NORM, FourierFeatureMap, phi, phi_matrix, sample_feature_map
+from dualgrad.kernelmap import (
+    MAX_SQ_NORM,
+    FourierFeatureMap,
+    matvecs,
+    phi,
+    phi_matrix,
+    sample_feature_map,
+)
 from dualgrad.props import rope_group_error
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence, Tag
@@ -575,6 +582,95 @@ def test_stack_dual_build_after_its_forward_featurizes_only_its_single_queries()
     assert np.linalg.norm(dual_module.dual_forward(duals[-1]) - h) <= 1e-9 * np.linalg.norm(h)
 
 
+def _memo_case():
+    rng = stream(47, "trace-memo")
+    d_i, d_o = 6, 4
+    layers = tuple(
+        (random_attention(rng, d_i if l == 0 else d_o, d_o), _scaled_ffn(rng, d_o, 5))
+        for l in range(3)
+    )
+    stack = LayerStack(layers, (None, None, rng.normal(0, d_o**-0.5, (d_o, d_o))))
+    return stack, sample_feature_map(d_o, 64, seed=47), random_sequence(rng, d_i, 4, 3, 2)
+
+
+def _counted_scans():
+    return mock.patch.object(
+        transformer_module, "_layer_scan", wraps=transformer_module._layer_scan
+    )
+
+
+def test_stack_dual_build_after_its_forward_scans_nothing():
+    stack, fmap, seq = _memo_case()
+    pos = len(seq)
+    _FEATURES.clear()
+    with _counted_scans() as scans:
+        h = stack_forward(stack, fmap, seq, pos)
+        assert scans.call_count == len(stack.layers) - 1
+        duals = build_dual_stack(stack, fmap, seq, pos)
+        assert scans.call_count == len(stack.layers) - 1
+        _FEATURES.clear()  # the reset every cold-cache test uses drops the memo too
+        stack_trace(stack, fmap, seq, pos)
+        assert scans.call_count == 2 * (len(stack.layers) - 1)
+    assert np.linalg.norm(dual_module.dual_forward(duals[-1]) - h) <= 1e-9 * np.linalg.norm(h)
+
+
+def _edit_ffn_weight(stack, fmap, seq):
+    stack.layers[0][1].w1[0, 0] += 0.25  # FfnParams arrays are writable
+    return stack, fmap, seq
+
+
+def _edit_connection(stack, fmap, seq):
+    stack.conn[2][1, 0] -= 0.25
+    return stack, fmap, seq
+
+
+def _other_token(stack, fmap, seq):
+    tokens = seq.tokens.copy()
+    tokens[1] = -tokens[1]
+    return stack, fmap, replace(seq, tokens=tokens)
+
+
+def _other_tags(stack, fmap, seq):
+    return stack, fmap, replace(seq, tags=(Tag.D_CURR,) + seq.tags[1:])
+
+
+def _new_feature_map(stack, fmap, seq):
+    # the same frequencies in a new object: the memo compares feature maps by identity
+    return stack, sample_feature_map(fmap.input_dim, fmap.feature_dim, seed=47), seq
+
+
+@pytest.mark.parametrize(
+    "edit", [_edit_ffn_weight, _edit_connection, _other_token, _other_tags, _new_feature_map]
+)
+def test_stack_trace_memo_misses_on_any_change_of_its_inputs(edit):
+    stack, fmap, seq = _memo_case()
+    pos = len(seq)
+    _FEATURES.clear()
+    stack_trace(stack, fmap, seq, pos)
+    stack, fmap, seq = edit(stack, fmap, seq)
+    with _counted_scans() as scans:
+        got = stack_trace(stack, fmap, seq, pos)
+    assert scans.call_count == len(stack.layers) - 1
+    want = _stack_trace_oracle(stack, fmap, seq, pos)
+    for a, b in zip(got, want, strict=True):
+        assert a.tags == b.tags and a.normalized == b.normalized
+        assert np.linalg.norm(a.tokens - b.tokens) <= 1e-12 * np.linalg.norm(b.tokens)
+
+
+def test_a_trace_that_raises_leaves_the_memo_as_it_was():
+    stack, fmap, seq = _memo_case()
+    _FEATURES.clear()
+    stack_trace(stack, fmap, seq, len(seq))
+    memo = _FEATURES.trace
+    bad_stack, bad_fmap, bad_seq, exc = _degenerate_at_interior_of_layer_1()
+    with pytest.raises(exc):
+        stack_trace(bad_stack, bad_fmap, bad_seq, len(bad_seq))
+    assert _FEATURES.trace is memo
+    with _counted_scans() as scans:
+        stack_trace(stack, fmap, seq, len(seq))
+    assert scans.call_count == 0
+
+
 def test_gqa_single_head_matches_plain_kernel_attention():
     rng = stream(10, "gqa")
     d_i, d_o = 5, 4
@@ -793,6 +889,29 @@ def test_key_cache_serves_read_only_features():
     feats = _FEATURES.features(params.w_k, params.rope_base, fmap, seq.tokens[:-1], 1)  # a hit
     with pytest.raises(ValueError):
         feats[0, 0] = 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_o=st.integers(1, 6),
+    D=st.sampled_from([2, 8, 1024]),
+    m=st.integers(1, 40),
+    first=st.integers(1, 3),
+)
+def test_cold_feature_request_is_phi_matrix_of_its_rotated_block(seed, d_o, D, m, first):
+    rng = stream(seed, "cold-features")
+    w = rng.normal(0, 0.5, (d_o, 5))
+    rows = rng.normal(0, 0.5, (m, 5))
+    fmap = sample_feature_map(d_o, D, seed=seed)
+    _FEATURES.clear()
+    got = _FEATURES.features(w, 10000.0, fmap, rows, first)
+    block = _rotate(matvecs(w, rows).T, np.arange(first, first + m), 10000.0)
+    want = phi_matrix(fmap, block / d_o**0.25)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    held = _FEATURES.entries[-1][4]
+    rows[0] += 1.0  # the entry keeps its own copy of the rows
+    assert not np.shares_memory(held, rows) and held[0].tobytes() != rows[0].tobytes()
 
 
 def test_overflow_guard_fires_for_a_key_appended_to_a_warm_cache():
