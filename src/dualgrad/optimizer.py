@@ -137,9 +137,13 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
     """Stage 2 of several demonstrations at once: splice each into the frame, generate, score.
 
     Greedy, emitted ids excluded, stopped at the target (the score reads only
-    its first hit).  Prompts of one length run as one block of ``env.forward``;
-    a prompt leaves it on the target or when out of candidates.  Each score
-    is bitwise that of ``generate`` over ``SegmentedSequence.build``.
+    its first hit).  Every prompt grows by one token per step, so all prompts
+    that have started and not yet left share one length N: each N makes one
+    ``env.forward`` call, from the shortest start to the last live prompt.
+    Decoding stays per start, where every row has the same number of
+    remaining candidates.  A prompt leaves on the target, when out of
+    candidates or after ``steps`` tokens.  Each score is bitwise that of
+    ``generate`` over ``SegmentedSequence.build``.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
@@ -149,30 +153,39 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
     if not cand.size:
         raise EmptyCandidateSet("candidate mask is empty")
     hits: list[int | None] = [None] * len(demos)
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}  # start length -> prompts
     for b, demo in enumerate(demos):
-        groups.setdefault(len(demo.ids) + len(demo.per_ids), []).append(b)
-    for n_demo, live in groups.items():
-        n0 = len(instr) + n_demo + len(leads)
-        rows = np.empty((len(live), n0 + steps, emb.shape[1]))
-        rows[:, : len(instr)] = instr
-        rows[:, len(instr) : n0 - len(leads)] = emb[[demos[b].ids + demos[b].per_ids for b in live]]
-        rows[:, n0 - len(leads) : n0] = leads
-        live = np.array(live)
-        remaining = np.tile(cand, (len(live), 1))
-        for k in range(steps):
-            h = env.forward(rows[:, : n0 + k])
-            logits = np.matmul(env.vocab.output_embeddings[remaining], h[:, :, None])[:, :, 0]
+        groups.setdefault(len(instr) + len(demo.ids) + len(demo.per_ids) + len(leads), []).append(b)
+    rows = np.empty((len(demos), max(groups, default=0) + steps, emb.shape[1]))
+    rows[:, : len(instr)] = instr
+    for n0, live in groups.items():
+        rows[live, len(instr) : n0 - len(leads)] = emb[[demos[b].ids + demos[b].per_ids
+                                                         for b in live]]
+        rows[live, n0 - len(leads) : n0] = leads
+    todo = sorted(groups)
+    active = []  # (start, prompts, remaining candidates) in start order
+    n = 0
+    while todo or active:
+        if not active:  # no prompt has this length: skip to the next start
+            n = todo[0]
+        if todo and todo[0] == n:
+            live = np.array(groups[todo.pop(0)])
+            active.append((n, live, np.tile(cand, (len(live), 1))))
+        h = env.forward(rows[np.concatenate([live for _, live, _ in active]), :n])
+        kept, at = [], 0
+        for n0, live, remaining in active:
+            hg, at = h[at : at + len(live)], at + len(live)
+            logits = np.matmul(env.vocab.output_embeddings[remaining], hg[:, :, None])[:, :, 0]
             toks = remaining[np.arange(len(live)), logits.argmax(axis=1)]
             go = toks != env.target_id
             for b in live[~go]:
-                hits[b] = k + 1
+                hits[b] = n - n0 + 1
             remaining = remaining[remaining != toks[:, None]].reshape(len(live), -1)
-            if not (remaining.shape[1] and go.any()):
-                break
-            rows[:, n0 + k] = emb[toks]
-            if not go.all():
-                rows, remaining, live = rows[go], remaining[go], live[go]
+            if remaining.shape[1] and go.any() and n - n0 + 1 < steps:
+                rows[live[go], n] = emb[toks[go]]
+                kept.append((n0, live[go], remaining[go]))
+        active = kept
+        n += 1
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
 
 

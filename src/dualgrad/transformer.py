@@ -226,12 +226,39 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     return out
 
 
-def _rotate(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
-    """Columnwise rope(positions[i], d) @ x[..., :, i] for x of shape (..., d, n), elementwise."""
-    d = x.shape[-2]
+# (d, base) -> read-only cos and sin, (d // 2, P), of the angles at positions 0..P-1
+_ROPE_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the rope angles of dimension d at positions 0..P-1, for some P >= end.
+
+    A request past the end of the held table rebuilds it at twice its size,
+    so the table grows with the longest position asked for.  Each element is
+    the product and the ``cos``/``sin`` call a table of exactly these
+    positions would make, so a slice has the bits of a fresh computation.
+    """
+    table = _ROPE_TABLES.get((d, base))
+    if table is None or table[0].shape[1] < end:
+        size = max(end, 0 if table is None else 2 * table[0].shape[1])
+        angles = np.outer(base ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
+        table = np.cos(angles), np.sin(angles)
+        for t in table:
+            t.flags.writeable = False
+        _ROPE_TABLES[(d, base)] = table
+    return table
+
+
+def _rotate(x: np.ndarray, first: int, base: float) -> np.ndarray:
+    """Columnwise rope(first + i, d) @ x[..., :, i] for x of shape (..., d, n), elementwise.
+
+    Column i sits at position first + i; cos and sin are slices of the
+    (d, base) table of ``_rope_table``.
+    """
+    d, n = x.shape[-2:]
     half = d // 2
-    angles = np.outer(base ** (-2.0 * np.arange(half) / d), positions)
-    c, s = np.cos(angles), np.sin(angles)
+    cos, sin = _rope_table(d, base, first + n)
+    c, s = cos[:, first : first + n], sin[:, first : first + n]
     even, odd = x[..., 0 : 2 * half : 2, :], x[..., 1 : 2 * half : 2, :]
     out = x.copy()
     out[..., 0 : 2 * half : 2, :] = c * even - s * odd
@@ -261,7 +288,7 @@ def _qkv(params: AttentionParams, tokens: np.ndarray):
     block = np.empty((len(tokens), params.d_o, n))
     block[:, :, :-1] = np.matmul(params.w_k, context)
     block[:, :, -1:] = np.matmul(params.w_q, tokens[:, -1, :, None])
-    block = _rotate(block, np.arange(1, n + 1), params.rope_base)
+    block = _rotate(block, 1, params.rope_base)
     keys = np.ascontiguousarray(block[:, :, :-1])
     return keys, np.matmul(params.w_v, context), block[:, :, -1:].copy()
 
@@ -352,8 +379,7 @@ class _FeatureCache:
             have, feats = entry[4:]
             n = len(have)
             if len(rows) > n:  # a guard raised here leaves the cache as it was
-                x = _rotate(matvecs(w, rows[n:]).T, np.arange(first + n, first + len(rows)),
-                            rope_base)
+                x = _rotate(matvecs(w, rows[n:]).T, first + n, rope_base)
                 new = phi_matrix(fmap, x / w.shape[0] ** 0.25).T
                 if n:
                     have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
@@ -388,6 +414,28 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 _FEATURES = _FeatureCache(5)
 
 
+def _kernel_weights(
+    params: AttentionParams,
+    fmap: FourierFeatureMap,
+    seq: SegmentedSequence,
+    query_pos: int,
+):
+    """``_kernel_parts`` with the unnormalized weights phi(K)' phi(q) its normalizer sums.
+
+    Returns (values, feat_keys, feat_q, weights, c).
+    """
+    _check_pos(seq, query_pos)
+    context = seq.tokens[: query_pos - 1]
+    feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, context, 1)
+    q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], query_pos, params.rope_base)
+    feat_q = phi(fmap, q[:, 0] / params.d_o**0.25)
+    weights = feat_keys.T @ feat_q
+    denom = float(np.sum(weights))
+    if abs(denom) < DEGENERATE_EPS:
+        raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
+    return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / denom
+
+
 def _kernel_parts(
     params: AttentionParams,
     fmap: FourierFeatureMap,
@@ -400,15 +448,8 @@ def _kernel_parts(
     d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
     The key features come from ``_FEATURES`` and are read-only.
     """
-    _check_pos(seq, query_pos)
-    context = seq.tokens[: query_pos - 1]
-    feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, context, 1)
-    q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], [query_pos], params.rope_base)
-    feat_q = phi(fmap, q[:, 0] / params.d_o**0.25)
-    denom = float(np.sum(feat_keys.T @ feat_q))
-    if abs(denom) < DEGENERATE_EPS:
-        raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
-    return params.w_v @ context.T, feat_keys, feat_q, 1.0 / denom
+    values, feat_keys, feat_q, _, c = _kernel_weights(params, fmap, seq, query_pos)
+    return values, feat_keys, feat_q, c
 
 
 def kernel_attention(
@@ -418,8 +459,8 @@ def kernel_attention(
     query_pos: int,
 ) -> np.ndarray:
     """Random-feature approximation h = c V phi(K)' phi(q)."""
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
-    return c * values @ (feat_keys.T @ feat_q)
+    values, _, _, weights, c = _kernel_weights(params, fmap, seq, query_pos)
+    return c * values @ weights
 
 
 def split_attention(
@@ -429,8 +470,8 @@ def split_attention(
     query_pos: int,
 ):
     """Kernel attention split into task-side and demonstration-side parts."""
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
-    weights = c * (feat_keys.T @ feat_q)
+    values, _, _, weights, c = _kernel_weights(params, fmap, seq, query_pos)
+    weights = c * weights
     task = np.isin(np.arange(query_pos - 1), seq.idx_task)
     return values @ (weights * task), values @ (weights * ~task)
 
@@ -484,8 +525,8 @@ def _layer_scan(
     tokens = seq.tokens.T
     causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
     if fmap is None:
-        queries = _rotate(params.w_q @ tokens[:, 1:], np.arange(2, n + 1), params.rope_base)
-        keys = _rotate(params.w_k @ tokens[:, :-1], np.arange(1, n), params.rope_base)
+        queries = _rotate(params.w_q @ tokens[:, 1:], 2, params.rope_base)
+        keys = _rotate(params.w_k @ tokens[:, :-1], 1, params.rope_base)
         scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
         w = np.exp(scores - scores.max(axis=0))
     else:

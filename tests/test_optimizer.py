@@ -390,6 +390,10 @@ def _toy_env(seed, variant):
     steps=st.integers(1, 8),
 )
 @example(seed=3, variant="mask", demos=[([1], []), ([2], [3, 4]), ([5], [6])], steps=12)
+# three lengths; ([3], [3]) hits on the first step, and ([8, 10], [10]) emits the target
+# as the last of its 12 candidates, so its candidate set empties two steps before ``steps``
+@example(seed=2, variant="mask", demos=[([3], [3]), ([8, 10], [10]), ([5], []), ([1, 2], [])],
+         steps=14)
 def test_score_demos_is_bitwise_per_demonstration_generation(seed, variant, demos, steps):
     env = _toy_env(seed, variant)
     demos = [Demonstration(tuple(ids), tuple(per)) for ids, per in demos]
@@ -409,6 +413,34 @@ def test_score_demos_is_bitwise_per_demonstration_generation(seed, variant, demo
     for tokens, h in blocks:
         for row, out in zip(tokens, h):
             assert seen[row.tobytes()] == out.tobytes()
+
+
+def test_score_demos_makes_one_forward_call_per_prompt_length():
+    env = make_toy_env(5)
+    # a target outside the candidates is never hit, so every prompt runs all its steps
+    env = replace(env, target_id=next(i for i in range(env.vocab.size)
+                                      if i not in env.candidate_mask))
+    demos = [Demonstration(ids, per) for ids, per in
+             [((1,), ()), ((2, 3), ()), ((4,), (5,)), ((6, 7, 8), ()), ((9, 1, 2), (3, 4))]]
+    steps = 5
+    seen = {}
+    want = [_evaluate_demo_oracle(env, d, steps, seen) for d in demos]
+    starts = [len(env.instr) + len(d.ids) + len(d.per_ids) + len(env.leads) for d in demos]
+    assert len(set(starts)) == 4
+    blocks = []
+
+    def forward(tokens):
+        blocks.append(tokens.copy())
+        return env.forward(tokens)
+
+    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    lengths = [b.shape[1] for b in blocks]
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))
+    assert len(blocks) <= max(starts) - min(starts) + steps
+    # every row is a prompt of the block's length that per-demonstration
+    # generation builds, and the blocks hold as many rows as it makes calls
+    assert all(row.tobytes() in seen for b in blocks for row in b)
+    assert sum(len(b) for b in blocks) == len(demos) * steps == len(seen)
 
 
 def test_score_demos_with_an_empty_candidate_mask_raises():

@@ -57,7 +57,7 @@ from dualgrad.transformer import (
     stack_forward,
     stack_trace,
 )
-from dualgrad.transformer import _FEATURES, _check_pos, _qkv, _rotate
+from dualgrad.transformer import _FEATURES, _ROPE_TABLES, _check_pos, _qkv, _rotate
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -119,13 +119,68 @@ def test_rope_group_law(m, n):
 def test_rotate_matches_dense_rope(d, positions, base, seed):
     positions = [0] + positions
     x = np.random.default_rng(seed).normal(0, 3, (d, len(positions)))
-    got = _rotate(x, np.array(positions), base)
+    got = np.hstack([_rotate(x[:, i : i + 1], p, base) for i, p in enumerate(positions)])
     assert np.array_equal(got[:, 0], x[:, 0])  # position 0 is the identity
     for i, p in enumerate(positions):
         want = rope(p, d, base) @ x[:, i]
         assert np.linalg.norm(got[:, i] - want) <= 1e-12 * np.linalg.norm(want)
     if d % 2:
         assert np.array_equal(got[-1], x[-1])
+
+
+def _rotate_oracle(x, positions, base):
+    """The former ``_rotate``: cos and sin of the given positions, computed afresh."""
+    d = x.shape[-2]
+    half = d // 2
+    angles = np.outer(base ** (-2.0 * np.arange(half) / d), positions)
+    c, s = np.cos(angles), np.sin(angles)
+    even, odd = x[..., 0 : 2 * half : 2, :], x[..., 1 : 2 * half : 2, :]
+    out = x.copy()
+    out[..., 0 : 2 * half : 2, :] = c * even - s * odd
+    out[..., 1 : 2 * half : 2, :] = s * even + c * odd
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 33),
+    first=st.integers(0, 3000),
+    n=st.integers(0, 80),
+    base=st.sampled_from([10000.0, 500.0, 1.5]),
+    batch=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=33, first=3000, n=80, base=1.5, batch=(3,), seed=0)  # the far end, batched
+def test_rotate_is_bitwise_the_positions_oracle(d, first, n, base, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 3, (*batch, d, n))
+    early = rng.normal(0, 3, (*batch, d, 3))
+    _ROPE_TABLES.pop((d, base), None)
+    try:
+        before = _rotate(early, 1, base)  # a table of positions 0..3
+        got = _rotate(x, first, base)  # grows it past its end when first + n > 4
+        want = _rotate_oracle(x, np.arange(first, first + n), base)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        cos, sin = _ROPE_TABLES[(d, base)]
+        assert cos.shape[1] >= max(4, first + n)
+        assert not (cos.flags.writeable or sin.flags.writeable)
+        # the grown table keeps the bits of the slices the smaller one gave
+        assert _rotate(early, 1, base).tobytes() == before.tobytes()
+    finally:  # the drawn tables would otherwise stay for the rest of the session
+        _ROPE_TABLES.pop((d, base), None)
+
+
+def test_rope_table_grows_to_twice_its_size_and_is_read_only():
+    _ROPE_TABLES.pop((4, 123.0), None)
+    _rotate(np.ones((4, 5)), 0, 123.0)
+    assert _ROPE_TABLES[(4, 123.0)][0].shape == (2, 5)
+    _rotate(np.ones((4, 1)), 5, 123.0)  # one past the end: twice the size
+    cos, sin = _ROPE_TABLES[(4, 123.0)]
+    assert cos.shape == sin.shape == (2, 10)
+    _rotate(np.ones((4, 30)), 0, 123.0)  # further than twice: exactly what is asked
+    assert _ROPE_TABLES[(4, 123.0)][0].shape == (2, 30)
+    with pytest.raises(ValueError):
+        cos[0, 0] = 0.0
 
 
 def test_rope_validation():
@@ -168,9 +223,10 @@ def test_query_token_is_excluded():
 def _qkv_oracle(params, seq, query_pos):
     """The former ``_qkv``: keys and query rotated by two separate calls."""
     context = seq.tokens[: query_pos - 1].T
-    keys = _rotate(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
+    keys = _rotate_oracle(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
     q = params.w_q @ seq.tokens[query_pos - 1]
-    return keys, params.w_v @ context, _rotate(q[:, None], [query_pos], params.rope_base)[:, 0]
+    q = _rotate_oracle(q[:, None], [query_pos], params.rope_base)[:, 0]
+    return keys, params.w_v @ context, q
 
 
 def _stacked_qkv_oracle(params, tokens):
@@ -210,7 +266,7 @@ def _exact_attention_oracle(params, seq, query_pos):
     block = np.empty((params.d_o, query_pos))
     block[:, :-1] = params.w_k @ context
     block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
-    block = _rotate(block, np.arange(1, query_pos + 1), params.rope_base)
+    block = _rotate_oracle(block, np.arange(1, query_pos + 1), params.rope_base)
     keys, values, q = np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
     scores = keys.T @ q / np.sqrt(params.d_o)
     scores -= scores.max()
@@ -744,8 +800,8 @@ def test_gqa_params_must_match_heads_and_groups():
 # prefix-key feature cache
 
 
-def _kernel_parts_oracle(params, fmap, seq, query_pos):
-    """From-scratch reference for _kernel_parts: every key rotated and featurized anew."""
+def _kernel_weights_oracle(params, fmap, seq, query_pos):
+    """From-scratch reference for _kernel_weights: every key rotated and featurized anew."""
     _check_pos(seq, query_pos)
     if fmap.input_dim != params.d_o:
         raise InvalidDimension("feature map input_dim must equal d_o")
@@ -756,14 +812,19 @@ def _kernel_parts_oracle(params, fmap, seq, query_pos):
     denom = float(np.sum(feat_keys.T @ feat_q))
     if abs(denom) < transformer_module.DEGENERATE_EPS:
         raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
-    return values, feat_keys, feat_q, 1.0 / denom
+    return values, feat_keys, feat_q, feat_keys.T @ feat_q, 1.0 / denom
 
 
 def _oracle_consumers(c):
-    """``_consumers`` with every reader of the cache replaced by its from-scratch oracle."""
+    """``_consumers`` with every reader of the cache replaced by its from-scratch oracle.
+
+    ``_kernel_parts``, which the dual builders import, reads the patched
+    ``_kernel_weights`` of the transformer module.
+    """
     with ExitStack() as patches:
+        patches.enter_context(
+            mock.patch.object(transformer_module, "_kernel_weights", _kernel_weights_oracle))
         for module in (transformer_module, dual_module):
-            patches.enter_context(mock.patch.object(module, "_kernel_parts", _kernel_parts_oracle))
             patches.enter_context(mock.patch.object(module, "stack_trace", _stack_trace_oracle))
         return _consumers(c)
 
@@ -906,7 +967,7 @@ def test_cold_feature_request_is_phi_matrix_of_its_rotated_block(seed, d_o, D, m
     fmap = sample_feature_map(d_o, D, seed=seed)
     _FEATURES.clear()
     got = _FEATURES.features(w, 10000.0, fmap, rows, first)
-    block = _rotate(matvecs(w, rows).T, np.arange(first, first + m), 10000.0)
+    block = _rotate_oracle(matvecs(w, rows).T, np.arange(first, first + m), 10000.0)
     want = phi_matrix(fmap, block / d_o**0.25)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     held = _FEATURES.entries[-1][4]
