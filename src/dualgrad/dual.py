@@ -28,7 +28,7 @@ from .transformer import (
     GqaConfig,
     GqaParams,
     LayerStack,
-    _kernel_parts,
+    _kernel_weights,
     stack_trace,
 )
 
@@ -106,14 +106,14 @@ def _dual(split, parts: tuple, left, bias: np.ndarray | None = None) -> DualMode
     """The dual whose every term multiplies its value by ``left``.
 
     ``split`` is the (task, demo) columns of ``_split`` and ``parts`` the
-    (values, feat_keys, feat_q, c) of ``_kernel_parts``; ``left`` maps value
+    (values, feat_keys, feat_q, weights, c) of ``_kernel_weights``; ``left`` maps value
     columns to their label columns: c V for plain attention,
     c W_FFN1 Sigma W_FFN2 V for a transformer layer, c W_concat V for a
     grouped-query head.  The task-side columns form W_0 = left(V_T)
     phi(K~_T)', every other column before the query (the current, then the
     perturbation demonstration) the labels left(V_D).
     """
-    values, feat_keys, feat_q, c = parts
+    values, feat_keys, feat_q, _, c = parts
     task, demo = split
     return DualModel(
         w0=left(values[:, task]) @ feat_keys[:, task].T,
@@ -135,8 +135,8 @@ def build_dual_attention(
 
     ``with_value_regularization`` sets the L2 coefficient alpha.
     """
-    parts = _kernel_parts(params, fmap, seq, query_pos)
-    c = parts[3]
+    parts = _kernel_weights(params, fmap, seq, query_pos)
+    c = parts[4]
     return _dual(_split(seq, query_pos), parts, lambda v: c * v)
 
 
@@ -149,10 +149,10 @@ def with_value_regularization(dual: DualModel, alpha: float) -> DualModel:
 
 def _transformer_dual(ffn: FfnParams, parts: tuple, split) -> DualModel:
     """``_dual`` of attention + FFN with the activation frozen at the reference pass."""
-    values, feat_keys, feat_q, c = parts
+    values, _, _, weights, c = parts
     sigma = np.ones(ffn.d_h)
     if ffn.activation == "relu":  # frozen at the reference pass
-        h_ref = c * values @ (feat_keys.T @ feat_q)
+        h_ref = c * values @ weights
         sigma = (ffn.w2 @ h_ref + ffn.b2 > 0).astype(float)
     w_hat = c * (ffn.w1 * sigma) @ ffn.w2  # c W_FFN1 Sigma W_FFN2
     bias = ffn.b1 + ffn.w1 @ (sigma * ffn.b2)
@@ -167,7 +167,7 @@ def build_dual_transformer(
     query_pos: int,
 ) -> DualModel:
     """Dual of attention + FFN with the activation frozen at the reference pass."""
-    parts = _kernel_parts(params, fmap, seq, query_pos)
+    parts = _kernel_weights(params, fmap, seq, query_pos)
     return _transformer_dual(ffn, parts, _split(seq, query_pos))
 
 
@@ -189,7 +189,7 @@ def build_dual_stack(
     layer_inputs = stack_trace(stack, fmap, seq, query_pos)
     split = _split(seq, query_pos)  # every layer input carries the same tags
     return [
-        _transformer_dual(ffn, _kernel_parts(att, fmap, layer_seq, query_pos), split)
+        _transformer_dual(ffn, _kernel_weights(att, fmap, layer_seq, query_pos), split)
         for (att, ffn), layer_seq in zip(stack.layers, layer_inputs)
     ]
 
@@ -202,11 +202,12 @@ def build_dual_gqa(
     query_pos: int,
 ) -> list[DualModel]:
     """Blockwise duals, one per query head; concatenated forwards equal GQA."""
-    heads = [_kernel_parts(params.head(cfg, s), fmap, seq, query_pos) for s in range(cfg.heads)]
+    heads = [_kernel_weights(params.head(cfg, s), fmap, seq, query_pos)
+             for s in range(cfg.heads)]
     split = _split(seq, query_pos)
     duals = []
     for s, parts in enumerate(heads):
-        left = parts[3] * cfg.mix(s)  # c W_concat^(s)
+        left = parts[4] * cfg.mix(s)  # c W_concat^(s)
         duals.append(_dual(split, parts, lambda v: left @ v))
     return duals
 

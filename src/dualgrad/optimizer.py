@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DegenerateEmbedding,
-    EmptyCandidateSet,
     InsufficientHistory,
     InvalidConfig,
     InvalidDimension,
@@ -24,7 +23,7 @@ from .errors import (
 from .metrics import EffectDScore, effect_d
 from .rng import stream
 from .sequence import _unit_rows
-from .transformer import Vocabulary, _candidate_ids
+from .transformer import Vocabulary, _candidate_table
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,23 @@ def _prompt_tables(env: OptimizerEnv):
     return [_unit_rows(t) for t in tables] if env.normalize else tables
 
 
+def _first_max(logits: list, ids: list) -> int:
+    """``np.argmax`` over ``logits[i]`` for ``i`` in ``ids``, as that ``i``.
+
+    The first maximum, so over ascending ids the smallest id wins a tie; a
+    NaN counts as above every number, so the first NaN wins.
+    """
+    best = ids[0]
+    top = logits[best]
+    for i in ids:
+        v = logits[i]
+        if v > top:
+            best, top = i, v
+        elif v != v:
+            return i
+    return best
+
+
 def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[EffectDScore]:
     """Stage 2 of several demonstrations at once: splice each into the frame, generate, score.
 
@@ -140,18 +156,18 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
     its first hit).  Every prompt grows by one token per step, so all prompts
     that have started and not yet left share one length N: each N makes one
     ``env.forward`` call, from the shortest start to the last live prompt.
-    Decoding stays per start, where every row has the same number of
-    remaining candidates.  A prompt leaves on the target, when out of
-    candidates or after ``steps`` tokens.  Each score is bitwise that of
-    ``generate`` over ``SegmentedSequence.build``.
+    After each call, one product over the candidate table gives every row's
+    logits, and each row picks in plain Python from its own list of remaining
+    candidates, as ``generate`` does: the first maximum, or the first NaN.  A
+    prompt leaves on the target, when out of candidates or after ``steps``
+    tokens.  Each score is bitwise that of ``generate`` over
+    ``SegmentedSequence.build``.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
     instr, leads, emb = tables or _prompt_tables(env)
-    mask = env.candidate_mask
-    cand = np.arange(env.vocab.size) if mask is None else _candidate_ids(mask, env.vocab.size)
-    if not cand.size:
-        raise EmptyCandidateSet("candidate mask is empty")
+    cand, table = _candidate_table(env.vocab, env.candidate_mask)
+    cand = list(range(len(table))) if cand is None else cand.tolist()
     hits: list[int | None] = [None] * len(demos)
     groups: dict[int, list[int]] = {}  # start length -> prompts
     for b, demo in enumerate(demos):
@@ -163,27 +179,26 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
                                                          for b in live]]
         rows[live, n0 - len(leads) : n0] = leads
     todo = sorted(groups)
-    active = []  # (start, prompts, remaining candidates) in start order
+    active = []  # (prompt, start, remaining candidate indices) in start order
     n = 0
     while todo or active:
         if not active:  # no prompt has this length: skip to the next start
             n = todo[0]
         if todo and todo[0] == n:
-            live = np.array(groups[todo.pop(0)])
-            active.append((n, live, np.tile(cand, (len(live), 1))))
-        h = env.forward(rows[np.concatenate([live for _, live, _ in active]), :n])
-        kept, at = [], 0
-        for n0, live, remaining in active:
-            hg, at = h[at : at + len(live)], at + len(live)
-            logits = np.matmul(env.vocab.output_embeddings[remaining], hg[:, :, None])[:, :, 0]
-            toks = remaining[np.arange(len(live)), logits.argmax(axis=1)]
-            go = toks != env.target_id
-            for b in live[~go]:
+            active += [(b, n, list(range(len(cand)))) for b in groups[todo.pop(0)]]
+        h = env.forward(rows[[b for b, _, _ in active], :n])
+        logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
+        kept, toks = [], []
+        for (b, n0, left), row in zip(active, logits):
+            i = _first_max(row, left)
+            if cand[i] == env.target_id:
                 hits[b] = n - n0 + 1
-            remaining = remaining[remaining != toks[:, None]].reshape(len(live), -1)
-            if remaining.shape[1] and go.any() and n - n0 + 1 < steps:
-                rows[live[go], n] = emb[toks[go]]
-                kept.append((n0, live[go], remaining[go]))
+            elif len(left) > 1 and n - n0 + 1 < steps:
+                left.remove(i)
+                kept.append((b, n0, left))
+                toks.append(cand[i])
+        if kept:
+            rows[[b for b, _, _ in kept], n] = emb[toks]
         active = kept
         n += 1
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
@@ -194,17 +209,25 @@ def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectD
     return score_demos(env, [demo], steps)[0]
 
 
-def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float:
-    """Cosine similarity of the mean token embeddings of two demonstrations."""
+def _mean_norm(vocab: Vocabulary, demo: Demonstration) -> tuple[np.ndarray, float]:
+    """Mean token embedding of a demonstration and its Euclidean norm."""
     # the arithmetic of ndarray.mean and np.linalg.norm for real rows, without their dispatch
-    means = []
-    for d in (d1, d2):
-        ids = list(d.ids) + list(d.per_ids)
-        means.append(np.add.reduce(vocab.input_embeddings[ids], axis=0) / len(ids))
-    n1, n2 = math.sqrt(means[0] @ means[0]), math.sqrt(means[1] @ means[1])
+    ids = list(demo.ids) + list(demo.per_ids)
+    mean = np.add.reduce(vocab.input_embeddings[ids], axis=0) / len(ids)
+    return mean, math.sqrt(mean @ mean)
+
+
+def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Cosine of two ``_mean_norm`` results."""
+    (m1, n1), (m2, n2) = a, b
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateEmbedding("zero-norm mean embedding")
-    return float(means[0] @ means[1] / (n1 * n2))
+    return float(m1 @ m2 / (n1 * n2))
+
+
+def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float:
+    """Cosine similarity of the mean token embeddings of two demonstrations."""
+    return _cosine(_mean_norm(vocab, d1), _mean_norm(vocab, d2))
 
 
 def detect_collapse(
@@ -270,6 +293,7 @@ def run_two_stage(
     memories = [MemoryBank(config.memory_capacity) for _ in range(config.m)]
     history: list[list[TraceRecord]] = [[] for _ in range(config.m)]
     last_demo: list[Demonstration | None] = [None] * config.m
+    last_mean: list[tuple[np.ndarray, float] | None] = [None] * config.m  # of last_demo
     trace: list[TraceRecord] = []
     vocab_size = env.vocab.size
     tables = _prompt_tables(env)
@@ -295,9 +319,10 @@ def run_two_stage(
                 p, it, memories[p], rngs[p], vocab_size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
-            sim = 0.0 if last_demo[p] is None else similarity(env.vocab, last_demo[p], demo)
+            mean = _mean_norm(env.vocab, demo)
+            sim = 0.0 if last_mean[p] is None else _cosine(last_mean[p], mean)
             drawn.append((demo, collapsed, donor is not None, sim))
-            last_demo[p] = demo
+            last_demo[p], last_mean[p] = demo, mean
         # memory tracks the demonstration's own quality: it is scored without
         # the transient perturbation segment, so donor content cannot inflate
         # the stored value of a weak demonstration

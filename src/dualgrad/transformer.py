@@ -420,9 +420,13 @@ def _kernel_weights(
     seq: SegmentedSequence,
     query_pos: int,
 ):
-    """``_kernel_parts`` with the unnormalized weights phi(K)' phi(q) its normalizer sums.
+    """Shared pieces of every kernelized computation at one position.
 
-    Returns (values, feat_keys, feat_q, weights, c).
+    Returns (values, feat_keys, feat_q, weights, c) with keys and query
+    pre-divided by d_o^{1/4} so that feature inner products target
+    exp(k.q / sqrt(d_o)); ``weights`` are the unnormalized phi(K)' phi(q)
+    whose sum is 1 / c.  The key features come from ``_FEATURES`` and are
+    read-only.
     """
     _check_pos(seq, query_pos)
     context = seq.tokens[: query_pos - 1]
@@ -434,22 +438,6 @@ def _kernel_weights(
     if abs(denom) < DEGENERATE_EPS:
         raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
     return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / denom
-
-
-def _kernel_parts(
-    params: AttentionParams,
-    fmap: FourierFeatureMap,
-    seq: SegmentedSequence,
-    query_pos: int,
-):
-    """Shared pieces of every kernelized computation at one position.
-
-    Returns (values, feat_keys, feat_q, c) with keys and query pre-divided by
-    d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
-    The key features come from ``_FEATURES`` and are read-only.
-    """
-    values, feat_keys, feat_q, _, c = _kernel_weights(params, fmap, seq, query_pos)
-    return values, feat_keys, feat_q, c
 
 
 def kernel_attention(
@@ -638,16 +626,20 @@ def _candidate_ids(mask, size: int) -> np.ndarray:
     return ids
 
 
-def _decode_sorted(vocab: Vocabulary, h: np.ndarray, ids: np.ndarray | None) -> int:
-    """``decode`` over ascending candidate ids, or over the whole vocabulary for None."""
-    if ids is None:
+def _candidate_table(vocab: Vocabulary, mask) -> tuple[np.ndarray | None, np.ndarray]:
+    """Ascending candidate ids (None for the whole vocabulary) and their output embeddings.
+
+    Every greedy pick is an ``argmax`` over logits of this one table, so an
+    id's logit has the same bits whichever ids an emission rule has removed.
+    """
+    if mask is None:
         if not vocab.size:
             raise EmptyCandidateSet("vocabulary is empty")
-        return int(np.argmax(vocab.output_embeddings @ h))
+        return None, vocab.output_embeddings
+    ids = _candidate_ids(mask, vocab.size)
     if not ids.size:
         raise EmptyCandidateSet("candidate mask is empty")
-    # argmax returns the first maximum, which over ascending ids is the smallest id
-    return int(ids[np.argmax(vocab.output_embeddings[ids] @ h)])
+    return ids, vocab.output_embeddings[ids]
 
 
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
@@ -655,7 +647,10 @@ def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
 
     ``mask`` is any iterable of candidate ids (a set, or an int array).
     """
-    return _decode_sorted(vocab, h, None if mask is None else _candidate_ids(mask, vocab.size))
+    ids, table = _candidate_table(vocab, mask)
+    # argmax returns the first maximum, which over ascending ids is the smallest id
+    i = int(np.argmax(table @ h))
+    return i if ids is None else int(ids[i])
 
 
 @dataclass(frozen=True)
@@ -678,25 +673,27 @@ def generate(
 
     ``forward(seq, pos) -> hidden`` abstracts over the attention variants.
     With ``exclude_emitted`` the output behaves like a ranked list of distinct
-    items: an id is removed from the candidate set once emitted.
+    items: an id is removed from the candidate set once emitted.  Each step
+    decodes as ``decode`` does over the candidate set, with the emitted ids
+    skipped by the argmax rather than removed from the logits' table.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
-    if mask is not None:
-        remaining = _candidate_ids(mask, vocab.size)
-    else:
-        remaining = np.arange(vocab.size) if exclude_emitted else None
+    cand, table = _candidate_table(vocab, mask)
+    left = np.arange(len(table)) if exclude_emitted else None  # table rows not yet emitted
     ids, hiddens, positions = [], [], []
     for _ in range(steps):
         pos = len(seq)
         h = forward(seq, pos)
-        tok = _decode_sorted(vocab, h, remaining)
+        logits = table @ h
+        i = int(np.argmax(logits) if left is None else left[np.argmax(logits[left])])
+        tok = i if cand is None else int(cand[i])
         ids.append(tok)
         hiddens.append(h)
         positions.append(pos)
-        if exclude_emitted:
-            remaining = remaining[remaining != tok]
-            if not remaining.size:
+        if left is not None:
+            left = left[left != i]
+            if not left.size:
                 break
         seq = seq.append(vocab.input_embeddings[tok], Tag.T_LEAD)
     return GenerationTrace(tuple(ids), tuple(hiddens), tuple(positions), seq)

@@ -36,7 +36,7 @@ from dualgrad.transformer import (
     layer_forward,
     split_attention,
     stack_forward,
-    _kernel_parts,
+    _kernel_weights,
 )
 
 
@@ -279,7 +279,7 @@ def _demo_columns_oracle(seq, query_pos, include_per):
 
 
 def _dual_attention_oracle(params, fmap, seq, query_pos, alpha=0.0, include_per=False):
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
+    values, feat_keys, feat_q, _, c = _kernel_weights(params, fmap, seq, query_pos)
     task, demo = _demo_columns_oracle(seq, query_pos, include_per)
     w0 = c * values[:, task] @ feat_keys[:, task].T
     return DualModel(
@@ -292,7 +292,7 @@ def _with_perturbation_oracle(dual, params, fmap, seq, query_pos):
     per = [i for i in range(query_pos - 1) if seq.tags[i] is Tag.D_PER]
     if not per:
         return dual
-    values, feat_keys, _, _ = _kernel_parts(params, fmap, seq, query_pos)
+    values, feat_keys, _, _, _ = _kernel_weights(params, fmap, seq, query_pos)
     per = np.array(per, dtype=int)
     return replace(
         dual,
@@ -302,7 +302,7 @@ def _with_perturbation_oracle(dual, params, fmap, seq, query_pos):
 
 
 def _dual_transformer_oracle(params, ffn, fmap, seq, query_pos):
-    values, feat_keys, feat_q, c = _kernel_parts(params, fmap, seq, query_pos)
+    values, feat_keys, feat_q, _, c = _kernel_weights(params, fmap, seq, query_pos)
     h_ref = c * values @ (feat_keys.T @ feat_q)
     if ffn.activation == "identity":
         sigma = np.ones(ffn.d_h)
@@ -324,7 +324,7 @@ def _dual_transformer_oracle(params, ffn, fmap, seq, query_pos):
 def _dual_gqa_oracle(params, cfg, fmap, seq, query_pos):
     duals = []
     for s in range(cfg.heads):
-        values, feat_keys, feat_q, c = _kernel_parts(params.head(cfg, s), fmap, seq, query_pos)
+        values, feat_keys, feat_q, _, c = _kernel_weights(params.head(cfg, s), fmap, seq, query_pos)
         task, demo = _demo_columns_oracle(seq, query_pos, include_per=True)
         mix = cfg.mix(s)
         duals.append(

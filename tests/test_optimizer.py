@@ -21,6 +21,7 @@ from dualgrad.optimizer import (
     MemoryBank,
     OptimizerConfig,
     TraceRecord,
+    _first_max,
     detect_collapse,
     evaluate_demo,
     run_two_stage,
@@ -207,6 +208,19 @@ def test_no_collapse_flags_before_two_iterations():
     for r in trace:
         if r.iteration <= 2:
             assert not r.collapse and not r.perturbed
+
+
+@pytest.mark.parametrize("perturbation", [True, False])
+def test_trace_similarity_is_bitwise_similarity_of_consecutive_demos(perturbation):
+    # run_two_stage keeps each path's last mean; the record must not notice
+    for seed in range(20):
+        env = make_toy_env(200 + seed, d_i=int(3 + seed % 6))
+        cfg = _config(iterations=8, master_seed=seed, perturbation_enabled=perturbation)
+        last = {}
+        for r in run_two_stage(cfg, env):
+            want = 0.0 if r.path not in last else similarity(env.vocab, last[r.path], r.demo)
+            assert np.float64(r.similarity).tobytes() == np.float64(want).tobytes()
+            last[r.path] = r.demo
 
 
 def test_perturbed_only_with_collapse_and_enabled():
@@ -441,6 +455,94 @@ def test_score_demos_makes_one_forward_call_per_prompt_length():
     # generation builds, and the blocks hold as many rows as it makes calls
     assert all(row.tobytes() in seen for b in blocks for row in b)
     assert sum(len(b) for b in blocks) == len(demos) * steps == len(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    logits=st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+                    min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_first_max_is_argmax_over_the_listed_ids(logits, data):
+    ids = sorted(data.draw(st.sets(st.integers(0, len(logits) - 1), min_size=1)))
+    want = ids[int(np.argmax(np.array(logits)[ids]))]
+    assert _first_max(logits, ids) == want
+
+
+def _assert_scores_match_generation(env, demos, steps):
+    seen = {}
+    want = [_evaluate_demo_oracle(env, d, steps, seen) for d in demos]
+    blocks = []
+
+    def forward(tokens):
+        h = env.forward(tokens)
+        blocks.append((tokens.copy(), h))
+        return h
+
+    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    for tokens, h in blocks:
+        for row, out in zip(tokens, h):
+            assert seen[row.tobytes()] == out.tobytes()
+    return want
+
+
+_EDGE_DEMOS = [((1,), ()), ((2, 3), ()), ((4,), (5,)), ((6, 7, 8), (9,))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_score_demos_with_one_or_two_candidates_matches_generation(seed):
+    # the candidates run out before ``steps``, at different prompt lengths
+    env = make_toy_env(seed)
+    other = sorted(i for i in range(env.vocab.size) if i != env.target_id)
+    demos = [Demonstration(ids, per) for ids, per in _EDGE_DEMOS]
+    hits = set()
+    for mask in ({env.target_id}, {other[seed]}, {env.target_id, other[seed]},
+                 {other[seed], other[seed + 5]}):
+        want = _assert_scores_match_generation(replace(env, candidate_mask=frozenset(mask)),
+                                               demos, steps=5)
+        hits |= {w.hit_position for w in want}
+    assert {None, 1} <= hits
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_score_demos_with_nan_hidden_rows_matches_generation():
+    # a NaN hidden row makes every logit NaN; an infinite coordinate against
+    # zero output entries makes some NaN among infinities, where argmax takes
+    # the first NaN and a bare max would take the first infinity
+    kinds = set()
+    for seed in range(6):
+        env = make_toy_env(300 + seed)
+        out = env.vocab.output_embeddings.copy()
+        out[::3, 0] = 0.0
+        env = replace(env, vocab=Vocabulary(out, env.vocab.input_embeddings))
+
+        def forward(tokens, forward=env.forward):
+            h = forward(tokens).copy()
+            key = tokens[:, -1, 0]  # by content, so a row is poisoned alike in any block
+            h[key > 0.4] = np.nan
+            h[(key > -0.2) & (key <= 0.4), 0] = np.inf
+            kinds.update(["nan"] * bool((key > 0.4).any())
+                         + ["inf"] * bool(((key > -0.2) & (key <= 0.4)).any()))
+            return h
+
+        demos = [Demonstration(ids, per) for ids, per in _EDGE_DEMOS]
+        _assert_scores_match_generation(replace(env, forward=forward), demos, steps=6)
+    assert kinds == {"nan", "inf"}
+
+
+@pytest.mark.parametrize("d_o", [8, 9, 12])
+def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
+    # at d_o >= 8, BLAS may round a row's logit differently in tables of other
+    # sizes, so exact ties hold only if both decoders take one candidate table
+    for seed in range(40):
+        env = make_toy_env(seed, d_o=d_o)
+        out = env.vocab.output_embeddings.copy()
+        out[1::2] = out[::2]
+        vocab = Vocabulary(out, env.vocab.input_embeddings)
+        for mask in (None, env.candidate_mask):
+            tied = replace(env, vocab=vocab, candidate_mask=mask)
+            _assert_scores_match_generation(
+                tied, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=12)
 
 
 def test_score_demos_with_an_empty_candidate_mask_raises():

@@ -613,7 +613,7 @@ def test_stack_trace_never_featurizes_the_first_query():
 
 def test_stack_dual_build_after_its_forward_featurizes_only_its_single_queries():
     # the repeated stack_trace finds every scan key and query in the cache, and
-    # every layer's keys too, so only the L queries of _kernel_parts are new
+    # every layer's keys too, so only the L queries of _kernel_weights are new
     rng = stream(46, "featurize-once")
     d_i, d_o = 6, 4
     stack = LayerStack(tuple(
@@ -818,13 +818,13 @@ def _kernel_weights_oracle(params, fmap, seq, query_pos):
 def _oracle_consumers(c):
     """``_consumers`` with every reader of the cache replaced by its from-scratch oracle.
 
-    ``_kernel_parts``, which the dual builders import, reads the patched
-    ``_kernel_weights`` of the transformer module.
+    The dual builders import ``_kernel_weights`` and ``stack_trace``, so both
+    modules are patched.
     """
     with ExitStack() as patches:
-        patches.enter_context(
-            mock.patch.object(transformer_module, "_kernel_weights", _kernel_weights_oracle))
         for module in (transformer_module, dual_module):
+            patches.enter_context(
+                mock.patch.object(module, "_kernel_weights", _kernel_weights_oracle))
             patches.enter_context(mock.patch.object(module, "stack_trace", _stack_trace_oracle))
         return _consumers(c)
 
