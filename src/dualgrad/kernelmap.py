@@ -13,6 +13,7 @@ rescaling of phi, so the 1/sqrt(D) convention is kept verbatim and the x2
 correction appears only in :func:`exp_estimate`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,10 @@ def phi_matrix(fmap: FourierFeatureMap, xs: np.ndarray) -> np.ndarray:
         )
     rows = np.ascontiguousarray(xs.T)
     sq = np.einsum("ij,ij->i", rows, rows)
-    if np.any(sq > MAX_SQ_NORM):
+    if (sq > MAX_SQ_NORM).any():  # not sq.max(): a NaN column would hide one over the bound
         raise OverflowGuard(f"squared norm {np.max(sq):.1f} exceeds {MAX_SQ_NORM}")
     proj = matvecs(fmap.frequencies, rows)
-    scale = np.exp(0.5 * sq) / np.sqrt(fmap.feature_dim)
+    scale = np.exp(0.5 * sq) / math.sqrt(fmap.feature_dim)
     out = np.empty((len(rows), fmap.feature_dim))
     half = fmap.feature_dim // 2
     np.sin(proj, out=out[:, :half])

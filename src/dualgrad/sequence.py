@@ -7,6 +7,7 @@ lead tokens form the "task" index set; every other token is a demonstration
 token, whose terms drive the dual model's gradient.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -89,17 +90,17 @@ class SegmentedSequence:
         return np.array([i for i, t in enumerate(self.tags) if t in task], dtype=int)
 
     def append(self, embedding: np.ndarray, tag: Tag = Tag.T_LEAD) -> "SegmentedSequence":
-        """Return a new sequence with one token appended under the same norm policy."""
+        """Return a new sequence with one token appended under the same norm policy.
+
+        A normalized sequence scales the row with ``_unit_rows``'s arithmetic, bit for bit.
+        """
         emb = np.asarray(embedding, dtype=float).reshape(1, -1)
         if emb.shape[1] != self.dim:
             raise InvalidDimension("appended embedding has wrong dimension")
         if self.normalized:
-            emb = _unit_rows(emb)
-        return replace(
-            self,
-            tokens=np.vstack([self.tokens, emb]),
-            tags=self.tags + (tag,),
-        )
+            emb = emb / (math.sqrt(np.add.reduce(emb * emb, axis=1)[0]) or 1.0)
+        tokens = np.concatenate((self.tokens, emb))
+        return type(self)(tokens, self.tags + (tag,), self.normalized)
 
     def truncate(self, length: int) -> "SegmentedSequence":
         return replace(self, tokens=self.tokens[:length], tags=self.tags[:length])

@@ -6,8 +6,8 @@ connection matrices, grouped-query attention, and greedy decoding.
 
 Rotary positions are applied elementwise to all columns at once, in the
 x*cos + rotate_half(x)*sin form of RoFormer (Su et al. 2021), where
-rotate_half maps each coordinate pair (a, b) to (-b, a); the dense matrix
-``rope`` is kept as the reference that tests compare against.
+rotate_half maps each coordinate pair (a, b) to (-b, a), with its sign kept
+in the sine table; the dense matrix ``rope`` is the tests' reference.
 
 Conventions:
   * positions are 1-based; the query at position p attends to the p-1
@@ -19,6 +19,7 @@ Conventions:
     when propagating every position through a layer stack).
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .errors import (
     InvalidParameter,
     NormalizationDegenerate,
 )
-from .kernelmap import FourierFeatureMap, matvecs, phi, phi_matrix
+from .kernelmap import FourierFeatureMap, matvecs, phi_matrix
 from .sequence import SegmentedSequence, Tag
 
 DEGENERATE_EPS = 1e-12
@@ -226,13 +227,15 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     return out
 
 
-# (d, base) -> read-only cos and sin, (d // 2, P), of the angles at positions 0..P-1
-_ROPE_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+# (d, base) -> read-only rope multipliers C and S, (d, P), of positions 0..P-1, and the swap
+_ROPE_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the rope angles of dimension d at positions 0..P-1, for some P >= end.
+def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C, S and swap: rope(p, d) @ x = x * C[:, p] + x[swap] * S[:, p] for p < P, some P >= end.
 
+    Rows 2j and 2j+1 hold cos of block j's angles in C, -sin and sin in S;
+    swap exchanges them, and an odd d's last row (1 in C, 0 in S) stays.
     A request past the end of the held table rebuilds it at twice its size,
     so the table grows with the longest position asked for.  Each element is
     the product and the ``cos``/``sin`` call a table of exactly these
@@ -242,7 +245,13 @@ def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray]:
     if table is None or table[0].shape[1] < end:
         size = max(end, 0 if table is None else 2 * table[0].shape[1])
         angles = np.outer(base ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
-        table = np.cos(angles), np.sin(angles)
+        cos, sin = np.ones((d, size)), np.zeros((d, size))
+        cos[0 : d - 1 : 2] = cos[1::2] = np.cos(angles)
+        sin[1::2] = np.sin(angles)
+        sin[0 : d - 1 : 2] = -sin[1::2]
+        swap = np.arange(d)
+        swap[: d - d % 2] ^= 1
+        table = cos, sin, swap
         for t in table:
             t.flags.writeable = False
         _ROPE_TABLES[(d, base)] = table
@@ -252,17 +261,15 @@ def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray]:
 def _rotate(x: np.ndarray, first: int, base: float) -> np.ndarray:
     """Columnwise rope(first + i, d) @ x[..., :, i] for x of shape (..., d, n), elementwise.
 
-    Column i sits at position first + i; cos and sin are slices of the
-    (d, base) table of ``_rope_table``.
+    Column i sits at position first + i.  A pair (a, b) becomes (a c + b (-s), b c + a s),
+    bitwise c a - s b and s a + c b for finite x; an odd d's last row is copied from x.
     """
     d, n = x.shape[-2:]
-    half = d // 2
-    cos, sin = _rope_table(d, base, first + n)
-    c, s = cos[:, first : first + n], sin[:, first : first + n]
-    even, odd = x[..., 0 : 2 * half : 2, :], x[..., 1 : 2 * half : 2, :]
-    out = x.copy()
-    out[..., 0 : 2 * half : 2, :] = c * even - s * odd
-    out[..., 1 : 2 * half : 2, :] = s * even + c * odd
+    cos, sin, swap = _rope_table(d, base, first + n)
+    out = x * cos[:, first : first + n]
+    out += x.take(swap, axis=-2) * sin[:, first : first + n]
+    if d % 2:
+        out[..., -1, :] = x[..., -1, :]
     return out
 
 
@@ -302,7 +309,7 @@ def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.nda
     if tokens.ndim != 3 or tokens.shape[1] < 2:
         raise InvalidIndex(f"need a (B, N >= 2, d_i) token block, got shape {tokens.shape}")
     keys, values, q = _qkv(params, tokens)
-    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / np.sqrt(params.d_o)
+    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / math.sqrt(params.d_o)
     scores -= scores.max(axis=1, keepdims=True)
     w = np.exp(scores)
     w /= w.sum(axis=1, keepdims=True)
@@ -432,9 +439,9 @@ def _kernel_weights(
     context = seq.tokens[: query_pos - 1]
     feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, context, 1)
     q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], query_pos, params.rope_base)
-    feat_q = phi(fmap, q[:, 0] / params.d_o**0.25)
+    feat_q = phi_matrix(fmap, q / params.d_o**0.25)[:, 0]
     weights = feat_keys.T @ feat_q
-    denom = float(np.sum(weights))
+    denom = float(weights.sum())
     if abs(denom) < DEGENERATE_EPS:
         raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
     return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / denom
@@ -643,13 +650,14 @@ def _candidate_table(vocab: Vocabulary, mask) -> tuple[np.ndarray | None, np.nda
 
 
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
-    """Greedy argmax of dot(h, output embedding); ties go to the smallest id.
+    """Greedy pick: the first maximum of the logits ``table @ h`` over ascending candidate ids.
 
+    A BLAS may round two identical rows of the table differently (OpenBLAS's
+    gemv does at d_o >= 8), so the smaller twin is not sure to win.
     ``mask`` is any iterable of candidate ids (a set, or an int array).
     """
     ids, table = _candidate_table(vocab, mask)
-    # argmax returns the first maximum, which over ascending ids is the smallest id
-    i = int(np.argmax(table @ h))
+    i = int((table @ h).argmax())
     return i if ids is None else int(ids[i])
 
 
@@ -674,8 +682,8 @@ def generate(
     ``forward(seq, pos) -> hidden`` abstracts over the attention variants.
     With ``exclude_emitted`` the output behaves like a ranked list of distinct
     items: an id is removed from the candidate set once emitted.  Each step
-    decodes as ``decode`` does over the candidate set, with the emitted ids
-    skipped by the argmax rather than removed from the logits' table.
+    picks as ``decode`` does over the candidate set (its first id is
+    ``decode``'s), the emitted ids skipped by the argmax, not removed from the table.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
@@ -686,7 +694,7 @@ def generate(
         pos = len(seq)
         h = forward(seq, pos)
         logits = table @ h
-        i = int(np.argmax(logits) if left is None else left[np.argmax(logits[left])])
+        i = int(logits.argmax() if left is None else left[logits[left].argmax()])
         tok = i if cand is None else int(cand[i])
         ids.append(tok)
         hiddens.append(h)

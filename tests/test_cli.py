@@ -219,6 +219,11 @@ _CONFIGS = {
 }
 
 
+def _write_configs(path):
+    for name, line in _CONFIGS.items():
+        (path / name).write_text(line + "\n")
+
+
 @pytest.mark.parametrize(
     "argv, env, code",
     [
@@ -241,14 +246,37 @@ _CONFIGS = {
         (["props", "--config", "fault.cfg"], {}, 2),
     ],
 )
-def test_malformed_input_exit_code_without_traceback(tmp_path, argv, env, code):
-    for name, line in _CONFIGS.items():
-        (tmp_path / name).write_text(line + "\n")
+def test_malformed_input_exit_code_without_traceback(
+    tmp_path, monkeypatch, capsys, argv, env, code
+):
+    # in-process: main returns the code and catches every library error itself
+    _write_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DUALGRAD_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["fig7", "--config", "leads0.cfg"], 1),
+        (["equiv", "--config", "bad.cfg"], 2),
+        (["plot", "missing.csv"], 3),
+    ],
+)
+def test_exit_code_reaches_the_shell_without_traceback(tmp_path, argv, code):
+    # one row per error exit code, through a fresh interpreter and `python -m`
+    _write_configs(tmp_path)
     src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "DUALGRAD_SEED"}
     proc = subprocess.run(
         [sys.executable, "-m", "dualgrad.cli", *argv],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": src, **env},
+        env={**env, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )

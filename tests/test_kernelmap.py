@@ -138,6 +138,20 @@ def test_phi_matrix_columns_are_batch_invariant(d, D, n, seed):
         assert phi_matrix(fmap, xs[:, j : j + 1]).tobytes() == batch[:, j].tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_phi_matrix_guard_sees_a_column_over_the_bound_beside_a_nan(n):
+    # the largest squared norm of a block with a NaN column is NaN, so a guard
+    # that compared only the maximum would let the column over the bound through
+    fmap = sample_feature_map(3, 8, seed=0)
+    for nan_col in range(n):
+        for big_col in set(range(n)) - {nan_col}:
+            xs = np.full((3, n), 0.1)
+            xs[:, nan_col] = np.nan
+            xs[:, big_col] = 20.0  # squared norm 1200
+            with pytest.raises(OverflowGuard):
+                phi_matrix(fmap, xs)
+
+
 def _phi_matrix_oracle(fmap, xs):
     """phi_matrix in its plain form, sines and cosines stacked and then scaled."""
     rows = np.ascontiguousarray(xs.T)

@@ -161,7 +161,7 @@ def test_rotate_is_bitwise_the_positions_oracle(d, first, n, base, batch, seed):
         got = _rotate(x, first, base)  # grows it past its end when first + n > 4
         want = _rotate_oracle(x, np.arange(first, first + n), base)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        cos, sin = _ROPE_TABLES[(d, base)]
+        cos, sin, _ = _ROPE_TABLES[(d, base)]
         assert cos.shape[1] >= max(4, first + n)
         assert not (cos.flags.writeable or sin.flags.writeable)
         # the grown table keeps the bits of the slices the smaller one gave
@@ -173,14 +173,37 @@ def test_rotate_is_bitwise_the_positions_oracle(d, first, n, base, batch, seed):
 def test_rope_table_grows_to_twice_its_size_and_is_read_only():
     _ROPE_TABLES.pop((4, 123.0), None)
     _rotate(np.ones((4, 5)), 0, 123.0)
-    assert _ROPE_TABLES[(4, 123.0)][0].shape == (2, 5)
+    assert _ROPE_TABLES[(4, 123.0)][0].shape == (4, 5)
     _rotate(np.ones((4, 1)), 5, 123.0)  # one past the end: twice the size
-    cos, sin = _ROPE_TABLES[(4, 123.0)]
-    assert cos.shape == sin.shape == (2, 10)
+    cos, sin, _ = _ROPE_TABLES[(4, 123.0)]
+    assert cos.shape == sin.shape == (4, 10)
     _rotate(np.ones((4, 30)), 0, 123.0)  # further than twice: exactly what is asked
-    assert _ROPE_TABLES[(4, 123.0)][0].shape == (2, 30)
+    assert _ROPE_TABLES[(4, 123.0)][0].shape == (4, 30)
     with pytest.raises(ValueError):
         cos[0, 0] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    first=st.integers(0, 40),
+    n=st.integers(1, 6),
+    base=st.sampled_from([10000.0, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=5, first=0, n=3, base=10000.0, seed=0)
+def test_rotate_keeps_the_oracles_bits_on_signed_zeros(d, first, n, base, seed):
+    rng = np.random.default_rng(seed)
+    zeros = rng.choice([0.0, -0.0], (d, n))
+    x = np.where(rng.random((d, n)) < 0.5, zeros, rng.normal(0, 3, (d, n)))
+    got = _rotate(x, first, base)
+    assert got.tobytes() == _rotate_oracle(x, np.arange(first, first + n), base).tobytes()
+    if d % 2:  # odd d: the last row is x's, -0.0 included
+        assert got[-1].tobytes() == x[-1].tobytes()
+    # position 0 is the identity bit for bit without -0.0 entries; with them it
+    # need not be, in the oracle too: a = b = -0.0 gives c a - s b = +0.0
+    plus = x[:, :1] + 0.0
+    assert _rotate(plus, 0, base).tobytes() == plus.tobytes()
 
 
 def test_rope_validation():
@@ -1046,6 +1069,31 @@ def test_decode_greedy_and_tie_break():
     assert decode(vocab, np.array([-1.0])) == 3
     assert decode(vocab, np.array([1.0]), mask={0, 3}) == 0
     assert decode(vocab, np.array([1.0]), mask=np.array([2, 1])) == 1
+
+
+@pytest.mark.parametrize("d_o", [8, 9, 12])
+def test_decode_is_generates_first_pick_on_identical_rows(d_o):
+    # identical output rows can get different logits from one gemv over the
+    # table, so the pick is the first maximum of the logits as computed, not
+    # always the smaller twin; decode and generate must still agree
+    rng = np.random.default_rng(d_o)
+    seq = SegmentedSequence(np.zeros((1, 3)), (Tag.T_INSTR,))
+    for _ in range(240):
+        size = int(rng.integers(5, 12))
+        out = rng.normal(0, 1, (size, d_o))
+        a, b = sorted(rng.choice(size, 2, replace=False))
+        h = rng.normal(0, 1, d_o)
+        out[a] = out[b] = h + rng.normal(0, 0.3, d_o)  # the twins are often the best rows
+        vocab = Vocabulary(out, rng.normal(0, 1, (size, 3)))
+        keep = rng.random(size) < 0.7
+        keep[[a, b]] = True
+        for mask in (None, set(np.flatnonzero(keep).tolist())):
+            ids = np.arange(size) if mask is None else np.flatnonzero(keep)
+            pick = decode(vocab, h, mask)
+            assert pick == ids[int(np.argmax(out[ids] @ h))]
+            for exclude in (False, True):
+                trace = generate(lambda s, p: h, seq, 1, vocab, mask, exclude)
+                assert trace.ids[0] == pick
 
 
 @pytest.mark.parametrize("kind", [set, frozenset, np.array])
