@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConstructionFailed
 from .sequence import SegmentedSequence
-from .transformer import AttentionParams, Vocabulary
+from .transformer import ROPE_BASE, AttentionParams, Vocabulary
 
 TARGET_ID = 0
 # decode-table scalars; the target carries the largest one
@@ -70,7 +70,7 @@ def build_scenario(
     gain = d_o**0.25  # keeps k.q / sqrt(d_o) invariant in d_o
     if d_o > 1 and d_o % 2 == 0:
         # slowest rotary block drifts by pos * base^{-(d_o-2)/d_o}; stay sharp
-        drift = (n_t + 20 + k_leads + 8) * 10000.0 ** (-(d_o - 2) / d_o)
+        drift = (n_t + 20 + k_leads + 8) * ROPE_BASE ** (-(d_o - 2) / d_o)
         if np.cos(drift) < 0.99:
             raise ConstructionFailed("rotary drift too large for an even head dim")
 

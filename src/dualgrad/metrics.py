@@ -37,13 +37,11 @@ def score_output(output_ids, target_id: int) -> EffectDScore:
 
 
 def ndcg_at_k(ranked_ids, target_id: int, k: int) -> float:
-    """Single-relevant-item nDCG@k: 1/log2(rank+1) within the cutoff, else 0."""
+    """Single-relevant-item nDCG@k: ``effect_d`` of the rank within the cutoff, else 0."""
     if k < 1:
         raise InvalidParameter("k must be >= 1")
     rank = hit_position(ranked_ids, target_id)
-    if rank is None or rank > k:
-        return 0.0
-    return 1.0 / math.log2(rank + 1)
+    return effect_d(rank) if rank is not None and rank <= k else 0.0
 
 
 def recall_at_k(ranked_ids, target_id: int, k: int) -> float:

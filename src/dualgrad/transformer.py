@@ -22,6 +22,7 @@ Conventions:
 import math
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .kernelmap import FourierFeatureMap, matvecs, phi_matrix
 from .sequence import SegmentedSequence, Tag
 
 DEGENERATE_EPS = 1e-12
+ROPE_BASE = 10000.0  # RoFormer's rotary base: block j turns by p * ROPE_BASE^{-2j/d}
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +49,13 @@ class AttentionParams:
     w_q: np.ndarray  # (d_o, d_i)
     w_k: np.ndarray
     w_v: np.ndarray
-    rope_base: float = 10000.0
+    # Not a field; only the benchmark's own oracle reads it
+    # (bench/workloads.py, kernel_attention_ref).  The library reads ROPE_BASE.
+    rope_base: ClassVar[float] = ROPE_BASE
 
     def __post_init__(self):
         if not (self.w_q.shape == self.w_k.shape == self.w_v.shape):
             raise InvalidDimension("q/k/v projections must share shape")
-        if self.rope_base <= 1.0:
-            raise InvalidParameter("rope_base must exceed 1")
         for m in (self.w_q, self.w_k, self.w_v):
             m.setflags(write=False)
 
@@ -166,7 +168,6 @@ class GqaParams:
     w_q: np.ndarray  # (heads, head_dim, d_i)
     w_k: np.ndarray  # (g, head_dim, d_i)
     w_v: np.ndarray  # (g, head_dim, d_i)
-    rope_base: float = 10000.0
 
     def head(self, cfg: GqaConfig, s: int) -> AttentionParams:
         """Plain attention parameters of query head s and the group serving it."""
@@ -175,7 +176,7 @@ class GqaParams:
                 f"GQA params need {cfg.heads} query heads and {cfg.g} key/value groups"
             )
         grp = cfg.group_of(s)
-        return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp], self.rope_base)
+        return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp])
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ class Vocabulary:
 # rotary positions
 
 
-def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
+def rope(position: int, d_o: int) -> np.ndarray:
     """Block-diagonal rotation matrix R_position; identity at position 0.
 
     Odd d_o leaves the final coordinate fixed.  Satisfies R_m' R_n = R_{n-m}.
@@ -217,7 +218,7 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     if half == 0:
         return out
     j = np.arange(half)
-    angles = position * base ** (-2.0 * j / d_o)
+    angles = position * ROPE_BASE ** (-2.0 * j / d_o)
     c, s = np.cos(angles), np.sin(angles)
     for b in range(half):
         out[2 * b, 2 * b] = c[b]
@@ -227,24 +228,24 @@ def rope(position: int, d_o: int, base: float = 10000.0) -> np.ndarray:
     return out
 
 
-# (d, base) -> read-only rope multipliers C and S, (d, P), of positions 0..P-1, and the swap
-_ROPE_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# d -> read-only rope multipliers C and S, (d, P), of positions 0..P-1, and the swap
+_ROPE_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rope_table(d: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, S and swap: rope(p, d) @ x = x * C[:, p] + x[swap] * S[:, p] for p < P, some P >= end.
 
     Rows 2j and 2j+1 hold cos of block j's angles in C, -sin and sin in S;
     swap exchanges them, and an odd d's last row (1 in C, 0 in S) stays.
-    A request past the end of the held table rebuilds it at twice its size,
-    so the table grows with the longest position asked for.  Each element is
-    the product and the ``cos``/``sin`` call a table of exactly these
-    positions would make, so a slice has the bits of a fresh computation.
+    Each d has one table, at ROPE_BASE.  A request past its end rebuilds it at twice
+    its size, so it grows with the longest position asked for.  Each element is the
+    product and the ``cos``/``sin`` call a table of exactly these positions would
+    make, so a slice has the bits of a fresh computation.
     """
-    table = _ROPE_TABLES.get((d, base))
+    table = _ROPE_TABLES.get(d)
     if table is None or table[0].shape[1] < end:
         size = max(end, 0 if table is None else 2 * table[0].shape[1])
-        angles = np.outer(base ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
+        angles = np.outer(ROPE_BASE ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
         cos, sin = np.ones((d, size)), np.zeros((d, size))
         cos[0 : d - 1 : 2] = cos[1::2] = np.cos(angles)
         sin[1::2] = np.sin(angles)
@@ -254,18 +255,18 @@ def _rope_table(d: int, base: float, end: int) -> tuple[np.ndarray, np.ndarray, 
         table = cos, sin, swap
         for t in table:
             t.flags.writeable = False
-        _ROPE_TABLES[(d, base)] = table
+        _ROPE_TABLES[d] = table
     return table
 
 
-def _rotate(x: np.ndarray, first: int, base: float) -> np.ndarray:
+def _rotate(x: np.ndarray, first: int) -> np.ndarray:
     """Columnwise rope(first + i, d) @ x[..., :, i] for x of shape (..., d, n), elementwise.
 
     Column i sits at position first + i.  A pair (a, b) becomes (a c + b (-s), b c + a s),
     bitwise c a - s b and s a + c b for finite x; an odd d's last row is copied from x.
     """
     d, n = x.shape[-2:]
-    cos, sin, swap = _rope_table(d, base, first + n)
+    cos, sin, swap = _rope_table(d, first + n)
     out = x * cos[:, first : first + n]
     out += x.take(swap, axis=-2) * sin[:, first : first + n]
     if d % 2:
@@ -295,7 +296,7 @@ def _qkv(params: AttentionParams, tokens: np.ndarray):
     block = np.empty((len(tokens), params.d_o, n))
     block[:, :, :-1] = np.matmul(params.w_k, context)
     block[:, :, -1:] = np.matmul(params.w_q, tokens[:, -1, :, None])
-    block = _rotate(block, 1, params.rope_base)
+    block = _rotate(block, 1)
     keys = np.ascontiguousarray(block[:, :, :-1])
     return keys, np.matmul(params.w_v, context), block[:, :, -1:].copy()
 
@@ -324,24 +325,30 @@ def exact_attention(
     return exact_attention_batch(params, seq.tokens[None, :query_pos])[0]
 
 
-class _FeatureCache:
-    """Bounded LRU of featurized rotated projections, checked by content.
+def _featurize(w: np.ndarray, fmap: FourierFeatureMap, rows: np.ndarray, first: int) -> np.ndarray:
+    """Fresh (n, D) features of R_p W x / d_o^{1/4}, rows x (n, d_i) at positions first...
 
-    An entry is (feature map, W, rope base, first, rows, features): rows
-    x_1..x_n at positions first..first+n-1 and the (n, D) features of their
-    projections R_p W x_i / d_o^{1/4}, both exact-sized, under one feature
-    map, compared by identity, one W, compared bitwise with its shape, one
-    rope base and one first position.  Keys are served with W = W_k from
-    position 1, the queries of a layer scan with W = W_q from position 2.  A
-    request for rows y_1..y_m is served by the most recent entry whose rows
-    agree bitwise with y on their common prefix: a slice when the entry holds
-    at least m rows, else only the rows it lacks are rotated, featurized and
-    concatenated on, and the longer entry replaces it.  Any other request
-    starts a new entry, which keeps the array ``phi_matrix`` returned as its
-    features, without a copy.  Features are computed per column
-    (``matvecs``, ``phi_matrix``), so a served array has exactly the bits of a
-    cold computation, and the guards of ``phi_matrix`` run on every row the
-    first time it is featurized.
+    Per row throughout, so a row's features have the same bits in a block of any size.
+    """
+    return phi_matrix(fmap, _rotate(matvecs(w, rows).T, first) / w.shape[0] ** 0.25).T
+
+
+class _FeatureCache:
+    """Bounded LRU of featurized rotated prefix keys, checked by content.
+
+    An entry is (feature map, W, rows, features): rows x_1..x_n at positions
+    1..n and their (n, D) features from ``_featurize``, both exact-sized,
+    under one feature map, compared by identity, and one W = W_k, compared
+    bitwise with its shape.  Queries are not held: a layer scan featurizes
+    its queries on every pass, and ``stack_trace``'s memo serves a repeated
+    pass.  A request for rows y_1..y_m is served by the most recent entry
+    whose rows agree bitwise with y on their common prefix: a slice when the
+    entry holds at least m rows, else only the rows it lacks are featurized
+    and concatenated on, and the longer entry replaces it.  Any other
+    request starts a new entry, which keeps the block ``_featurize`` wrote as
+    its features, without a copy.  Features are computed per row, so a
+    served array has exactly the bits of a cold computation, and the guards
+    of ``phi_matrix`` run on every row the first time it is featurized.
 
     The cache also holds ``stack_trace``'s memo of its last result, under the
     same lock; ``clear`` empties both.
@@ -358,41 +365,32 @@ class _FeatureCache:
             self.entries.clear()
             self.trace = None
 
-    def features(
-        self,
-        w: np.ndarray,
-        rope_base: float,
-        fmap: FourierFeatureMap,
-        rows: np.ndarray,
-        first: int,
-    ) -> np.ndarray:
-        """Read-only (D, m) features of R_p W x for rows (m, d_i) at positions first..first+m-1."""
+    def features(self, w: np.ndarray, fmap: FourierFeatureMap, rows: np.ndarray) -> np.ndarray:
+        """Read-only (D, m) features of R_p W x for rows (m, d_i) at positions 1..m."""
         if fmap.input_dim != w.shape[0]:
             raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
         w = np.asarray(w, dtype=float)
         with self._lock:
             hit = next(
-                (i for i, (f, v, b, p, have, _) in reversed(list(enumerate(self.entries)))
-                 if f is fmap and b == rope_base and p == first and _same_bits(v, w)
+                (i for i, (f, v, have, _) in reversed(list(enumerate(self.entries)))
+                 if f is fmap and _same_bits(v, w)
                  and _same_bits(have[: len(rows)], rows[: len(have)])),
                 None,
             )
             if hit is None:
-                entry = (fmap, w.copy(), rope_base, first, rows[:0],
-                         np.empty((0, fmap.feature_dim)))
+                entry = (fmap, w.copy(), rows[:0], np.empty((0, fmap.feature_dim)))
             else:
                 entry = self.entries[hit]
-            have, feats = entry[4:]
+            have, feats = entry[2:]
             n = len(have)
             if len(rows) > n:  # a guard raised here leaves the cache as it was
-                x = _rotate(matvecs(w, rows[n:]).T, first + n, rope_base)
-                new = phi_matrix(fmap, x / w.shape[0] ** 0.25).T
+                new = _featurize(w, fmap, rows[n:], 1 + n)
                 if n:
                     have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
-                else:  # a new entry adopts the block phi_matrix just wrote
+                else:  # a new entry adopts the block _featurize just wrote
                     have, feats = rows.copy(), new
-                entry = entry[:4] + (have, feats)
+                entry = entry[:2] + (have, feats)
             if hit is not None:
                 del self.entries[hit]
             self.entries.append(entry)
@@ -411,11 +409,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return _bits(a) == _bits(b)
 
 
-# A prompt and its extensions share one entry per projection.  An L-layer
-# stack's forward pass uses 2L - 1: keys and queries of each of its L - 1
-# scans, and the keys of its last layer.  Its dual build takes the layer
-# inputs from stack_trace's memo and hits the L key entries; a scan repeated
-# after the memo has moved on hits the query entries too.
+# A prompt and its extensions share one entry per key projection.  An
+# L-layer stack's forward pass makes L entries, the keys of each layer, and
+# its dual build takes the layer inputs from stack_trace's memo and hits
+# those L entries; GQA makes one entry per key group.
 # Every entry keeps its feature map and its features alive, so each further
 # slot costs memory.
 _FEATURES = _FeatureCache(5)
@@ -437,9 +434,8 @@ def _kernel_weights(
     """
     _check_pos(seq, query_pos)
     context = seq.tokens[: query_pos - 1]
-    feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, context, 1)
-    q = _rotate((params.w_q @ seq.tokens[query_pos - 1])[:, None], query_pos, params.rope_base)
-    feat_q = phi_matrix(fmap, q / params.d_o**0.25)[:, 0]
+    feat_keys = _FEATURES.features(params.w_k, fmap, context)
+    feat_q = _featurize(params.w_q, fmap, seq.tokens[query_pos - 1 : query_pos], query_pos)[0]
     weights = feat_keys.T @ feat_q
     denom = float(weights.sum())
     if abs(denom) < DEGENERATE_EPS:
@@ -512,21 +508,21 @@ def _layer_scan(
     queries 2..n are rotated and featurized once, and the query at column j
     (position j+2) weighs key i (position i+1) iff i <= j.  Matches
     ``layer_forward`` at every position, with the same guards.  In kernel
-    mode both key and query features come from ``_FEATURES``, keys first, so
-    a repeated scan of the same layer input featurizes no column again.
+    mode the keys come from ``_FEATURES`` and the queries are featurized on
+    every pass, keys first; ``stack_trace``'s memo spares a repeated pass.
     Position 1 is never featurized as a query.
     """
     n = len(seq)
     tokens = seq.tokens.T
     causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
     if fmap is None:
-        queries = _rotate(params.w_q @ tokens[:, 1:], 2, params.rope_base)
-        keys = _rotate(params.w_k @ tokens[:, :-1], 1, params.rope_base)
+        queries = _rotate(params.w_q @ tokens[:, 1:], 2)
+        keys = _rotate(params.w_k @ tokens[:, :-1], 1)
         scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
         w = np.exp(scores - scores.max(axis=0))
     else:
-        feat_keys = _FEATURES.features(params.w_k, params.rope_base, fmap, seq.tokens[:-1], 1)
-        feat_q = _FEATURES.features(params.w_q, params.rope_base, fmap, seq.tokens[1:], 2)
+        feat_keys = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])
+        feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
         w = np.where(causal, feat_keys.T @ feat_q, 0.0)
     denom = w.sum(axis=0)
     bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
@@ -555,11 +551,11 @@ def stack_trace(
     attentions per layer.
 
     The last result is memoized in ``_FEATURES.trace``, so a stack's dual
-    build right after its forward pass scans nothing again.  The memo is
-    checked by content: the feature map by identity, and bitwise every
-    projection, rope base, FFN array and activation, every connection matrix
-    (FFN and connection arrays are writable), the tokens and tags up to
-    query_pos.  A hit returns the caller's own prefix as layer 0's input and
+    build right after its forward pass runs no scan and featurizes no scan
+    query again.  The memo is checked by content: the feature map by
+    identity, and bitwise every projection, FFN array and activation, every
+    connection matrix (FFN and connection arrays are writable), the tokens
+    and tags up to query_pos.  A hit returns the caller's own prefix as layer 0's input and
     the stored, read-only inputs of layers 1..L-1.  Only a trace that passed
     every guard is stored, and ``_FEATURES.clear()`` drops it.
     """
@@ -584,7 +580,7 @@ def _trace_key(stack: LayerStack, seq: SegmentedSequence, query_pos: int) -> tup
     """Everything ``stack_trace`` reads except the feature map, as plain values and bytes."""
     layers = tuple(
         (*(_bits(m) for m in (att.w_q, att.w_k, att.w_v, ffn.w1, ffn.b1, ffn.w2, ffn.b2)),
-         att.rope_base, ffn.activation)
+         ffn.activation)
         for att, ffn in stack.layers
     )
     conn = tuple(None if w is None else _bits(w) for w in stack.conn)

@@ -55,6 +55,13 @@ def test_ndcg_single_relevant():
     assert ndcg_at_k([7, 3, 5], 3, k=1) == 0.0
     assert ndcg_at_k([7, 3, 5], 9, k=3) == 0.0
     assert ndcg_at_k([3], 3, k=10) == 1.0
+    # nDCG@k is effect_d of the rank exactly when the rank is within the cutoff
+    ranked = [11, 4, 17, 2, 9, 30, 5]
+    for k in (1, 3, len(ranked), 10):
+        for rank, target in enumerate(ranked, start=1):
+            got = ndcg_at_k(ranked, target, k)
+            assert (got == effect_d(rank)) == (rank <= k)
+            assert rank <= k or got == 0.0
 
 
 def test_recall_cutoff():

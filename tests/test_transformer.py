@@ -57,7 +57,7 @@ from dualgrad.transformer import (
     stack_forward,
     stack_trace,
 )
-from dualgrad.transformer import _FEATURES, _ROPE_TABLES, _check_pos, _qkv, _rotate
+from dualgrad.transformer import _FEATURES, _ROPE_TABLES, _check_pos, _featurize, _qkv, _rotate
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -113,26 +113,28 @@ def test_rope_group_law(m, n):
 @given(
     st.sampled_from([1, 2, 5, 6, 8]),
     st.lists(st.integers(0, 5000), min_size=0, max_size=6),
-    st.sampled_from([10000.0, 500.0, 1.5]),
     st.integers(0, 2**32 - 1),
 )
-def test_rotate_matches_dense_rope(d, positions, base, seed):
+def test_rotate_matches_dense_rope(d, positions, seed):
     positions = [0] + positions
     x = np.random.default_rng(seed).normal(0, 3, (d, len(positions)))
-    got = np.hstack([_rotate(x[:, i : i + 1], p, base) for i, p in enumerate(positions)])
+    got = np.hstack([_rotate(x[:, i : i + 1], p) for i, p in enumerate(positions)])
     assert np.array_equal(got[:, 0], x[:, 0])  # position 0 is the identity
     for i, p in enumerate(positions):
-        want = rope(p, d, base) @ x[:, i]
+        want = rope(p, d) @ x[:, i]
         assert np.linalg.norm(got[:, i] - want) <= 1e-12 * np.linalg.norm(want)
     if d % 2:
         assert np.array_equal(got[-1], x[-1])
 
 
-def _rotate_oracle(x, positions, base):
-    """The former ``_rotate``: cos and sin of the given positions, computed afresh."""
+def _rotate_oracle(x, positions):
+    """The former ``_rotate``: cos and sin of the given positions, computed afresh.
+
+    The base is RoFormer's 10000, the one base the library rotates with.
+    """
     d = x.shape[-2]
     half = d // 2
-    angles = np.outer(base ** (-2.0 * np.arange(half) / d), positions)
+    angles = np.outer(10000.0 ** (-2.0 * np.arange(half) / d), positions)
     c, s = np.cos(angles), np.sin(angles)
     even, odd = x[..., 0 : 2 * half : 2, :], x[..., 1 : 2 * half : 2, :]
     out = x.copy()
@@ -146,41 +148,43 @@ def _rotate_oracle(x, positions, base):
     d=st.integers(1, 33),
     first=st.integers(0, 3000),
     n=st.integers(0, 80),
-    base=st.sampled_from([10000.0, 500.0, 1.5]),
     batch=st.sampled_from([(), (3,)]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(d=33, first=3000, n=80, base=1.5, batch=(3,), seed=0)  # the far end, batched
-def test_rotate_is_bitwise_the_positions_oracle(d, first, n, base, batch, seed):
+@example(d=33, first=3000, n=80, batch=(3,), seed=0)  # the far end, batched
+def test_rotate_is_bitwise_the_positions_oracle(d, first, n, batch, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 3, (*batch, d, n))
     early = rng.normal(0, 3, (*batch, d, 3))
-    _ROPE_TABLES.pop((d, base), None)
+    _ROPE_TABLES.pop(d, None)
     try:
-        before = _rotate(early, 1, base)  # a table of positions 0..3
-        got = _rotate(x, first, base)  # grows it past its end when first + n > 4
-        want = _rotate_oracle(x, np.arange(first, first + n), base)
+        before = _rotate(early, 1)  # a table of positions 0..3
+        got = _rotate(x, first)  # grows it past its end when first + n > 4
+        want = _rotate_oracle(x, np.arange(first, first + n))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        cos, sin, _ = _ROPE_TABLES[(d, base)]
+        cos, sin, _ = _ROPE_TABLES[d]
         assert cos.shape[1] >= max(4, first + n)
         assert not (cos.flags.writeable or sin.flags.writeable)
         # the grown table keeps the bits of the slices the smaller one gave
-        assert _rotate(early, 1, base).tobytes() == before.tobytes()
-    finally:  # the drawn tables would otherwise stay for the rest of the session
-        _ROPE_TABLES.pop((d, base), None)
+        assert _rotate(early, 1).tobytes() == before.tobytes()
+    finally:  # a table grown to 3,080 positions would otherwise stay for the session
+        _ROPE_TABLES.pop(d, None)
 
 
 def test_rope_table_grows_to_twice_its_size_and_is_read_only():
-    _ROPE_TABLES.pop((4, 123.0), None)
-    _rotate(np.ones((4, 5)), 0, 123.0)
-    assert _ROPE_TABLES[(4, 123.0)][0].shape == (4, 5)
-    _rotate(np.ones((4, 1)), 5, 123.0)  # one past the end: twice the size
-    cos, sin, _ = _ROPE_TABLES[(4, 123.0)]
-    assert cos.shape == sin.shape == (4, 10)
-    _rotate(np.ones((4, 30)), 0, 123.0)  # further than twice: exactly what is asked
-    assert _ROPE_TABLES[(4, 123.0)][0].shape == (4, 30)
-    with pytest.raises(ValueError):
-        cos[0, 0] = 0.0
+    _ROPE_TABLES.pop(4, None)
+    try:
+        _rotate(np.ones((4, 5)), 0)
+        assert _ROPE_TABLES[4][0].shape == (4, 5)
+        _rotate(np.ones((4, 1)), 5)  # one past the end: twice the size
+        cos, sin, _ = _ROPE_TABLES[4]
+        assert cos.shape == sin.shape == (4, 10)
+        _rotate(np.ones((4, 30)), 0)  # further than twice: exactly what is asked
+        assert _ROPE_TABLES[4][0].shape == (4, 30)
+        with pytest.raises(ValueError):
+            cos[0, 0] = 0.0
+    finally:
+        _ROPE_TABLES.pop(4, None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,22 +192,21 @@ def test_rope_table_grows_to_twice_its_size_and_is_read_only():
     d=st.integers(1, 9),
     first=st.integers(0, 40),
     n=st.integers(1, 6),
-    base=st.sampled_from([10000.0, 1.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(d=5, first=0, n=3, base=10000.0, seed=0)
-def test_rotate_keeps_the_oracles_bits_on_signed_zeros(d, first, n, base, seed):
+@example(d=5, first=0, n=3, seed=0)
+def test_rotate_keeps_the_oracles_bits_on_signed_zeros(d, first, n, seed):
     rng = np.random.default_rng(seed)
     zeros = rng.choice([0.0, -0.0], (d, n))
     x = np.where(rng.random((d, n)) < 0.5, zeros, rng.normal(0, 3, (d, n)))
-    got = _rotate(x, first, base)
-    assert got.tobytes() == _rotate_oracle(x, np.arange(first, first + n), base).tobytes()
+    got = _rotate(x, first)
+    assert got.tobytes() == _rotate_oracle(x, np.arange(first, first + n)).tobytes()
     if d % 2:  # odd d: the last row is x's, -0.0 included
         assert got[-1].tobytes() == x[-1].tobytes()
     # position 0 is the identity bit for bit without -0.0 entries; with them it
     # need not be, in the oracle too: a = b = -0.0 gives c a - s b = +0.0
     plus = x[:, :1] + 0.0
-    assert _rotate(plus, 0, base).tobytes() == plus.tobytes()
+    assert _rotate(plus, 0).tobytes() == plus.tobytes()
 
 
 def test_rope_validation():
@@ -246,9 +249,9 @@ def test_query_token_is_excluded():
 def _qkv_oracle(params, seq, query_pos):
     """The former ``_qkv``: keys and query rotated by two separate calls."""
     context = seq.tokens[: query_pos - 1].T
-    keys = _rotate_oracle(params.w_k @ context, np.arange(1, query_pos), params.rope_base)
+    keys = _rotate_oracle(params.w_k @ context, np.arange(1, query_pos))
     q = params.w_q @ seq.tokens[query_pos - 1]
-    q = _rotate_oracle(q[:, None], [query_pos], params.rope_base)[:, 0]
+    q = _rotate_oracle(q[:, None], [query_pos])[:, 0]
     return keys, params.w_v @ context, q
 
 
@@ -289,7 +292,7 @@ def _exact_attention_oracle(params, seq, query_pos):
     block = np.empty((params.d_o, query_pos))
     block[:, :-1] = params.w_k @ context
     block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
-    block = _rotate_oracle(block, np.arange(1, query_pos + 1), params.rope_base)
+    block = _rotate_oracle(block, np.arange(1, query_pos + 1))
     keys, values, q = np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
     scores = keys.T @ q / np.sqrt(params.d_o)
     scores -= scores.max()
@@ -635,8 +638,8 @@ def test_stack_trace_never_featurizes_the_first_query():
 
 
 def test_stack_dual_build_after_its_forward_featurizes_only_its_single_queries():
-    # the repeated stack_trace finds every scan key and query in the cache, and
-    # every layer's keys too, so only the L queries of _kernel_weights are new
+    # stack_trace's memo spares the repeated scans, and every layer's keys are
+    # in the cache, so only the L queries of _kernel_weights are featurized
     rng = stream(46, "featurize-once")
     d_i, d_o = 6, 4
     stack = LayerStack(tuple(
@@ -691,6 +694,23 @@ def test_stack_dual_build_after_its_forward_scans_nothing():
         stack_trace(stack, fmap, seq, pos)
         assert scans.call_count == 2 * (len(stack.layers) - 1)
     assert np.linalg.norm(dual_module.dual_forward(duals[-1]) - h) <= 1e-9 * np.linalg.norm(h)
+
+
+def test_stack_forward_caches_one_key_entry_per_layer_and_its_dual_build_none():
+    stack, fmap, seq = _memo_case()
+    _FEATURES.clear()
+    stack_forward(stack, fmap, seq, len(seq))
+    w_ks = [att.w_k for att, _ in stack.layers]
+
+    def held():
+        assert len(_FEATURES.entries) == len(stack.layers)  # no scan queries
+        assert all(len(entry) == 4 for entry in _FEATURES.entries)
+        return [(f, w.tobytes(), len(rows)) for f, w, rows, _ in _FEATURES.entries]
+
+    after_forward = held()
+    assert after_forward == [(fmap, w.tobytes(), len(seq) - 1) for w in w_ks]
+    build_dual_stack(stack, fmap, seq, len(seq))
+    assert held() == after_forward
 
 
 def _edit_ffn_weight(stack, fmap, seq):
@@ -970,7 +990,7 @@ def test_key_cache_serves_read_only_features():
     fmap = sample_feature_map(params.d_o, 32, seed=51)
     _FEATURES.clear()
     kernel_attention(params, fmap, seq, len(seq))
-    feats = _FEATURES.features(params.w_k, params.rope_base, fmap, seq.tokens[:-1], 1)  # a hit
+    feats = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])  # a hit
     with pytest.raises(ValueError):
         feats[0, 0] = 1.0
 
@@ -988,12 +1008,17 @@ def test_cold_feature_request_is_phi_matrix_of_its_rotated_block(seed, d_o, D, m
     w = rng.normal(0, 0.5, (d_o, 5))
     rows = rng.normal(0, 0.5, (m, 5))
     fmap = sample_feature_map(d_o, D, seed=seed)
-    _FEATURES.clear()
-    got = _FEATURES.features(w, 10000.0, fmap, rows, first)
-    block = _rotate_oracle(matvecs(w, rows).T, np.arange(first, first + m), 10000.0)
-    want = phi_matrix(fmap, block / d_o**0.25)
+
+    def oracle(first):
+        block = _rotate_oracle(matvecs(w, rows).T, np.arange(first, first + m))
+        return phi_matrix(fmap, block / d_o**0.25)
+
+    got, want = _featurize(w, fmap, rows, first).T, oracle(first)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    held = _FEATURES.entries[-1][4]
+    _FEATURES.clear()
+    got, want = _FEATURES.features(w, fmap, rows), oracle(1)  # the cache holds keys at 1..m
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    held = _FEATURES.entries[-1][2]
     rows[0] += 1.0  # the entry keeps its own copy of the rows
     assert not np.shares_memory(held, rows) and held[0].tobytes() != rows[0].tobytes()
 
