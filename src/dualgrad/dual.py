@@ -15,7 +15,7 @@ variants differ only in what multiplies each value vector and in an additive
 bias.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,7 +232,6 @@ class DescentState:
     passes: int | None
     pass_length: int
     steps_applied: int = 0
-    se_log: list[tuple[int, float]] = field(default_factory=list)
 
 
 def parse_schedule(schedule: str) -> int | None:
@@ -252,18 +251,12 @@ def start_descent(dual: DualModel, schedule: str = "per-token") -> DescentState:
     return DescentState(dual.w0.copy(), passes, (passes or 1) * max(dual.n_demo, 1))
 
 
-def descend(
-    dual: DualModel,
-    state: DescentState,
-    n_steps: int,
-    reference: np.ndarray | None = None,
-) -> DescentState:
+def descend(dual: DualModel, state: DescentState, n_steps: int) -> DescentState:
     """Apply n_steps of gradient descent, distributing -grad_full over a pass.
 
     Per-token applies contribution i at step i; fractional:S applies the
     uniform 1/(S n) share per step.  Either way a complete pass lands on
-    W_0 - grad_full.  When a reference output is given, the squared error of
-    the current dual prediction is logged after every step.
+    W_0 - grad_full.
     """
     if n_steps < 0:
         raise InvalidParameter("n_steps must be >= 0")
@@ -278,11 +271,6 @@ def descend(
         if reg_share is not None:
             state.w -= reg_share
         state.steps_applied += 1
-        if reference is not None:
-            pred = state.w @ dual.phi_q
-            if dual.bias is not None:
-                pred = pred + dual.bias
-            state.se_log.append((state.steps_applied, float(np.sum((reference - pred) ** 2))))
     return state
 
 

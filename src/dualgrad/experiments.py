@@ -75,11 +75,14 @@ def random_sequence(
 
 
 def _se_curve(dual: DualModel, reference: np.ndarray, schedule: str) -> list[tuple[int, float]]:
-    """(step, squared error against reference) from W_0 alone (step 0) through one pass."""
+    """(step, squared error against reference) of an attention dual, from W_0 through one pass."""
     state = start_descent(dual, schedule)
-    pred0 = state.w @ dual.phi_q
-    descend(dual, state, state.pass_length, reference=reference)
-    return [(0, float(np.sum((reference - pred0) ** 2))), *state.se_log]
+    curve = []
+    for step in range(state.pass_length + 1):
+        if step:
+            descend(dual, state, 1)
+        curve.append((step, float(np.sum((reference - state.w @ dual.phi_q) ** 2))))
+    return curve
 
 
 EQUIV_HEADER = ["seed", "n_d", "step", "se", "schedule", "mode"]
@@ -114,6 +117,7 @@ def run_equiv(cfg: ExperimentConfig) -> list[list]:
 
 
 FIG7_HEADER = ["run", "token_step", "descent_step", "se"]
+FIG7_STEPS = 5  # tokens each engineered scenario generates
 
 
 @dataclass
@@ -124,7 +128,7 @@ class Fig7Report:
     rows: list = field(default_factory=list)
 
 
-def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
+def run_fig7(cfg: ExperimentConfig) -> Fig7Report:
     """Good/bad engineered demonstrations: hit positions plus dual SE curves.
 
     Decoding runs in exact softmax mode so the hit positions do not depend on
@@ -140,7 +144,7 @@ def run_fig7(cfg: ExperimentConfig, gen_steps: int = 5) -> Fig7Report:
             return exact_attention(scen.params, seq, pos)
 
         trace = generate(
-            forward, scen.seq, gen_steps, scen.vocab, scen.candidate_mask,
+            forward, scen.seq, FIG7_STEPS, scen.vocab, scen.candidate_mask,
             exclude_emitted=True,
         )
         pos = hit_position(trace.ids, scen.target_id)

@@ -5,9 +5,9 @@ The map is
     phi(x) = e^{|x|^2/2} / sqrt(D) * (sin(u_1.x), .., sin(u_{D/2}.x),
                                       cos(u_1.x), .., cos(u_{D/2}.x))
 
-with u_i drawn once from N(0, sigma^2 I).  Its inner products estimate the
-exponential kernel: E[2 phi(x).phi(y)] = e^{x.y} for sigma = 1, and the
-estimate is exact whenever x = y (sin^2 + cos^2 identity).  Attention outputs
+with u_i drawn once from N(0, I), the spectral measure of the exponential
+kernel.  Its inner products estimate that kernel: E[2 phi(x).phi(y)] = e^{x.y},
+and the estimate is exact whenever x = y (sin^2 + cos^2 identity).  Attention outputs
 normalized by c = (1' phi(K)' phi(q))^{-1} are invariant to any constant
 rescaling of phi, so the 1/sqrt(D) convention is kept verbatim and the x2
 correction appears only in :func:`exp_estimate`.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParameter, OverflowGuard
+from .errors import InvalidDimension, OverflowGuard
 from .rng import stream
 
 # e^{|x|^2/2} overflows well before this; reject instead of emitting inf.
@@ -29,29 +29,31 @@ MAX_SQ_NORM = 500.0
 class FourierFeatureMap:
     """Frozen random frequencies realizing phi. Immutable and pure."""
 
-    input_dim: int
-    feature_dim: int
-    sigma: float
-    seed: int
     frequencies: np.ndarray  # (feature_dim // 2, input_dim)
 
     def __post_init__(self):
+        if self.frequencies.ndim != 2:
+            raise InvalidDimension(f"frequencies must be 2-D, got shape {self.frequencies.shape}")
         self.frequencies.setflags(write=False)
 
+    @property
+    def input_dim(self) -> int:
+        return self.frequencies.shape[1]
 
-def sample_feature_map(
-    input_dim: int, feature_dim: int = 128, sigma: float = 1.0, seed: int = 0
-) -> FourierFeatureMap:
-    """Draw the frequency matrix; a pure function of the four parameters."""
+    @property
+    def feature_dim(self) -> int:
+        return 2 * self.frequencies.shape[0]
+
+
+def sample_feature_map(input_dim: int, feature_dim: int = 128, seed: int = 0) -> FourierFeatureMap:
+    """Draw the frequency matrix from N(0, I); a pure function of the three parameters."""
     if input_dim < 1:
         raise InvalidDimension(f"input_dim must be >= 1, got {input_dim}")
     if feature_dim < 2 or feature_dim % 2 != 0:
         raise InvalidDimension(f"feature_dim must be even and >= 2, got {feature_dim}")
-    if sigma <= 0:
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
-    rng = stream(seed, f"rff/{input_dim}/{feature_dim}/{sigma!r}")
-    freqs = rng.normal(0.0, sigma, size=(feature_dim // 2, input_dim))
-    return FourierFeatureMap(input_dim, feature_dim, float(sigma), seed, freqs)
+    # the label's "1.0" is part of every seed's stream: another text would redraw every map
+    rng = stream(seed, f"rff/{input_dim}/{feature_dim}/1.0")
+    return FourierFeatureMap(rng.normal(0.0, 1.0, size=(feature_dim // 2, input_dim)))
 
 
 def matvecs(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -85,18 +87,16 @@ def phi_matrix(fmap: FourierFeatureMap, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise InvalidDimension("phi_matrix expects a (input_dim, n) array")
-    if xs.shape[0] != fmap.input_dim:
-        raise InvalidDimension(
-            f"expected leading dimension {fmap.input_dim}, got {xs.shape[0]}"
-        )
+    half, input_dim = fmap.frequencies.shape
+    if xs.shape[0] != input_dim:
+        raise InvalidDimension(f"expected leading dimension {input_dim}, got {xs.shape[0]}")
     rows = np.ascontiguousarray(xs.T)
     sq = np.einsum("ij,ij->i", rows, rows)
     if (sq > MAX_SQ_NORM).any():  # not sq.max(): a NaN column would hide one over the bound
         raise OverflowGuard(f"squared norm {np.max(sq):.1f} exceeds {MAX_SQ_NORM}")
     proj = matvecs(fmap.frequencies, rows)
-    scale = np.exp(0.5 * sq) / math.sqrt(fmap.feature_dim)
-    out = np.empty((len(rows), fmap.feature_dim))
-    half = fmap.feature_dim // 2
+    scale = np.exp(0.5 * sq) / math.sqrt(2 * half)
+    out = np.empty((len(rows), 2 * half))
     np.sin(proj, out=out[:, :half])
     np.cos(proj, out=out[:, half:])
     out *= scale[:, None]

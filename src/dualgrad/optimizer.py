@@ -9,6 +9,7 @@ that hit the target are admitted to the path's memory.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,6 @@ class OptimizerConfig:
     perturbation_enabled: bool = False
     demo_len: int = 4
     gen_steps: int = 5
-    memory_capacity: int = 16
 
     def __post_init__(self):
         if self.m < 1 or self.iterations < 1:
@@ -110,6 +110,15 @@ class OptimizerEnv:
     candidate_mask: frozenset | None = None
     normalize: bool = True
 
+    @cached_property
+    def frame(self) -> list[np.ndarray]:
+        """Instruction rows, lead rows and input embeddings, normalized as ``build`` would."""
+        tables = [np.atleast_2d(np.asarray(t, dtype=float))
+                  for t in (self.instr, self.leads, self.vocab.input_embeddings)]
+        if len({t.shape[1] for t in tables}) != 1:
+            raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
+        return [_unit_rows(t) for t in tables] if self.normalize else tables
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -121,15 +130,6 @@ class TraceRecord:
     perturbed: bool
     demo_id: str
     demo: Demonstration
-
-
-def _prompt_tables(env: OptimizerEnv):
-    """Instruction rows, lead rows and input embeddings, normalized as ``build`` would."""
-    tables = [np.atleast_2d(np.asarray(t, dtype=float))
-              for t in (env.instr, env.leads, env.vocab.input_embeddings)]
-    if len({t.shape[1] for t in tables}) != 1:
-        raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
-    return [_unit_rows(t) for t in tables] if env.normalize else tables
 
 
 def _first_max(logits: list, ids: list) -> int:
@@ -149,7 +149,7 @@ def _first_max(logits: list, ids: list) -> int:
     return best
 
 
-def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[EffectDScore]:
+def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     """Stage 2 of several demonstrations at once: splice each into the frame, generate, score.
 
     Greedy, emitted ids excluded, stopped at the target (the score reads only
@@ -165,7 +165,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int, tables=None) -> list[Effec
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
-    instr, leads, emb = tables or _prompt_tables(env)
+    instr, leads, emb = env.frame
     cand, table = _candidate_table(env.vocab, env.candidate_mask)
     cand = list(range(len(table))) if cand is None else cand.tolist()
     hits: list[int | None] = [None] * len(demos)
@@ -230,9 +230,7 @@ def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float
     return _cosine(_mean_norm(vocab, d1), _mean_norm(vocab, d2))
 
 
-def detect_collapse(
-    scores, similarities, tau_sim: float = 0.95, eps_imp: float = 0.01, window: int = 3
-) -> bool:
+def detect_collapse(scores, similarities, tau_sim: float, eps_imp: float, window: int) -> bool:
     """True when consecutive demos are near-duplicates or the best score stalls."""
     if len(scores) < 2 or len(similarities) < 2:
         raise InsufficientHistory("collapse detection needs >= 2 iterations")
@@ -250,8 +248,8 @@ def synth_generate(
     rng: np.random.Generator,
     vocab_size: int,
     demo_len: int,
-    donor: Demonstration | None = None,
-    donor_rng: np.random.Generator | None = None,
+    donor: Demonstration | None,
+    donor_rng: np.random.Generator,
 ) -> Demonstration:
     """Stage-1 proposal: mutate the best stored demo, or draw a cold-start one.
 
@@ -271,9 +269,8 @@ def synth_generate(
         ids = tuple(ids)
     per_ids: tuple[int, ...] = ()
     if donor is not None:
-        srng = donor_rng if donor_rng is not None else rng
-        span = int(srng.integers(1, len(donor.ids) + 1))
-        start = int(srng.integers(0, len(donor.ids) - span + 1))
+        span = int(donor_rng.integers(1, len(donor.ids) + 1))
+        start = int(donor_rng.integers(0, len(donor.ids) - span + 1))
         per_ids = donor.ids[start : start + span]
     return Demonstration(ids, per_ids, origin=(path, iteration))
 
@@ -290,13 +287,12 @@ def run_two_stage(
     """
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
-    memories = [MemoryBank(config.memory_capacity) for _ in range(config.m)]
+    memories = [MemoryBank() for _ in range(config.m)]
     history: list[list[TraceRecord]] = [[] for _ in range(config.m)]
     last_demo: list[Demonstration | None] = [None] * config.m
     last_mean: list[tuple[np.ndarray, float] | None] = [None] * config.m  # of last_demo
     trace: list[TraceRecord] = []
     vocab_size = env.vocab.size
-    tables = _prompt_tables(env)
     scores: dict[tuple[tuple[int, ...], tuple[int, ...]], EffectDScore] = {}
 
     for it in range(1, config.iterations + 1):
@@ -330,7 +326,7 @@ def run_two_stage(
         if keys:
             keys = list(dict.fromkeys(keys))
             demos = [Demonstration(*k) for k in keys]
-            scores.update(zip(keys, score_demos(env, demos, config.gen_steps, tables)))
+            scores.update(zip(keys, score_demos(env, demos, config.gen_steps)))
         for p, (demo, collapsed, perturbed, sim) in enumerate(drawn):
             memories[p].admit(demo, scores[(demo.ids, ())], it)
             effect = scores[(demo.ids, demo.per_ids)].value

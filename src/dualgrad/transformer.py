@@ -418,6 +418,18 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 _FEATURES = _FeatureCache(5)
 
 
+def _check_normalizers(denom: np.ndarray, first_pos: int) -> None:
+    """Raise ``NormalizationDegenerate`` at the first |denom[j]| < ``DEGENERATE_EPS``.
+
+    ``denom[j]`` normalizes the query at position ``first_pos + j``, which the message names.
+    """
+    bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
+    if bad.size:
+        raise NormalizationDegenerate(
+            f"normalization denominator {denom[bad[0]]:.3e} at position {first_pos + bad[0]}"
+        )
+
+
 def _kernel_weights(
     params: AttentionParams,
     fmap: FourierFeatureMap,
@@ -437,10 +449,9 @@ def _kernel_weights(
     feat_keys = _FEATURES.features(params.w_k, fmap, context)
     feat_q = _featurize(params.w_q, fmap, seq.tokens[query_pos - 1 : query_pos], query_pos)[0]
     weights = feat_keys.T @ feat_q
-    denom = float(weights.sum())
-    if abs(denom) < DEGENERATE_EPS:
-        raise NormalizationDegenerate(f"normalization denominator {denom:.3e}")
-    return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / denom
+    denom = weights.sum(keepdims=True)
+    _check_normalizers(denom, query_pos)
+    return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / float(denom[0])
 
 
 def kernel_attention(
@@ -525,11 +536,7 @@ def _layer_scan(
         feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
         w = np.where(causal, feat_keys.T @ feat_q, 0.0)
     denom = w.sum(axis=0)
-    bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
-    if bad.size:
-        raise NormalizationDegenerate(
-            f"normalization denominator {denom[bad[0]]:.3e} at position {bad[0] + 2}"
-        )
+    _check_normalizers(denom, 2)
     h = np.zeros((params.d_o, n))
     h[:, 1:] = params.w_v @ tokens[:, :-1] @ (w / denom)
     return _ffn_forward(ffn, h)

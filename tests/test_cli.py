@@ -173,10 +173,13 @@ def _same_cell(got, want) -> bool:
         (["optimize"], "paired = 0\n", "optimize.txt"),
         (["optimize"], "paired = 1\n", "optimize_paired.txt"),
         (["generate", "--seed", "0"], "", "generate.txt"),
+        (["equiv"], "", "equiv.txt"),
+        (["fig7"], "", "fig7.txt"),
     ],
 )
 def test_cli_output_matches_golden(tmp_path, capsys, monkeypatch, argv, config, golden):
-    # the outputs at default settings, recorded before stage 2 was batched
+    # the outputs at default settings: optimize and generate recorded before
+    # stage 2 was batched, equiv and fig7 before the SE curves left descend
     monkeypatch.delenv("DUALGRAD_SEED", raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

@@ -21,7 +21,7 @@ from dualgrad.dual import (
     with_value_regularization,
 )
 from dualgrad.errors import InvalidDimension, InvalidParameter, NormalizationDegenerate, OverflowGuard
-from dualgrad.experiments import random_attention, random_sequence
+from dualgrad.experiments import _se_curve, random_attention, random_sequence
 from dualgrad.kernelmap import sample_feature_map
 from dualgrad.props import gradient_error
 from dualgrad.rng import stream
@@ -137,13 +137,13 @@ def test_partial_pass_differs_from_endpoint():
     assert not np.allclose(state.w, dual.w0 - grad_full(dual), atol=1e-9)
 
 
-def test_descent_logs_squared_error():
+def test_se_curve_runs_from_w0_through_one_pass():
     params, seq, fmap, pos = _setup(11)
     h = kernel_attention(params, fmap, seq, pos)
     dual = build_dual_attention(params, fmap, seq, pos)
-    state = descend(dual, start_descent(dual), dual.n_demo, reference=h)
-    assert [s for s, _ in state.se_log] == list(range(1, dual.n_demo + 1))
-    assert state.se_log[-1][1] < 1e-18
+    curve = _se_curve(dual, h, "per-token")
+    assert [s for s, _ in curve] == list(range(dual.n_demo + 1))
+    assert curve[-1][1] < 1e-18
 
 
 def test_schedule_validation():

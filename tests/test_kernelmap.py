@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgrad.errors import InvalidDimension, InvalidParameter, OverflowGuard
-from dualgrad.kernelmap import exp_estimate, phi, phi_matrix, sample_feature_map
+from dualgrad.errors import InvalidDimension, OverflowGuard
+from dualgrad.kernelmap import FourierFeatureMap, exp_estimate, phi, phi_matrix, sample_feature_map
+from dualgrad.rng import stream
 
 
 def test_feature_shapes():
@@ -63,9 +64,18 @@ def test_phi_matrix_matches_columnwise_phi():
         assert np.allclose(batch[:, j], phi(fmap, xs[:, j]), atol=1e-15)
 
 
-def test_sigma_scales_frequencies():
-    narrow = sample_feature_map(4, 64, sigma=0.5, seed=7)
-    assert float(np.std(narrow.frequencies)) == pytest.approx(0.5, rel=0.2)
+@pytest.mark.parametrize("d, D, seed", [(1, 2, 0), (4, 64, 7), (16, 256, 12345)])
+def test_frequencies_are_the_unit_normal_draw_of_the_stream(d, D, seed):
+    fmap = sample_feature_map(d, D, seed)
+    want = stream(seed, f"rff/{d}/{D}/1.0").normal(0.0, 1.0, (D // 2, d))
+    assert fmap.frequencies.tobytes() == want.tobytes()
+    assert (fmap.input_dim, fmap.feature_dim) == (d, D)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1), ()])
+def test_frequency_matrix_must_be_2d(shape):
+    with pytest.raises(InvalidDimension):
+        FourierFeatureMap(np.ones(shape))
 
 
 @pytest.mark.parametrize(
@@ -74,8 +84,6 @@ def test_sigma_scales_frequencies():
         (dict(input_dim=0, feature_dim=64), InvalidDimension),
         (dict(input_dim=4, feature_dim=63), InvalidDimension),
         (dict(input_dim=4, feature_dim=0), InvalidDimension),
-        (dict(input_dim=4, feature_dim=64, sigma=0.0), InvalidParameter),
-        (dict(input_dim=4, feature_dim=64, sigma=-1.0), InvalidParameter),
     ],
 )
 def test_sampling_validation(kwargs, err):

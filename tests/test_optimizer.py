@@ -11,6 +11,7 @@ from dualgrad.errors import (
     EmptyCandidateSet,
     InsufficientHistory,
     InvalidConfig,
+    InvalidDimension,
     InvalidDonor,
     InvalidIndex,
 )
@@ -130,30 +131,30 @@ def test_similarity_is_bitwise_the_generic_numpy_form(seed, d, scale, ids1, ids2
 
 
 def test_detect_collapse_on_similarity():
-    assert detect_collapse([0.2, 0.9], [0.1, 0.96], tau_sim=0.95)
-    assert not detect_collapse([0.2, 0.9], [0.1, 0.5], tau_sim=0.95)
+    assert detect_collapse([0.2, 0.9], [0.1, 0.96], tau_sim=0.95, eps_imp=0.01, window=3)
+    assert not detect_collapse([0.2, 0.9], [0.1, 0.5], tau_sim=0.95, eps_imp=0.01, window=3)
 
 
 def test_detect_collapse_on_stagnation():
     # best score stalls below eps_imp across the window
     scores = [0.5, 0.5, 0.5, 0.5, 0.5]
-    assert detect_collapse(scores, [0.1] * 5, eps_imp=0.01, window=3)
+    assert detect_collapse(scores, [0.1] * 5, tau_sim=0.95, eps_imp=0.01, window=3)
     rising = [0.1, 0.2, 0.4, 0.6, 0.9]
-    assert not detect_collapse(rising, [0.1] * 5, eps_imp=0.01, window=3)
+    assert not detect_collapse(rising, [0.1] * 5, tau_sim=0.95, eps_imp=0.01, window=3)
 
 
 def test_detect_collapse_needs_history():
     with pytest.raises(InsufficientHistory):
-        detect_collapse([0.5], [0.1])
+        detect_collapse([0.5], [0.1], tau_sim=0.95, eps_imp=0.01, window=3)
 
 
 def test_synth_generate_cold_start_and_mutation():
     rng = stream(0, "t")
     bank = MemoryBank()
-    cold = synth_generate(0, 1, bank, rng, vocab_size=10, demo_len=4)
+    cold = synth_generate(0, 1, bank, rng, 10, 4, None, stream(0, "d"))
     assert len(cold.ids) == 4 and all(0 <= t < 10 for t in cold.ids)
     bank.admit(cold, EffectDScore(1.0, 1), 1)
-    warm = synth_generate(0, 2, bank, rng, vocab_size=10, demo_len=4)
+    warm = synth_generate(0, 2, bank, rng, 10, 4, None, stream(0, "d"))
     assert sum(a != b for a, b in zip(warm.ids, cold.ids)) <= 1
 
 
@@ -161,13 +162,13 @@ def test_synth_generate_rejects_same_path_donor():
     rng = stream(0, "t")
     donor = Demonstration((1, 2, 3), origin=(0, 1))
     with pytest.raises(InvalidDonor):
-        synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor=donor)
+        synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
 
 
 def test_synth_generate_splices_contiguous_donor_span():
     rng = stream(0, "t")
     donor = Demonstration((4, 5, 6, 7), origin=(1, 3))
-    demo = synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor=donor)
+    demo = synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
     assert demo.per_ids
     joined = ",".join(map(str, donor.ids))
     assert ",".join(map(str, demo.per_ids)) in joined
@@ -291,7 +292,7 @@ def _run_two_stage_oracle(config, env):
     """Reference m-path loop: every proposal and memory score evaluated afresh."""
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
-    memories = [MemoryBank(config.memory_capacity) for _ in range(config.m)]
+    memories = [MemoryBank() for _ in range(config.m)]
     history = [[] for _ in range(config.m)]
     last_demo = [None] * config.m
     trace = []
@@ -543,6 +544,17 @@ def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
             tied = replace(env, vocab=vocab, candidate_mask=mask)
             _assert_scores_match_generation(
                 tied, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=12)
+
+
+def test_prompt_frame_and_vocabulary_must_share_the_embedding_dim():
+    env = make_toy_env(0)
+    d_i = env.vocab.input_embeddings.shape[1]
+    for bad in (replace(env, instr=np.ones((4, d_i + 1))),
+                replace(env, leads=np.ones((2, d_i - 1)))):
+        with pytest.raises(InvalidDimension):
+            score_demos(bad, [Demonstration((1, 2))], 5)
+        with pytest.raises(InvalidDimension):
+            run_two_stage(_config(iterations=2), bad)
 
 
 def test_score_demos_with_an_empty_candidate_mask_raises():

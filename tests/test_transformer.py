@@ -382,7 +382,7 @@ def test_degenerate_normalization_signalled():
     # positive factor, so u (k - q) = pi/2 cancels it exactly
     from dualgrad.kernelmap import FourierFeatureMap
 
-    fmap = FourierFeatureMap(1, 2, 1.0, 0, np.array([[1.0]]))
+    fmap = FourierFeatureMap(np.array([[1.0]]))
     d_i = 3
     params = AttentionParams(
         np.array([[0.0, 1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), np.ones((1, d_i))
@@ -391,7 +391,7 @@ def test_degenerate_normalization_signalled():
     tokens[0, 0] = np.pi / 2  # key = pi/2 (rope is identity for d_o = 1)
     tokens[1, 1] = 0.0  # query = 0
     seq = SegmentedSequence.build(tokens[:1], tokens[1:2], np.zeros((0, d_i)), normalize=False)
-    with pytest.raises(NormalizationDegenerate):
+    with pytest.raises(NormalizationDegenerate, match="at position 2$"):
         kernel_attention(params, fmap, seq, 2)
 
 
@@ -537,7 +537,7 @@ def _degenerate_at_interior_of_layer_1():
     # has zero keys and query, so its output at p is the mean of tokens 1..p-1.
     # Layer 1 has zero keys and query = input, so its denominator at p vanishes
     # iff that mean is pi/2: at position 3 of 4 only.
-    fmap = FourierFeatureMap(1, 2, 1.0, 0, np.array([[1.0]]))
+    fmap = FourierFeatureMap(np.array([[1.0]]))
     layer0 = _one_dim_layer(0.0, 0.0, 1.0)
     layer1 = _one_dim_layer(1.0, 0.0, 1.0)
     stack = LayerStack((layer0, layer1, layer1))
@@ -1045,7 +1045,7 @@ def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
     # one frequency, rope the identity (d_o = 1): the denominator is
     # sum_i e^{k_i^2/2} cos(k_i - q) up to a positive factor, so keys pi/2, pi/2
     # with query 0 cancel it, while key pi/2 with query 1 does not
-    fmap = FourierFeatureMap(1, 2, 1.0, 0, np.array([[1.0]]))
+    fmap = FourierFeatureMap(np.array([[1.0]]))
     params = AttentionParams(
         np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), np.ones((1, 2))
     )
