@@ -15,7 +15,6 @@ import sys
 from . import props as props_mod
 from .config import format_cell, load_config, write_csv
 from .errors import (
-    ConstructionFailed,
     DualgradError,
     EmptyData,
     InvalidConfig,
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
     except IoError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (ConstructionFailed, DualgradError) as exc:
+    except DualgradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -236,7 +236,8 @@ def optimizer_config(cfg: ExperimentConfig, perturbation: bool, seed: int) -> Op
 
 def trace_rows(trace: list[TraceRecord]) -> list[list]:
     return [
-        [r.iteration, r.path, r.effect_d, r.similarity, int(r.collapse), int(r.perturbed), r.demo_id]
+        [r.iteration, r.path, r.effect_d, r.similarity, int(r.collapse), int(r.perturbed),
+         f"p{r.path}i{r.iteration}"]
         for r in trace
     ]
 

@@ -33,7 +33,7 @@ class Demonstration:
 
     ids: tuple[int, ...]
     per_ids: tuple[int, ...] = ()
-    origin: tuple[int, int] = (-1, -1)  # (path, iteration)
+    origin: int = -1  # the path that proposed it
 
     def __post_init__(self):
         if not self.ids:
@@ -44,27 +44,27 @@ class Demonstration:
 class MemoryEntry:
     demo: Demonstration
     score: EffectDScore
-    iteration: int
+
+
+MEMORY_CAPACITY = 16
 
 
 class MemoryBank:
     """Per-path store of demonstrations that hit the target.
 
-    Capacity is enforced by evicting the lowest-scoring entry; the maximum is
-    therefore never discarded and best-of-memory is non-decreasing.
+    At most ``MEMORY_CAPACITY`` entries, enforced by evicting the
+    lowest-scoring one; the maximum is therefore never discarded and
+    best-of-memory is non-decreasing.
     """
 
-    def __init__(self, capacity: int = 16):
-        if capacity < 1:
-            raise InvalidConfig("memory capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self.entries: list[MemoryEntry] = []
 
-    def admit(self, demo: Demonstration, score: EffectDScore, iteration: int) -> bool:
+    def admit(self, demo: Demonstration, score: EffectDScore) -> bool:
         if score.value <= 0.0:
             return False
-        self.entries.append(MemoryEntry(demo, score, iteration))
-        if len(self.entries) > self.capacity:
+        self.entries.append(MemoryEntry(demo, score))
+        if len(self.entries) > MEMORY_CAPACITY:
             worst = min(range(len(self.entries)), key=lambda i: self.entries[i].score.value)
             del self.entries[worst]
         return True
@@ -128,7 +128,6 @@ class TraceRecord:
     similarity: float
     collapse: bool
     perturbed: bool
-    demo_id: str
     demo: Demonstration
 
 
@@ -256,9 +255,10 @@ def synth_generate(
     A donor (perturbation) must originate from a different path; a contiguous
     span of its tokens is appended as the perturbation segment.  Span draws
     come from ``donor_rng`` so that runs with and without perturbation share
-    the same mutation trajectory.
+    the same mutation trajectory.  ``iteration`` is part of the generator
+    protocol of ``run_two_stage``; this generator does not read it.
     """
-    if donor is not None and donor.origin[0] == path:
+    if donor is not None and donor.origin == path:
         raise InvalidDonor("perturbation donor must come from another path")
     best = memory.best()
     if best is None:
@@ -272,7 +272,7 @@ def synth_generate(
         span = int(donor_rng.integers(1, len(donor.ids) + 1))
         start = int(donor_rng.integers(0, len(donor.ids) - span + 1))
         per_ids = donor.ids[start : start + span]
-    return Demonstration(ids, per_ids, origin=(path, iteration))
+    return Demonstration(ids, per_ids, origin=path)
 
 
 def run_two_stage(
@@ -328,9 +328,9 @@ def run_two_stage(
             demos = [Demonstration(*k) for k in keys]
             scores.update(zip(keys, score_demos(env, demos, config.gen_steps)))
         for p, (demo, collapsed, perturbed, sim) in enumerate(drawn):
-            memories[p].admit(demo, scores[(demo.ids, ())], it)
+            memories[p].admit(demo, scores[(demo.ids, ())])
             effect = scores[(demo.ids, demo.per_ids)].value
-            rec = TraceRecord(it, p, effect, sim, collapsed, perturbed, f"p{p}i{it}", demo)
+            rec = TraceRecord(it, p, effect, sim, collapsed, perturbed, demo)
             history[p].append(rec)
             trace.append(rec)
     return trace

@@ -1,7 +1,7 @@
 """Desk-scale decoder components.
 
 Masked softmax attention with rotary positions, its random-feature
-approximation, a frozen-activation FFN, multi-layer stacking through
+approximation, a frozen-activation FFN, kernel-mode layers stacked through
 connection matrices, grouped-query attention, and greedy decoding.
 
 Rotary positions are applied elementwise to all columns at once, in the
@@ -495,15 +495,10 @@ def layer_forward(
     ffn: FfnParams,
     seq: SegmentedSequence,
     query_pos: int,
-    fmap: FourierFeatureMap | None = None,
+    fmap: FourierFeatureMap,
 ) -> np.ndarray:
-    """Attention followed by the FFN; kernel mode when a feature map is given."""
-    if query_pos < 2:
-        h = np.zeros(params.d_o)
-    elif fmap is None:
-        h = exact_attention(params, seq, query_pos)
-    else:
-        h = kernel_attention(params, fmap, seq, query_pos)
+    """Kernel attention followed by the FFN."""
+    h = np.zeros(params.d_o) if query_pos < 2 else kernel_attention(params, fmap, seq, query_pos)
     return _ffn_forward(ffn, h)
 
 
@@ -511,30 +506,24 @@ def _layer_scan(
     params: AttentionParams,
     ffn: FfnParams,
     seq: SegmentedSequence,
-    fmap: FourierFeatureMap | None,
+    fmap: FourierFeatureMap,
 ) -> np.ndarray:
     """Layer outputs at positions 1..n = len(seq) as the columns of a (d_o, n) array.
 
     Causal linear attention (Katharopoulos et al. 2020): keys 1..n-1 and
     queries 2..n are rotated and featurized once, and the query at column j
     (position j+2) weighs key i (position i+1) iff i <= j.  Matches
-    ``layer_forward`` at every position, with the same guards.  In kernel
-    mode the keys come from ``_FEATURES`` and the queries are featurized on
-    every pass, keys first; ``stack_trace``'s memo spares a repeated pass.
-    Position 1 is never featurized as a query.
+    ``layer_forward`` at every position, with the same guards.  The keys
+    come from ``_FEATURES`` and the queries are featurized on every pass,
+    keys first; ``stack_trace``'s memo spares a repeated pass.  Position 1
+    is never featurized as a query.
     """
     n = len(seq)
     tokens = seq.tokens.T
     causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
-    if fmap is None:
-        queries = _rotate(params.w_q @ tokens[:, 1:], 2)
-        keys = _rotate(params.w_k @ tokens[:, :-1], 1)
-        scores = np.where(causal, keys.T @ queries / np.sqrt(params.d_o), -np.inf)
-        w = np.exp(scores - scores.max(axis=0))
-    else:
-        feat_keys = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])
-        feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
-        w = np.where(causal, feat_keys.T @ feat_q, 0.0)
+    feat_keys = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])
+    feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
+    w = np.where(causal, feat_keys.T @ feat_q, 0.0)
     denom = w.sum(axis=0)
     _check_normalizers(denom, 2)
     h = np.zeros((params.d_o, n))
@@ -544,7 +533,7 @@ def _layer_scan(
 
 def stack_trace(
     stack: LayerStack,
-    fmap: FourierFeatureMap | None,
+    fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
 ):
@@ -596,7 +585,7 @@ def _trace_key(stack: LayerStack, seq: SegmentedSequence, query_pos: int) -> tup
 
 def stack_forward(
     stack: LayerStack,
-    fmap: FourierFeatureMap | None,
+    fmap: FourierFeatureMap,
     seq: SegmentedSequence,
     query_pos: int,
 ) -> np.ndarray:

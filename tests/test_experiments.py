@@ -5,12 +5,14 @@ from dualgrad.dual import build_dual_attention
 from dualgrad.engineering import build_scenario
 from dualgrad.errors import ConstructionFailed, InvalidConfig
 from dualgrad.experiments import (
+    OPTIMIZE_HEADER,
     TOY_CANDIDATES,
     ExperimentConfig,
     make_toy_env,
     run_equiv,
     run_fig7,
     run_generate,
+    run_optimize,
 )
 from dualgrad.kernelmap import sample_feature_map
 from dualgrad.metrics import hit_position, score_output
@@ -155,3 +157,13 @@ def test_run_generate_emits_masked_ids():
     env = make_toy_env(cfg.seed, cfg.d_i, cfg.d_o, cfg.vocab_size)
     assert len(rows) == 4
     assert all(tok in env.candidate_mask for _, _, tok in rows)
+
+
+def test_optimize_rows_name_each_demonstration_by_path_and_iteration():
+    rows = run_optimize(ExperimentConfig(seed=0, m=2, iterations=3))
+    assert len(rows) == 6 and all(len(r) == len(OPTIMIZE_HEADER) for r in rows)
+    col = {name: i for i, name in enumerate(OPTIMIZE_HEADER)}
+    assert [r[col["demo_id"]] for r in rows] == [
+        f"p{r[col['path']]}i{r[col['iteration']]}" for r in rows
+    ]
+    assert [r[col["demo_id"]] for r in rows[:2]] == ["p0i1", "p1i1"]

@@ -18,6 +18,7 @@ from dualgrad.errors import (
 from dualgrad.experiments import make_toy_env
 from dualgrad.metrics import EffectDScore, score_output
 from dualgrad.optimizer import (
+    MEMORY_CAPACITY,
     Demonstration,
     MemoryBank,
     OptimizerConfig,
@@ -51,25 +52,22 @@ def test_demonstration_requires_tokens():
 
 
 def test_memory_admits_only_hits():
-    bank = MemoryBank(capacity=4)
-    assert not bank.admit(Demonstration((1,)), EffectDScore(0.0, None), 1)
-    assert bank.admit(Demonstration((2,)), EffectDScore(0.5, 3), 2)
+    bank = MemoryBank()
+    assert not bank.admit(Demonstration((1,)), EffectDScore(0.0, None))
+    assert bank.admit(Demonstration((2,)), EffectDScore(0.5, 3))
     assert bank.best().score.value == 0.5
 
 
 def test_memory_evicts_lowest_keeps_best():
-    bank = MemoryBank(capacity=2)
-    bank.admit(Demonstration((1,)), EffectDScore(0.4, 4), 1)
-    bank.admit(Demonstration((2,)), EffectDScore(1.0, 1), 2)
-    bank.admit(Demonstration((3,)), EffectDScore(0.6, 2), 3)
-    values = sorted(e.score.value for e in bank.entries)
-    assert values == [0.6, 1.0]
-    assert bank.best().demo.ids == (2,)
-
-
-def test_memory_capacity_validated():
-    with pytest.raises(InvalidConfig):
-        MemoryBank(capacity=0)
+    # one hit more than the bank holds: the lowest score, admitted third, goes
+    bank = MemoryBank()
+    values = [0.5 + 0.01 * i for i in range(MEMORY_CAPACITY + 1)]
+    values[2], values[5] = 0.1, 1.0
+    for i, v in enumerate(values):
+        assert bank.admit(Demonstration((i,)), EffectDScore(v, 1))
+    assert len(bank.entries) == MEMORY_CAPACITY
+    assert [e.demo.ids[0] for e in bank.entries] == [i for i in range(len(values)) if i != 2]
+    assert bank.best().demo.ids == (5,)
 
 
 def test_config_validation():
@@ -153,21 +151,21 @@ def test_synth_generate_cold_start_and_mutation():
     bank = MemoryBank()
     cold = synth_generate(0, 1, bank, rng, 10, 4, None, stream(0, "d"))
     assert len(cold.ids) == 4 and all(0 <= t < 10 for t in cold.ids)
-    bank.admit(cold, EffectDScore(1.0, 1), 1)
+    bank.admit(cold, EffectDScore(1.0, 1))
     warm = synth_generate(0, 2, bank, rng, 10, 4, None, stream(0, "d"))
     assert sum(a != b for a, b in zip(warm.ids, cold.ids)) <= 1
 
 
 def test_synth_generate_rejects_same_path_donor():
     rng = stream(0, "t")
-    donor = Demonstration((1, 2, 3), origin=(0, 1))
+    donor = Demonstration((1, 2, 3), origin=0)
     with pytest.raises(InvalidDonor):
         synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
 
 
 def test_synth_generate_splices_contiguous_donor_span():
     rng = stream(0, "t")
-    donor = Demonstration((4, 5, 6, 7), origin=(1, 3))
+    donor = Demonstration((4, 5, 6, 7), origin=1)
     demo = synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
     assert demo.per_ids
     joined = ",".join(map(str, donor.ids))
@@ -200,7 +198,6 @@ def test_trace_is_complete_and_ordered():
     assert [(r.iteration, r.path) for r in trace] == [
         (it, p) for it in range(1, 7) for p in range(2)
     ]
-    assert all(r.demo_id == f"p{r.path}i{r.iteration}" for r in trace)
 
 
 def test_no_collapse_flags_before_two_iterations():
@@ -319,9 +316,8 @@ def _run_two_stage_oracle(config, env):
                 mem_score = _evaluate_demo_oracle(
                     env, Demonstration(demo.ids, origin=demo.origin), config.gen_steps
                 )
-            memories[p].admit(demo, mem_score, it)
-            rec = TraceRecord(it, p, score.value, sim, collapsed, donor is not None,
-                              f"p{p}i{it}", demo)
+            memories[p].admit(demo, mem_score)
+            rec = TraceRecord(it, p, score.value, sim, collapsed, donor is not None, demo)
             records.append(rec)
             trace.append(rec)
             last_demo[p] = demo
@@ -366,7 +362,7 @@ def test_repeated_demonstration_is_evaluated_once_per_run():
     def same_demo(path, iteration, memory, rng, vocab_size, demo_len, donor=None,
                   donor_rng=None):
         # path 1 adds a perturbation segment, so its memory score is path 0's pair
-        return Demonstration(ids, (5,) if path else (), origin=(path, iteration))
+        return Demonstration(ids, (5,) if path else (), origin=path)
 
     def scored(spy):
         return sorted((d.ids, d.per_ids) for c in spy.call_args_list for d in c.args[1])

@@ -413,20 +413,22 @@ def test_layer_forward_oracle():
     params, seq = _draw(6)
     rng = stream(6, "ffn")
     ffn = _ffn(rng, params.d_o, 9)
+    fmap = sample_feature_map(params.d_o, 256, seed=6)
     pos = len(seq)
-    h = exact_attention(params, seq, pos)
+    h = kernel_attention(params, fmap, seq, pos)
     expected = ffn.w1 @ np.maximum(ffn.w2 @ h + ffn.b2, 0.0) + ffn.b1
-    assert np.allclose(layer_forward(params, ffn, seq, pos), expected, atol=1e-12)
+    assert np.allclose(layer_forward(params, ffn, seq, pos, fmap), expected, atol=1e-12)
 
 
 def test_single_layer_stack_reduces_to_layer_forward():
     params, seq = _draw(7)
     rng = stream(7, "ffn")
     ffn = _ffn(rng, params.d_o, 9)
+    fmap = sample_feature_map(params.d_o, 256, seed=7)
     stack = LayerStack(((params, ffn),))
     pos = len(seq)
     assert np.allclose(
-        stack_forward(stack, None, seq, pos), layer_forward(params, ffn, seq, pos)
+        stack_forward(stack, fmap, seq, pos), layer_forward(params, ffn, seq, pos, fmap)
     )
 
 
@@ -438,9 +440,10 @@ def test_identity_connection_equals_explicit_eye():
         for l in range(2)
     )
     seq = random_sequence(rng, d_i, 4, 3, 2)
+    fmap = sample_feature_map(d_o, 256, seed=8)
     pos = len(seq)
-    a = stack_forward(LayerStack(layers, (None, None)), None, seq, pos)
-    b = stack_forward(LayerStack(layers, (None, np.eye(d_o))), None, seq, pos)
+    a = stack_forward(LayerStack(layers, (None, None)), fmap, seq, pos)
+    b = stack_forward(LayerStack(layers, (None, np.eye(d_o))), fmap, seq, pos)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -492,15 +495,11 @@ def _scaled_ffn(rng, d_o, d_h):
     d_mid=st.sampled_from([None, 2, 5]),
     n_d=st.integers(0, 5),
     pos_draw=st.integers(0, 10**6),
-    kernel=st.booleans(),
 )
-@example(seed=1, n_layers=3, d_o=5, d_mid=2, n_d=0, pos_draw=0, kernel=True)
-@example(seed=2, n_layers=3, d_o=3, d_mid=None, n_d=0, pos_draw=0, kernel=False)
-@example(seed=3, n_layers=2, d_o=4, d_mid=5, n_d=3, pos_draw=10**6, kernel=True)
-@example(seed=4, n_layers=1, d_o=5, d_mid=None, n_d=4, pos_draw=7, kernel=True)
-def test_stack_trace_matches_per_position_oracle(
-    seed, n_layers, d_o, d_mid, n_d, pos_draw, kernel
-):
+@example(seed=1, n_layers=3, d_o=5, d_mid=2, n_d=0, pos_draw=0)
+@example(seed=3, n_layers=2, d_o=4, d_mid=5, n_d=3, pos_draw=10**6)
+@example(seed=4, n_layers=1, d_o=5, d_mid=None, n_d=4, pos_draw=7)
+def test_stack_trace_matches_per_position_oracle(seed, n_layers, d_o, d_mid, n_d, pos_draw):
     # d_mid is the input dim of layers >= 1; d_mid != d_o needs a non-square connection
     rng = stream(seed, "scan")
     d_i = 6
@@ -516,7 +515,7 @@ def test_stack_trace_matches_per_position_oracle(
     stack = LayerStack(layers, conn)
     seq = random_sequence(rng, d_i, 4, n_d, 2)
     query_pos = 2 + pos_draw % (len(seq) - 1)  # pos_draw = 0 gives query_pos = 2
-    fmap = sample_feature_map(d_o, 256, seed=seed) if kernel else None
+    fmap = sample_feature_map(d_o, 256, seed=seed)
     got = stack_trace(stack, fmap, seq, query_pos)
     want = _stack_trace_oracle(stack, fmap, seq, query_pos)
     assert len(got) == len(want) == n_layers

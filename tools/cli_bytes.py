@@ -6,8 +6,10 @@ Exports ``src/`` of BASE_REF (any git revision) with ``git archive`` into a
 temporary directory, then runs the same CLI commands at their defaults
 against that tree and against this checkout's ``src/``: ``equiv``, ``fig7``,
 ``props``, ``generate``, ``optimize`` with ``paired`` 0 and 1, and ``equiv``
-and ``generate`` with ``--mode kernel``.  Each run gets ``PYTHONPATH`` set to
-its own tree's ``src/`` only and ``DUALGRAD_SEED`` unset.  Exits 0 when every
+with ``--mode exact`` and with ``--schedule fractional:3`` (kernel mode and
+the per-token schedule are ``equiv``'s defaults, and no other command reads
+either option).  Each run gets ``PYTHONPATH`` set to its own tree's ``src/``
+only and ``DUALGRAD_SEED`` unset.  Exits 0 when every
 command gives the same exit code and stdout bytes in both trees, 1 when any
 differs, 2 when BASE_REF cannot be exported.
 """
@@ -28,8 +30,8 @@ COMMANDS = (
     ["generate"],
     ["optimize", "--config", "paired0.cfg"],
     ["optimize", "--config", "paired1.cfg"],
-    ["equiv", "--mode", "kernel"],
-    ["generate", "--mode", "kernel"],
+    ["equiv", "--mode", "exact"],
+    ["equiv", "--schedule", "fractional:3"],
 )
 
 
