@@ -33,6 +33,7 @@ from .experiments import (
     run_generate,
     run_optimize,
 )
+from .metrics import effect_d
 from .svgplot import line_chart, read_csv
 
 
@@ -59,16 +60,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "out": args.out,
-        "reps": args.reps,
-        "mode": args.mode,
-        "schedule": args.schedule,
-    }
-
-
 def _emit(cfg, header, rows) -> None:
     if cfg.out:
         write_csv(cfg.out, header, rows)
@@ -78,8 +69,7 @@ def _emit(cfg, header, rows) -> None:
             print(",".join(format_cell(v) for v in row))
 
 
-def cmd_equiv(args) -> int:
-    cfg = load_config("equiv", args.config, _overrides(args))
+def cmd_equiv(cfg, args) -> int:
     rows = run_equiv(cfg)
     _emit(cfg, EQUIV_HEADER, rows)
     terminal = {}
@@ -90,50 +80,45 @@ def cmd_equiv(args) -> int:
     return 0
 
 
-def cmd_fig7(args) -> int:
-    cfg = load_config("fig7", args.config, _overrides(args))
+def cmd_fig7(cfg, args) -> int:
     report = run_fig7(cfg)
     if cfg.out:
         write_csv(cfg.out, FIG7_HEADER, report.rows)
     for kind in ("good", "bad"):
         print(
             f"{kind}: hit_position={report.hits[kind]} "
-            f"effect_d={report.effects[kind]!r} "
+            f"effect_d={effect_d(report.hits[kind])!r} "
             f"terminal_se={report.terminal_se[kind]!r}"
         )
     return 0
 
 
-def cmd_props(args) -> int:
-    cfg = load_config("props", args.config, _overrides(args))
+def cmd_props(cfg, args) -> int:
     ok, lines = props_mod.run_all(cfg.inject_fault)
     for line in lines:
         print(line)
     return 0 if ok else 1
 
 
-def cmd_optimize(args) -> int:
-    cfg = load_config("optimize", args.config, _overrides(args))
+def cmd_optimize(cfg, args) -> int:
     rows = run_optimize(cfg)
     _emit(cfg, OPTIMIZE_HEADER, rows)
     if cfg.paired:
         summary = collapse_comparison(cfg, n_seeds=cfg.reps)
         print(
-            f"paired: seeds={summary.seeds} "
+            f"paired: seeds={cfg.reps} "
             f"sim_with={summary.sim_with!r} sim_without={summary.sim_without!r} "
             f"best_with={summary.best_with!r} best_without={summary.best_without!r}"
         )
     return 0
 
 
-def cmd_generate(args) -> int:
-    cfg = load_config("generate", args.config, _overrides(args))
+def cmd_generate(cfg, args) -> int:
     _emit(cfg, GENERATE_HEADER, run_generate(cfg))
     return 0
 
 
-def cmd_plot(args) -> int:
-    cfg = load_config("plot", args.config, _overrides(args))
+def cmd_plot(cfg, args) -> int:
     csv_path = args.csv or cfg.out
     if not csv_path:
         raise InvalidConfig("plot needs a CSV path (positional or out=)")
@@ -150,6 +135,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# each command takes the effective config and the parsed command line
 _COMMANDS = {
     "equiv": cmd_equiv,
     "fig7": cmd_fig7,
@@ -163,7 +149,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        flags = {k: getattr(args, k) for k in ("seed", "out", "reps", "mode", "schedule")}
+        code = _COMMANDS[args.command](load_config(args.command, args.config, flags), args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
         return code
     except BrokenPipeError:

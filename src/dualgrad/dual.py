@@ -66,12 +66,9 @@ def grad_full(dual: DualModel) -> np.ndarray:
     return g
 
 
-def dual_forward(dual: DualModel, phi_q: np.ndarray | None = None) -> np.ndarray:
-    """f(q) = (W_0 - grad) phi(q~) + bias; exact for the build query."""
-    fq = dual.phi_q if phi_q is None else phi_q
-    if fq.shape[0] != dual.w0.shape[1]:
-        raise InvalidDimension("query feature dimension mismatch")
-    out = (dual.w0 - grad_full(dual)) @ fq
+def dual_forward(dual: DualModel) -> np.ndarray:
+    """f(q) = (W_0 - grad) phi(q~) + bias at the build query: the forward output there."""
+    out = (dual.w0 - grad_full(dual)) @ dual.phi_q
     if dual.bias is not None:
         out = out + dual.bias
     return out

@@ -32,6 +32,7 @@ from .transformer import ROPE_BASE, AttentionParams, Vocabulary
 TARGET_ID = 0
 # decode-table scalars; the target carries the largest one
 _DECODE = (2.0, 1.0, 0.5, -0.5, -1.0)
+CANDIDATE_IDS = frozenset(range(len(_DECODE)))  # every scenario decodes over its whole table
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class EngineeredScenario:
     params: AttentionParams
     seq: SegmentedSequence
     vocab: Vocabulary
-    candidate_mask: frozenset
-    target_id: int
 
 
 def _score_coord(d_o: int) -> int:
@@ -54,9 +53,7 @@ def _embed(d_i: int, q: float = 0.0, k: float = 0.0, v: float = 0.0) -> np.ndarr
     return x
 
 
-def build_scenario(
-    kind: str, d_i: int = 11, d_o: int = 1, n_t: int = 15, k_leads: int = 2
-) -> EngineeredScenario:
+def build_scenario(kind: str, d_i: int, d_o: int, n_t: int, k_leads: int) -> EngineeredScenario:
     """Construct the "good" (N_D = 15) or "bad" (N_D = 10) demonstration setup."""
     if kind not in ("good", "bad"):
         raise ConstructionFailed(f"unknown scenario kind {kind!r}")
@@ -93,7 +90,6 @@ def build_scenario(
         weak = np.tile(_embed(d_i, k=0.5, v=8.0), (2, 1))
         demo = np.vstack([strong, weak])
 
-    mask = frozenset(range(len(_DECODE)))
     out = np.zeros((len(_DECODE), d_o))
     out[:, 0] = _DECODE
     feedback = np.zeros((len(_DECODE), d_i))
@@ -102,4 +98,4 @@ def build_scenario(
     vocab = Vocabulary(out, feedback)
 
     seq = SegmentedSequence.build(instr, demo, leads, normalize=False)
-    return EngineeredScenario(params, seq, vocab, mask, TARGET_ID)
+    return EngineeredScenario(params, seq, vocab)

@@ -5,10 +5,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import DualModel, build_dual_attention, descend, start_descent
-from .engineering import build_scenario
+from .engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
 from .errors import InvalidConfig, NormalizationDegenerate
 from .kernelmap import sample_feature_map
-from .metrics import effect_d, hit_position
+from .metrics import hit_position
 from .optimizer import OptimizerConfig, OptimizerEnv, TraceRecord, run_two_stage
 from .rng import stream
 from .sequence import SegmentedSequence
@@ -123,7 +123,6 @@ FIG7_STEPS = 5  # tokens each engineered scenario generates
 @dataclass
 class Fig7Report:
     hits: dict = field(default_factory=dict)
-    effects: dict = field(default_factory=dict)
     terminal_se: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
@@ -136,20 +135,17 @@ def run_fig7(cfg: ExperimentConfig) -> Fig7Report:
     kernel-mode forward it is algebraically equal to.
     """
     report = Fig7Report()
+    fmap = sample_feature_map(cfg.d_o, cfg.feature_dim, seed=cfg.seed)
     for kind in ("good", "bad"):
-        scen = build_scenario(kind, d_i=cfg.d_i, d_o=cfg.d_o, n_t=cfg.n_t, k_leads=cfg.k_leads)
-        fmap = sample_feature_map(cfg.d_o, cfg.feature_dim, seed=cfg.seed)
+        scen = build_scenario(kind, cfg.d_i, cfg.d_o, cfg.n_t, cfg.k_leads)
 
         def forward(seq, pos):
             return exact_attention(scen.params, seq, pos)
 
         trace = generate(
-            forward, scen.seq, FIG7_STEPS, scen.vocab, scen.candidate_mask,
-            exclude_emitted=True,
+            forward, scen.seq, FIG7_STEPS, scen.vocab, CANDIDATE_IDS, exclude_emitted=True
         )
-        pos = hit_position(trace.ids, scen.target_id)
-        report.hits[kind] = pos
-        report.effects[kind] = effect_d(pos)
+        report.hits[kind] = hit_position(trace.ids, TARGET_ID)
 
         # one full descent pass per generated token, logged against the
         # kernel-mode output at that position
@@ -194,7 +190,6 @@ def make_toy_env(
         vocab=vocab,
         target_id=target,
         candidate_mask=frozenset(int(v) for v in candidates),
-        normalize=True,
     )
 
 
@@ -250,7 +245,6 @@ def run_optimize(cfg: ExperimentConfig) -> list[list]:
 
 @dataclass
 class CollapseSummary:
-    seeds: int
     sim_with: float
     sim_without: float
     best_with: float
@@ -276,7 +270,6 @@ def collapse_comparison(cfg: ExperimentConfig, n_seeds: int = 20) -> CollapseSum
                 sims[perturbed].append(float(np.mean(tail)))
             bests[perturbed].append(max(r.effect_d for r in trace))
     return CollapseSummary(
-        seeds=n_seeds,
         sim_with=float(np.mean(sims[True])) if sims[True] else float("nan"),
         sim_without=float(np.mean(sims[False])) if sims[False] else float("nan"),
         best_with=float(np.mean(bests[True])),

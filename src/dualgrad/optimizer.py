@@ -100,24 +100,23 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerEnv:
-    """Fixed evaluation environment: batched model forward, prompt frame, and target."""
+    """Fixed evaluation environment: batched model forward, prompt frame, candidates and target."""
 
     forward: object  # callable((B, N, d_i) prompts) -> (B, d_o) hiddens at position N
     instr: np.ndarray
     leads: np.ndarray
     vocab: Vocabulary
     target_id: int
-    candidate_mask: frozenset | None = None
-    normalize: bool = True
+    candidate_mask: frozenset
 
     @cached_property
     def frame(self) -> list[np.ndarray]:
-        """Instruction rows, lead rows and input embeddings, normalized as ``build`` would."""
+        """Instruction rows, lead rows and input embeddings, normalized as ``build`` does."""
         tables = [np.atleast_2d(np.asarray(t, dtype=float))
                   for t in (self.instr, self.leads, self.vocab.input_embeddings)]
         if len({t.shape[1] for t in tables}) != 1:
             raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
-        return [_unit_rows(t) for t in tables] if self.normalize else tables
+        return [_unit_rows(t) for t in tables]
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
         raise InvalidParameter("steps must be >= 1")
     instr, leads, emb = env.frame
     cand, table = _candidate_table(env.vocab, env.candidate_mask)
-    cand = list(range(len(table))) if cand is None else cand.tolist()
+    cand = cand.tolist()
     hits: list[int | None] = [None] * len(demos)
     groups: dict[int, list[int]] = {}  # start length -> prompts
     for b, demo in enumerate(demos):
@@ -242,7 +241,6 @@ def detect_collapse(scores, similarities, tau_sim: float, eps_imp: float, window
 
 def synth_generate(
     path: int,
-    iteration: int,
     memory: MemoryBank,
     rng: np.random.Generator,
     vocab_size: int,
@@ -255,8 +253,7 @@ def synth_generate(
     A donor (perturbation) must originate from a different path; a contiguous
     span of its tokens is appended as the perturbation segment.  Span draws
     come from ``donor_rng`` so that runs with and without perturbation share
-    the same mutation trajectory.  ``iteration`` is part of the generator
-    protocol of ``run_two_stage``; this generator does not read it.
+    the same mutation trajectory.
     """
     if donor is not None and donor.origin == path:
         raise InvalidDonor("perturbation donor must come from another path")
@@ -312,7 +309,7 @@ def run_two_stage(
                     # content varies from round to round
                     donor = last_demo[int(donor_rngs[p].choice(others))]
             demo = generator(
-                p, it, memories[p], rngs[p], vocab_size, config.demo_len, donor,
+                p, memories[p], rngs[p], vocab_size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
             mean = _mean_norm(env.vocab, demo)

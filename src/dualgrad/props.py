@@ -25,18 +25,19 @@ from .rng import stream
 from .transformer import exact_attention, kernel_attention, rope, split_attention
 
 
-def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4, n_per=0, feature_dim=64):
+def _draw(seed, n_per=0):
+    # d_i = 6, d_o = 4; 6 instruction, 4 demonstration and 2 lead tokens; 64 features
     rng = stream(seed, "props")
-    params = random_attention(rng, d_i, d_o)
-    seq = random_sequence(rng, d_i, n_t, n_d, 2, n_per=n_per)
-    fmap = sample_feature_map(d_o, feature_dim, seed=seed)
+    params = random_attention(rng, 6, 4)
+    seq = random_sequence(rng, 6, 6, 4, 2, n_per=n_per)
+    fmap = sample_feature_map(4, 64, seed=seed)
     return params, seq, fmap, len(seq)
 
 
-def suite_kernelmap(n_cases=50, seed0=0):
-    for i in range(n_cases):
-        rng = stream(seed0 + i, "props-kernel")
-        fmap = sample_feature_map(4, 64, seed=seed0 + i)
+def suite_kernelmap():
+    for i in range(50):
+        rng = stream(i, "props-kernel")
+        fmap = sample_feature_map(4, 64, seed=i)
         x = rng.normal(0, 0.5, 4)
         f = phi(fmap, x)
         norm_ok = abs(float(f @ f) - np.exp(x @ x) / 2) <= 1e-10 * np.exp(x @ x)
@@ -50,15 +51,15 @@ def rope_group_error(m: int, n: int, d: int) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def suite_rope(seed0=0):
+def suite_rope():
     for m, n in [(1, 1), (17, 4), (511, 212), (3, 300)]:
         yield rope_group_error(m, n, 8) <= 1e-12, f"rope group law failed for (m={m}, n={n})"
 
 
-def suite_attention(n_cases=25, seed0=0):
-    for i in range(n_cases):
+def suite_attention():
+    for i in range(25):
         try:
-            params, seq, fmap, pos = _draw(seed0 + i)
+            params, seq, fmap, pos = _draw(i)
             h = kernel_attention(params, fmap, seq, pos)
             h_t, h_d = split_attention(params, fmap, seq, pos)
             exact_attention(params, seq, pos)  # must not raise
@@ -87,10 +88,10 @@ def gradient_error(dual, w, flip_sign=False) -> float:
     return float(np.max(np.abs(num - analytic)))
 
 
-def suite_dual(n_cases=25, seed0=0, inject_fault=""):
-    for i in range(n_cases):
+def suite_dual(inject_fault=""):
+    for i in range(25):
         try:
-            params, seq, fmap, pos = _draw(seed0 + i, n_per=2)
+            params, seq, fmap, pos = _draw(i, n_per=2)
             h = kernel_attention(params, fmap, seq, pos)
             dual = build_dual_attention(params, fmap, seq, pos)
         except NormalizationDegenerate:
@@ -101,7 +102,7 @@ def suite_dual(n_cases=25, seed0=0, inject_fault=""):
             yield False, f"dual/forward mismatch at case {i}"
             continue
         # gradient vs central finite differences
-        rng = stream(seed0 + i, "props-dual-w")
+        rng = stream(i, "props-dual-w")
         w = rng.normal(0, 1, dual.w0.shape)
         dual_r = with_value_regularization(dual, 0.3)
         if gradient_error(dual_r, w, flip_sign=inject_fault == "grad-sign") > 1e-5:
@@ -113,9 +114,9 @@ def suite_dual(n_cases=25, seed0=0, inject_fault=""):
         yield np.max(np.abs(s1.w - s2.w)) <= 1e-10, f"schedule endpoint mismatch at case {i}"
 
 
-def suite_linear_duality(n_cases=20, seed0=0):
-    for i in range(n_cases):
-        rng = stream(seed0 + i, "props-linear")
+def suite_linear_duality():
+    for i in range(20):
+        rng = stream(i, "props-linear")
         w0 = rng.normal(0, 1, (5, 5))
         xs = rng.normal(0, 1, (5, 8))
         es = rng.normal(0, 1, (5, 8))

@@ -89,8 +89,8 @@ class SegmentedSequence:
         task = (Tag.T_INSTR, Tag.T_LEAD)
         return np.array([i for i, t in enumerate(self.tags) if t in task], dtype=int)
 
-    def append(self, embedding: np.ndarray, tag: Tag = Tag.T_LEAD) -> "SegmentedSequence":
-        """Return a new sequence with one token appended under the same norm policy.
+    def append(self, embedding: np.ndarray) -> "SegmentedSequence":
+        """Return a new sequence with one lead token appended under the same norm policy.
 
         A normalized sequence scales the row with ``_unit_rows``'s arithmetic, bit for bit.
         """
@@ -100,7 +100,7 @@ class SegmentedSequence:
         if self.normalized:
             emb = emb / (math.sqrt(np.add.reduce(emb * emb, axis=1)[0]) or 1.0)
         tokens = np.concatenate((self.tokens, emb))
-        return type(self)(tokens, self.tags + (tag,), self.normalized)
+        return type(self)(tokens, self.tags + (Tag.T_LEAD,), self.normalized)
 
     def truncate(self, length: int) -> "SegmentedSequence":
         return replace(self, tokens=self.tokens[:length], tags=self.tags[:length])

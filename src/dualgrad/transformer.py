@@ -34,7 +34,7 @@ from .errors import (
     NormalizationDegenerate,
 )
 from .kernelmap import FourierFeatureMap, matvecs, phi_matrix
-from .sequence import SegmentedSequence, Tag
+from .sequence import SegmentedSequence
 
 DEGENERATE_EPS = 1e-12
 ROPE_BASE = 10000.0  # RoFormer's rotary base: block j turns by p * ROPE_BASE^{-2j/d}
@@ -497,8 +497,8 @@ def layer_forward(
     query_pos: int,
     fmap: FourierFeatureMap,
 ) -> np.ndarray:
-    """Kernel attention followed by the FFN."""
-    h = np.zeros(params.d_o) if query_pos < 2 else kernel_attention(params, fmap, seq, query_pos)
+    """Kernel attention followed by the FFN; position 1 has no key, so its attention is 0."""
+    h = np.zeros(params.d_o) if query_pos == 1 else kernel_attention(params, fmap, seq, query_pos)
     return _ffn_forward(ffn, h)
 
 
@@ -618,8 +618,11 @@ def gqa_attention(
 
 
 def _candidate_ids(mask, size: int) -> np.ndarray:
-    """Ascending ids in [0, size) from a set or other iterable of ids, or from an int array."""
-    ids = np.sort(np.asarray(mask if isinstance(mask, np.ndarray) else list(mask), dtype=np.intp))
+    """Distinct ascending ids in [0, size) from a set or other iterable of ids, or an int array."""
+    ids = np.asarray(mask if isinstance(mask, np.ndarray) else list(mask))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidIndex(f"candidate ids must be integers, got {ids.dtype} entries")
+    ids = np.unique(ids.astype(np.intp))
     if ids.size and (ids[0] < 0 or ids[-1] >= size):
         raise InvalidIndex(f"candidate ids must lie in [0, {size}), got {ids[0]}..{ids[-1]}")
     return ids
@@ -695,5 +698,5 @@ def generate(
             left = left[left != i]
             if not left.size:
                 break
-        seq = seq.append(vocab.input_embeddings[tok], Tag.T_LEAD)
+        seq = seq.append(vocab.input_embeddings[tok])
     return GenerationTrace(tuple(ids), tuple(hiddens), tuple(positions), seq)

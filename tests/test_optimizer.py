@@ -16,12 +16,13 @@ from dualgrad.errors import (
     InvalidIndex,
 )
 from dualgrad.experiments import make_toy_env
-from dualgrad.metrics import EffectDScore, score_output
+from dualgrad.metrics import EffectDScore, effect_d, score_output
 from dualgrad.optimizer import (
     MEMORY_CAPACITY,
     Demonstration,
     MemoryBank,
     OptimizerConfig,
+    OptimizerEnv,
     TraceRecord,
     _first_max,
     detect_collapse,
@@ -149,10 +150,10 @@ def test_detect_collapse_needs_history():
 def test_synth_generate_cold_start_and_mutation():
     rng = stream(0, "t")
     bank = MemoryBank()
-    cold = synth_generate(0, 1, bank, rng, 10, 4, None, stream(0, "d"))
+    cold = synth_generate(0, bank, rng, 10, 4, None, stream(0, "d"))
     assert len(cold.ids) == 4 and all(0 <= t < 10 for t in cold.ids)
     bank.admit(cold, EffectDScore(1.0, 1))
-    warm = synth_generate(0, 2, bank, rng, 10, 4, None, stream(0, "d"))
+    warm = synth_generate(0, bank, rng, 10, 4, None, stream(0, "d"))
     assert sum(a != b for a, b in zip(warm.ids, cold.ids)) <= 1
 
 
@@ -160,13 +161,13 @@ def test_synth_generate_rejects_same_path_donor():
     rng = stream(0, "t")
     donor = Demonstration((1, 2, 3), origin=0)
     with pytest.raises(InvalidDonor):
-        synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
+        synth_generate(0, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
 
 
 def test_synth_generate_splices_contiguous_donor_span():
     rng = stream(0, "t")
     donor = Demonstration((4, 5, 6, 7), origin=1)
-    demo = synth_generate(0, 2, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
+    demo = synth_generate(0, MemoryBank(), rng, 10, 4, donor, stream(0, "d"))
     assert demo.per_ids
     joined = ",".join(map(str, donor.ids))
     assert ",".join(map(str, demo.per_ids)) in joined
@@ -270,10 +271,7 @@ def _evaluate_demo_oracle(env, demo, steps, seen=None):
     """
     emb = env.vocab.input_embeddings
     per = emb[list(demo.per_ids)] if demo.per_ids else None
-    seq = SegmentedSequence.build(
-        env.instr, emb[list(demo.ids)], env.leads, per=per,
-        normalize=env.normalize,
-    )
+    seq = SegmentedSequence.build(env.instr, emb[list(demo.ids)], env.leads, per=per)
 
     def forward(s, pos):
         h = env.forward(s.tokens[None, :pos])[0]
@@ -306,7 +304,7 @@ def _run_two_stage_oracle(config, env):
                 if others:
                     donor = last_demo[int(donor_rngs[p].choice(others))]
             demo = synth_generate(
-                p, it, memories[p], rngs[p], env.vocab.size, config.demo_len, donor,
+                p, memories[p], rngs[p], env.vocab.size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
             score = _evaluate_demo_oracle(env, demo, config.gen_steps)
@@ -359,8 +357,7 @@ def test_repeated_demonstration_is_evaluated_once_per_run():
     cfg = _config(m=2, iterations=5, perturbation_enabled=False)
     ids = (1, 2, 3, 4)
 
-    def same_demo(path, iteration, memory, rng, vocab_size, demo_len, donor=None,
-                  donor_rng=None):
+    def same_demo(path, memory, rng, vocab_size, demo_len, donor=None, donor_rng=None):
         # path 1 adds a perturbation segment, so its memory score is path 0's pair
         return Demonstration(ids, (5,) if path else (), origin=path)
 
@@ -378,10 +375,12 @@ def test_repeated_demonstration_is_evaluated_once_per_run():
 
 def _toy_env(seed, variant):
     env = make_toy_env(seed, d_i=int(3 + seed % 6), d_o=int(1 + seed % 7))
-    if variant == "no-mask":
-        return replace(env, candidate_mask=None)
-    if variant == "unnormalized":
-        return replace(env, normalize=False)
+    if variant == "whole-vocab":  # every id a candidate
+        return replace(env, candidate_mask=frozenset(range(env.vocab.size)))
+    if variant == "zero-rows":  # rows that normalizing leaves at zero
+        instr, emb = env.instr.copy(), env.vocab.input_embeddings.copy()
+        instr[1], emb[::5] = 0.0, 0.0
+        return replace(env, instr=instr, vocab=Vocabulary(env.vocab.output_embeddings, emb))
     if variant == "ties":  # ids 2j and 2j+1 score alike, so the smaller one must win
         out = env.vocab.output_embeddings.copy()
         out[1::2] = out[::2]
@@ -392,7 +391,7 @@ def _toy_env(seed, variant):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
-    variant=st.sampled_from(["mask", "no-mask", "unnormalized", "ties"]),
+    variant=st.sampled_from(["mask", "whole-vocab", "zero-rows", "ties"]),
     demos=st.lists(
         st.tuples(st.lists(st.integers(0, 23), min_size=1, max_size=3),
                   st.lists(st.integers(0, 23), max_size=2)),
@@ -536,7 +535,7 @@ def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
         out = env.vocab.output_embeddings.copy()
         out[1::2] = out[::2]
         vocab = Vocabulary(out, env.vocab.input_embeddings)
-        for mask in (None, env.candidate_mask):
+        for mask in (frozenset(range(env.vocab.size)), env.candidate_mask):
             tied = replace(env, vocab=vocab, candidate_mask=mask)
             _assert_scores_match_generation(
                 tied, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=12)
@@ -559,6 +558,52 @@ def test_score_demos_with_an_empty_candidate_mask_raises():
         score_demos(env, [Demonstration((1, 2))], 5)
     with pytest.raises(EmptyCandidateSet):
         evaluate_demo(env, Demonstration((1, 2)), 5)
+
+
+_H = np.array([1.0, 0.0, 0.0])  # every hidden state of ``_fixed_env``
+
+
+def _fixed_env():
+    """Candidates 2 and 3, target 3; every hidden state is ``_H``, whose logits favour 2."""
+    out = np.zeros((6, 3))
+    out[2, 0], out[3, 0] = 2.0, 1.0
+    inp = stream(0, "fixed-env").normal(0, 1, (6, 4))
+    return OptimizerEnv(
+        forward=lambda tokens: np.tile(_H, (len(tokens), 1)),
+        instr=np.ones((2, 4)),
+        leads=np.ones((1, 4)),
+        vocab=Vocabulary(out, inp),
+        target_id=3,
+        candidate_mask=frozenset({2, 3}),
+    )
+
+
+def test_a_repeated_candidate_id_is_emitted_once():
+    env = _fixed_env()
+    seq = SegmentedSequence.build(env.instr, np.ones((1, 4)), env.leads)
+    for mask in ([2, 2, 3], np.array([3, 2, 2, 3])):
+        trace = generate(lambda s, p: _H, seq, 3, env.vocab, mask, exclude_emitted=True)
+        assert trace.ids == (2, 3)
+        assert decode(env.vocab, _H, mask) == 2
+        # the target follows the one other candidate
+        scores = score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 3)
+        assert scores == [EffectDScore(effect_d(2), 2)]
+
+
+def test_candidate_ids_must_be_integers():
+    env = _fixed_env()
+    seq = SegmentedSequence.build(env.instr, np.ones((1, 4)), env.leads)
+    # flags would otherwise be read as the ids 0 and 1
+    for bad in (np.array([False, True, False, False, False, False]), [True, False], [2.0, 3.0]):
+        with pytest.raises(InvalidIndex):
+            decode(env.vocab, _H, bad)
+        with pytest.raises(InvalidIndex):
+            generate(lambda s, p: _H, seq, 3, env.vocab, mask=bad)
+        with pytest.raises(InvalidIndex):
+            score_demos(replace(env, candidate_mask=bad), [Demonstration((1, 2))], 5)
+    for empty in ([], np.array([], dtype=bool), frozenset()):
+        with pytest.raises(EmptyCandidateSet):
+            decode(env.vocab, _H, empty)
 
 
 def test_candidate_ids_outside_the_vocabulary_raise():

@@ -420,6 +420,18 @@ def test_layer_forward_oracle():
     assert np.allclose(layer_forward(params, ffn, seq, pos, fmap), expected, atol=1e-12)
 
 
+def test_layer_forward_rejects_positions_below_one():
+    params, seq = _draw(6)
+    ffn = _ffn(stream(6, "ffn"), params.d_o, 9)
+    fmap = sample_feature_map(params.d_o, 256, seed=6)
+    # position 1 has no key to attend to: the FFN of a zero attention output
+    zero = ffn.w1 @ np.maximum(ffn.b2, 0.0) + ffn.b1
+    assert np.array_equal(layer_forward(params, ffn, seq, 1, fmap), zero)
+    for pos in (0, -5, len(seq) + 1):
+        with pytest.raises(InvalidIndex):
+            layer_forward(params, ffn, seq, pos, fmap)
+
+
 def test_single_layer_stack_reduces_to_layer_forward():
     params, seq = _draw(7)
     rng = stream(7, "ffn")
@@ -608,7 +620,7 @@ def test_stack_trace_never_featurizes_the_last_key():
     want = _stack_trace_oracle(stack, fmap, seq, len(seq))
     assert np.linalg.norm(got[1].tokens - want[1].tokens) <= 1e-12 * np.linalg.norm(want[1].tokens)
     with pytest.raises(OverflowGuard):  # the same token as an interior key trips the guard
-        stack_trace(stack, fmap, seq.append(tokens[0], Tag.T_LEAD), len(seq) + 1)
+        stack_trace(stack, fmap, seq.append(tokens[0]), len(seq) + 1)
 
 
 def test_stack_trace_never_featurizes_the_first_query():
@@ -1180,7 +1192,7 @@ def test_generate_exclude_emitted_until_exhausted_matches_oracle(kind):
         tok = _decode_oracle(vocab, forward(cur, len(cur)), remaining)
         expected.append(tok)
         remaining.discard(tok)
-        cur = cur.append(vocab.input_embeddings[tok], Tag.T_LEAD)
+        cur = cur.append(vocab.input_embeddings[tok])
     trace = generate(forward, seq, 50, vocab, mask=mask, exclude_emitted=True)
     assert list(trace.ids) == expected
 
