@@ -29,6 +29,7 @@ from .transformer import (
     GqaParams,
     LayerStack,
     _kernel_weights,
+    _split,
     stack_trace,
 )
 
@@ -86,17 +87,6 @@ def loss_icl(dual: DualModel, w: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _split(seq: SegmentedSequence, query_pos: int):
-    """Task-side and demonstration columns of the context before query_pos.
-
-    It depends only on the tags, so one build computes it once for all its
-    heads or layers.
-    """
-    task = seq.idx_task
-    task = task[task < query_pos - 1]
-    return task, np.delete(np.arange(query_pos - 1), task)
 
 
 def _dual(split, parts: tuple, left, bias: np.ndarray | None = None) -> DualModel:

@@ -156,10 +156,6 @@ class GqaConfig:
             return np.eye(self.head_dim)
         return self.w_concat[s]
 
-    def group_of(self, s: int) -> int:
-        """Key/value group serving query head s (0-based): group i has heads [i*n, (i+1)*n)."""
-        return s // self.n
-
 
 @dataclass(frozen=True)
 class GqaParams:
@@ -170,12 +166,14 @@ class GqaParams:
     w_v: np.ndarray  # (g, head_dim, d_i)
 
     def head(self, cfg: GqaConfig, s: int) -> AttentionParams:
-        """Plain attention parameters of query head s and the group serving it."""
-        if (self.w_q.shape[0], self.w_k.shape[0], self.w_v.shape[0]) != (cfg.heads, cfg.g, cfg.g):
+        """Attention parameters of query head s (0-based) and group s // n, which serves it."""
+        shapes = (*self.w_q.shape[:2], self.w_k.shape[0], self.w_v.shape[0])
+        if shapes != (cfg.heads, cfg.head_dim, cfg.g, cfg.g):
             raise InvalidDimension(
-                f"GQA params need {cfg.heads} query heads and {cfg.g} key/value groups"
+                f"GQA params need {cfg.heads} query heads of dim {cfg.head_dim} "
+                f"and {cfg.g} key/value groups"
             )
-        grp = cfg.group_of(s)
+        grp = s // cfg.n
         return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp])
 
 
@@ -418,16 +416,30 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 _FEATURES = _FeatureCache(5)
 
 
-def _check_normalizers(denom: np.ndarray, first_pos: int) -> None:
-    """Raise ``NormalizationDegenerate`` at the first |denom[j]| < ``DEGENERATE_EPS``.
+def _kernel_block(
+    params: AttentionParams, fmap: FourierFeatureMap, tokens: np.ndarray, first: int
+):
+    """Kernel attention pieces for the queries at positions first..n of rows (n, d_i) ``tokens``.
 
-    ``denom[j]`` normalizes the query at position ``first_pos + j``, which the message names.
+    Returns values V (d_o, n-1), read-only key features (D, n-1) from
+    ``_FEATURES``, query features (D, n-first+1), featurized after the keys,
+    the unnormalized weights phi(K)' phi(q) of each query's preceding keys,
+    and their column sums; the first sum below ``DEGENERATE_EPS`` in size
+    raises ``NormalizationDegenerate``.  Keys and queries are pre-divided by
+    d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
     """
+    feat_keys = _FEATURES.features(params.w_k, fmap, tokens[:-1])
+    feat_q = _featurize(params.w_q, fmap, tokens[first - 1 :], first).T
+    weights = feat_keys.T @ feat_q
+    if weights.shape[1] > 1:  # key i (position i+1) is before the query in column j
+        weights = np.where(np.triu(np.ones(weights.shape, dtype=bool), 2 - first), weights, 0.0)
+    denom = weights.sum(axis=0)
     bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
     if bad.size:
         raise NormalizationDegenerate(
-            f"normalization denominator {denom[bad[0]]:.3e} at position {first_pos + bad[0]}"
+            f"normalization denominator {denom[bad[0]]:.3e} at position {first + bad[0]}"
         )
+    return params.w_v @ tokens[:-1].T, feat_keys, feat_q, weights, denom
 
 
 def _kernel_weights(
@@ -436,22 +448,15 @@ def _kernel_weights(
     seq: SegmentedSequence,
     query_pos: int,
 ):
-    """Shared pieces of every kernelized computation at one position.
+    """``_kernel_block`` of the one query at query_pos, as (values, feat_keys, feat_q, weights, c).
 
-    Returns (values, feat_keys, feat_q, weights, c) with keys and query
-    pre-divided by d_o^{1/4} so that feature inner products target
-    exp(k.q / sqrt(d_o)); ``weights`` are the unnormalized phi(K)' phi(q)
-    whose sum is 1 / c.  The key features come from ``_FEATURES`` and are
-    read-only.
+    ``feat_q`` and ``weights`` are that query's column, and c = 1 / sum(weights).
     """
     _check_pos(seq, query_pos)
-    context = seq.tokens[: query_pos - 1]
-    feat_keys = _FEATURES.features(params.w_k, fmap, context)
-    feat_q = _featurize(params.w_q, fmap, seq.tokens[query_pos - 1 : query_pos], query_pos)[0]
-    weights = feat_keys.T @ feat_q
-    denom = weights.sum(keepdims=True)
-    _check_normalizers(denom, query_pos)
-    return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / float(denom[0])
+    values, feat_keys, feat_q, weights, denom = _kernel_block(
+        params, fmap, seq.tokens[:query_pos], query_pos
+    )
+    return values, feat_keys, feat_q[:, 0], weights[:, 0], 1.0 / float(denom[0])
 
 
 def kernel_attention(
@@ -474,8 +479,18 @@ def split_attention(
     """Kernel attention split into task-side and demonstration-side parts."""
     values, _, _, weights, c = _kernel_weights(params, fmap, seq, query_pos)
     weights = c * weights
-    task = np.isin(np.arange(query_pos - 1), seq.idx_task)
-    return values @ (weights * task), values @ (weights * ~task)
+    return tuple(values[:, cols] @ weights[cols] for cols in _split(seq, query_pos))
+
+
+def _split(seq: SegmentedSequence, query_pos: int):
+    """Task-side and demonstration columns of the context before query_pos.
+
+    It depends only on the tags, so one dual build computes it once for all its
+    heads or layers.
+    """
+    task = seq.idx_task
+    task = task[task < query_pos - 1]
+    return task, np.delete(np.arange(query_pos - 1), task)
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +525,15 @@ def _layer_scan(
 ) -> np.ndarray:
     """Layer outputs at positions 1..n = len(seq) as the columns of a (d_o, n) array.
 
-    Causal linear attention (Katharopoulos et al. 2020): keys 1..n-1 and
-    queries 2..n are rotated and featurized once, and the query at column j
-    (position j+2) weighs key i (position i+1) iff i <= j.  Matches
-    ``layer_forward`` at every position, with the same guards.  The keys
-    come from ``_FEATURES`` and the queries are featurized on every pass,
-    keys first; ``stack_trace``'s memo spares a repeated pass.  Position 1
-    is never featurized as a query.
+    Causal linear attention (Katharopoulos et al. 2020): ``_kernel_block`` of
+    queries 2..n, so keys 1..n-1 and queries 2..n are rotated and featurized
+    once.  Matches ``layer_forward`` at every position, with the same guards;
+    ``stack_trace``'s memo spares a repeated pass.  Position 1 is never
+    featurized as a query.
     """
-    n = len(seq)
-    tokens = seq.tokens.T
-    causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
-    feat_keys = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])
-    feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
-    w = np.where(causal, feat_keys.T @ feat_q, 0.0)
-    denom = w.sum(axis=0)
-    _check_normalizers(denom, 2)
-    h = np.zeros((params.d_o, n))
-    h[:, 1:] = params.w_v @ tokens[:, :-1] @ (w / denom)
+    values, _, _, weights, denom = _kernel_block(params, fmap, seq.tokens, 2)
+    h = np.zeros((params.d_o, len(seq)))
+    h[:, 1:] = values @ (weights / denom)
     return _ffn_forward(ffn, h)
 
 

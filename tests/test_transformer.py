@@ -1,4 +1,4 @@
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 from unittest import mock
@@ -536,6 +536,86 @@ def test_stack_trace_matches_per_position_oracle(seed, n_layers, d_o, d_mid, n_d
         assert np.linalg.norm(a.tokens - b.tokens) <= 1e-12 * np.linalg.norm(b.tokens)
 
 
+def _check_normalizers_separate(denom, first_pos):
+    bad = np.flatnonzero(np.abs(denom) < transformer_module.DEGENERATE_EPS)
+    if bad.size:
+        raise NormalizationDegenerate(
+            f"normalization denominator {denom[bad[0]]:.3e} at position {first_pos + bad[0]}"
+        )
+
+
+def _kernel_weights_separate(params, fmap, seq, query_pos):
+    """The single-query pieces computed on their own: ``_kernel_block``'s bitwise reference."""
+    _check_pos(seq, query_pos)
+    context = seq.tokens[: query_pos - 1]
+    feat_keys = _FEATURES.features(params.w_k, fmap, context)
+    feat_q = _featurize(params.w_q, fmap, seq.tokens[query_pos - 1 : query_pos], query_pos)[0]
+    weights = feat_keys.T @ feat_q
+    denom = weights.sum(keepdims=True)
+    _check_normalizers_separate(denom, query_pos)
+    return params.w_v @ context.T, feat_keys, feat_q, weights, 1.0 / float(denom[0])
+
+
+def _layer_scan_separate(params, ffn, seq, fmap):
+    """The causal layer scan computed on its own: ``_kernel_block``'s bitwise reference."""
+    n = len(seq)
+    tokens = seq.tokens.T
+    causal = np.triu(np.ones((n - 1, n - 1), dtype=bool))
+    feat_keys = _FEATURES.features(params.w_k, fmap, seq.tokens[:-1])
+    feat_q = _featurize(params.w_q, fmap, seq.tokens[1:], 2).T
+    w = np.where(causal, feat_keys.T @ feat_q, 0.0)
+    denom = w.sum(axis=0)
+    _check_normalizers_separate(denom, 2)
+    h = np.zeros((params.d_o, n))
+    h[:, 1:] = params.w_v @ tokens[:, :-1] @ (w / denom)
+    return transformer_module._ffn_forward(ffn, h)
+
+
+def _bits_or_raise(run):
+    """Shape, dtype and bytes of every array (or float) ``run`` returns, or what it raised."""
+    try:
+        return [transformer_module._bits(np.asarray(x)) for x in run()]
+    except (OverflowGuard, NormalizationDegenerate) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d_o=st.sampled_from([3, 4, 5]),
+    D=st.sampled_from([8, 64]),
+    n_d=st.integers(0, 4),
+    pos_draw=st.integers(0, 10**6),
+)
+@example(seed=5, d_o=5, D=8, n_d=0, pos_draw=0)  # odd d_o, query_pos = 2, no demonstration
+@example(seed=6, d_o=3, D=64, n_d=0, pos_draw=10**6)
+def test_kernel_block_is_bitwise_the_separate_forms(seed, d_o, D, n_d, pos_draw):
+    # every piece _kernel_weights returns, c included, and every output of a
+    # layer scan, on a cold cache, a warm one, and one warmed by longer rows
+    rng = stream(seed, "kernel-block")
+    params = random_attention(rng, 5, d_o)
+    ffn = _scaled_ffn(rng, d_o, 4)
+    seq = random_sequence(rng, 5, 3, n_d, 2)
+    pos = 2 + pos_draw % (len(seq) - 1)  # pos_draw = 0 gives query_pos = 2
+    fmap = sample_feature_map(d_o, D, seed=seed)
+    forms = [
+        (lambda: _kernel_weights_separate(params, fmap, seq, pos),
+         lambda: transformer_module._kernel_weights(params, fmap, seq, pos)),
+        (lambda: [_layer_scan_separate(params, ffn, seq.truncate(pos), fmap)],
+         lambda: [transformer_module._layer_scan(params, ffn, seq.truncate(pos), fmap)]),
+    ]
+    for separate, merged in forms:
+        runs = {}
+        for name, run in (("separate", separate), ("merged", merged)):
+            _FEATURES.clear()
+            runs[name] = [_bits_or_raise(run), _bits_or_raise(run)]
+            with suppress(OverflowGuard):  # the last row is no key of any run
+                _FEATURES.features(params.w_k, fmap, seq.tokens)  # pos - 1 rows are a slice now
+            runs[name].append(_bits_or_raise(run))
+        assert runs["merged"] == runs["separate"]
+        assert all(r == runs["merged"][0] for r in runs["merged"])
+
+
 def _one_dim_layer(w_q, w_k, w_v):
     # d_i = d_o = d_h = 1 with an identity-activation, identity-weight FFN, so the
     # layer output is its attention output (rope is the identity for d_o = 1)
@@ -801,10 +881,24 @@ def test_gqa_single_head_matches_plain_kernel_attention():
     assert np.allclose(gqa, plain, atol=1e-12)
 
 
+def _head_groups(params, cfg):
+    """The key/value group whose projections ``head`` gives each query head."""
+    groups = []
+    for s in range(cfg.heads):
+        att = params.head(cfg, s)
+        assert np.array_equal(att.w_q, params.w_q[s])
+        (grp,) = [i for i in range(cfg.g)
+                  if np.array_equal(att.w_k, params.w_k[i]) and np.array_equal(att.w_v, params.w_v[i])]
+        groups.append(grp)
+    return groups
+
+
 def test_gqa_head_to_group_assignment():
     cfg = GqaConfig(n=2, g=2, d_o=8)
-    assert [cfg.group_of(s) for s in range(4)] == [0, 0, 1, 1]
     assert cfg.head_dim == 2 and cfg.heads == 4
+    rng = stream(10, "gqa-assign")
+    params = GqaParams(*(rng.normal(0, 0.5, (k, 2, 3)) for k in (4, 2, 2)))
+    assert _head_groups(params, cfg) == [0, 0, 1, 1]
 
 
 def test_gqa_dimension_validation():
@@ -826,7 +920,7 @@ def test_gqa_heads_use_their_groups_key_and_value(n, g, groups):
     seq = random_sequence(rng, d_i, 5, 3, 2)
     fmap = sample_feature_map(hd, 128, seed=11)
     pos = len(seq)
-    assert [cfg.group_of(s) for s in range(cfg.heads)] == groups
+    assert _head_groups(params, cfg) == groups
     per_head = [
         kernel_attention(
             AttentionParams(params.w_q[s], params.w_k[grp], params.w_v[grp]), fmap, seq, pos
@@ -848,6 +942,19 @@ def test_gqa_params_must_match_heads_and_groups():
     for bad in ((2, 2, 2), (1, 1, 1), (2, 1, 2), (3, 1, 1)):
         with pytest.raises(InvalidDimension):
             params(*bad).head(cfg, 0)
+
+
+def test_gqa_head_dimension_must_match_the_config():
+    # heads of dim 4 (d_o = 8 over 2 heads) with projections of dim 3: the
+    # feature map of dim 3 accepts the keys, so only the head check can catch it
+    cfg = GqaConfig(n=1, g=2, d_o=8)
+    rng = stream(12, "gqa-head-dim")
+    params = GqaParams(*(rng.normal(0, 0.5, (2, 3, 6)) for _ in range(3)))
+    seq = random_sequence(rng, 6, 4, 3, 2)
+    fmap = sample_feature_map(3, 64, seed=12)
+    for run in (gqa_attention, build_dual_gqa):
+        with pytest.raises(InvalidDimension, match="query heads of dim 4"):
+            run(params, cfg, fmap, seq, len(seq))
 
 
 # ---------------------------------------------------------------------------

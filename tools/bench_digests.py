@@ -11,6 +11,9 @@ digest and whether its correctness gate passed.  BLAS runs on one thread, as
 in ``bench/run.py``.  Exits 0 when both trees give the same ops with the same
 digests and every gate passes, 1 otherwise, 2 when BASE_REF cannot be
 exported.
+
+The rest of the tool's environment reaches both trees' interpreters alike,
+so ``OPENBLAS_CORETYPE`` set for the tool picks the OpenBLAS kernel of both.
 """
 
 import json

@@ -12,6 +12,12 @@ either option).  Each run gets ``PYTHONPATH`` set to its own tree's ``src/``
 only and ``DUALGRAD_SEED`` unset.  Exits 0 when every
 command gives the same exit code and stdout bytes in both trees, 1 when any
 differs, 2 when BASE_REF cannot be exported.
+
+The rest of the tool's environment reaches both trees' runs alike, so
+
+    OPENBLAS_CORETYPE=Haswell python tools/cli_bytes.py BASE_REF
+
+compares the two trees with both under OpenBLAS's Haswell kernel.
 """
 
 import os
