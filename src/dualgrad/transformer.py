@@ -167,11 +167,11 @@ class GqaParams:
 
     def head(self, cfg: GqaConfig, s: int) -> AttentionParams:
         """Attention parameters of query head s (0-based) and group s // n, which serves it."""
-        shapes = (*self.w_q.shape[:2], self.w_k.shape[0], self.w_v.shape[0])
-        if shapes != (cfg.heads, cfg.head_dim, cfg.g, cfg.g):
+        shapes = (self.w_q.shape[:2], self.w_k.shape[:2], self.w_v.shape[:2])
+        if shapes != ((cfg.heads, cfg.head_dim), (cfg.g, cfg.head_dim), (cfg.g, cfg.head_dim)):
             raise InvalidDimension(
-                f"GQA params need {cfg.heads} query heads of dim {cfg.head_dim} "
-                f"and {cfg.g} key/value groups"
+                f"GQA params need {cfg.heads} query heads and {cfg.g} key/value "
+                f"groups, all of dim {cfg.head_dim}"
             )
         grp = s // cfg.n
         return AttentionParams(self.w_q[s], self.w_k[grp], self.w_v[grp])
@@ -430,9 +430,8 @@ def _kernel_block(
     """
     feat_keys = _FEATURES.features(params.w_k, fmap, tokens[:-1])
     feat_q = _featurize(params.w_q, fmap, tokens[first - 1 :], first).T
-    weights = feat_keys.T @ feat_q
-    if weights.shape[1] > 1:  # key i (position i+1) is before the query in column j
-        weights = np.where(np.triu(np.ones(weights.shape, dtype=bool), 2 - first), weights, 0.0)
+    # key i (position i+1) precedes the query in column j (position first+j)
+    weights = np.triu(feat_keys.T @ feat_q, 2 - first)
     denom = weights.sum(axis=0)
     bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
     if bad.size:

@@ -944,16 +944,22 @@ def test_gqa_params_must_match_heads_and_groups():
             params(*bad).head(cfg, 0)
 
 
-def test_gqa_head_dimension_must_match_the_config():
-    # heads of dim 4 (d_o = 8 over 2 heads) with projections of dim 3: the
-    # feature map of dim 3 accepts the keys, so only the head check can catch it
+@pytest.mark.parametrize("qk_dim, v_dim", [(3, 3), (4, 3)])
+def test_gqa_head_dimension_must_match_the_config(qk_dim, v_dim):
+    # heads of dim 4 (d_o = 8 over 2 heads) with projections of other dims:
+    # the feature map takes the keys' dim, so only the head check catches
+    # projections that all have dim 3, and it names the dim for a value mismatch
     cfg = GqaConfig(n=1, g=2, d_o=8)
     rng = stream(12, "gqa-head-dim")
-    params = GqaParams(*(rng.normal(0, 0.5, (2, 3, 6)) for _ in range(3)))
+    params = GqaParams(
+        rng.normal(0, 0.5, (2, qk_dim, 6)),
+        rng.normal(0, 0.5, (2, qk_dim, 6)),
+        rng.normal(0, 0.5, (2, v_dim, 6)),
+    )
     seq = random_sequence(rng, 6, 4, 3, 2)
-    fmap = sample_feature_map(3, 64, seed=12)
+    fmap = sample_feature_map(qk_dim, 64, seed=12)
     for run in (gqa_attention, build_dual_gqa):
-        with pytest.raises(InvalidDimension, match="query heads of dim 4"):
+        with pytest.raises(InvalidDimension, match="all of dim 4"):
             run(params, cfg, fmap, seq, len(seq))
 
 
