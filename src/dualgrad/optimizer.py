@@ -118,6 +118,12 @@ class OptimizerEnv:
             raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
         return [_unit_rows(t) for t in tables]
 
+    @cached_property
+    def candidates(self) -> tuple[list[int], np.ndarray]:
+        """Ascending candidate ids and their output-embedding rows, from ``_candidate_table``."""
+        ids, table = _candidate_table(self.vocab, self.candidate_mask)
+        return ids.tolist(), table
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -154,8 +160,8 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     its first hit).  Every prompt grows by one token per step, so all prompts
     that have started and not yet left share one length N: each N makes one
     ``env.forward`` call, from the shortest start to the last live prompt.
-    After each call, one product over the candidate table gives every row's
-    logits, and each row picks in plain Python from its own list of remaining
+    After each call, one product over the candidate table (``env.candidates``,
+    a cached property like ``env.frame``) gives every row's logits, and each row picks in plain Python from its own list of remaining
     candidates, as ``generate`` does: the first maximum, or the first NaN.  A
     prompt leaves on the target, when out of candidates or after ``steps``
     tokens.  Each score is bitwise that of ``generate`` over
@@ -164,18 +170,18 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
     instr, leads, emb = env.frame
-    cand, table = _candidate_table(env.vocab, env.candidate_mask)
-    cand = cand.tolist()
+    cand, table = env.candidates
     hits: list[int | None] = [None] * len(demos)
     groups: dict[int, list[int]] = {}  # start length -> prompts
-    for b, demo in enumerate(demos):
-        groups.setdefault(len(instr) + len(demo.ids) + len(demo.per_ids) + len(leads), []).append(b)
-    rows = np.empty((len(demos), max(groups, default=0) + steps, emb.shape[1]))
+    width = max((len(d.ids) + len(d.per_ids) for d in demos), default=0)
+    rows = np.empty((len(demos), len(instr) + width + len(leads) + steps, emb.shape[1]))
     rows[:, : len(instr)] = instr
-    for n0, live in groups.items():
-        rows[live, len(instr) : n0 - len(leads)] = emb[[demos[b].ids + demos[b].per_ids
-                                                         for b in live]]
-        rows[live, n0 - len(leads) : n0] = leads
+    for b, demo in enumerate(demos):
+        ids = demo.ids + demo.per_ids
+        n0 = len(instr) + len(ids) + len(leads)
+        rows[b, len(instr) : n0 - len(leads)] = emb.take(ids, axis=0)
+        rows[b, n0 - len(leads) : n0] = leads
+        groups.setdefault(n0, []).append(b)
     todo = sorted(groups)
     active = []  # (prompt, start, remaining candidate indices) in start order
     n = 0
@@ -184,9 +190,9 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
             n = todo[0]
         if todo and todo[0] == n:
             active += [(b, n, list(range(len(cand)))) for b in groups[todo.pop(0)]]
-        h = env.forward(rows[[b for b, _, _ in active], :n])
+        h = env.forward(rows[:, :n].take([b for b, _, _ in active], axis=0))
         logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
-        kept, toks = [], []
+        kept = []
         for (b, n0, left), row in zip(active, logits):
             i = _first_max(row, left)
             if cand[i] == env.target_id:
@@ -194,9 +200,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
             elif len(left) > 1 and n - n0 + 1 < steps:
                 left.remove(i)
                 kept.append((b, n0, left))
-                toks.append(cand[i])
-        if kept:
-            rows[[b for b, _, _ in kept], n] = emb[toks]
+                rows[b, n] = emb[cand[i]]
         active = kept
         n += 1
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
@@ -285,7 +289,8 @@ def run_two_stage(
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
     memories = [MemoryBank() for _ in range(config.m)]
-    history: list[list[TraceRecord]] = [[] for _ in range(config.m)]
+    effects: list[list[float]] = [[] for _ in range(config.m)]  # per path, one per iteration
+    sims: list[list[float]] = [[] for _ in range(config.m)]
     last_demo: list[Demonstration | None] = [None] * config.m
     last_mean: list[tuple[np.ndarray, float] | None] = [None] * config.m  # of last_demo
     trace: list[TraceRecord] = []
@@ -295,10 +300,8 @@ def run_two_stage(
     for it in range(1, config.iterations + 1):
         drawn = []
         for p in range(config.m):
-            records = history[p]
-            collapsed = len(records) >= 2 and detect_collapse(
-                [r.effect_d for r in records], [r.similarity for r in records],
-                config.tau_sim, config.eps_imp, config.window,
+            collapsed = len(effects[p]) >= 2 and detect_collapse(
+                effects[p], sims[p], config.tau_sim, config.eps_imp, config.window
             )
             donor = None
             if collapsed and config.perturbation_enabled:
@@ -327,7 +330,7 @@ def run_two_stage(
         for p, (demo, collapsed, perturbed, sim) in enumerate(drawn):
             memories[p].admit(demo, scores[(demo.ids, ())])
             effect = scores[(demo.ids, demo.per_ids)].value
-            rec = TraceRecord(it, p, effect, sim, collapsed, perturbed, demo)
-            history[p].append(rec)
-            trace.append(rec)
+            effects[p].append(effect)
+            sims[p].append(sim)
+            trace.append(TraceRecord(it, p, effect, sim, collapsed, perturbed, demo))
     return trace

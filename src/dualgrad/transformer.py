@@ -20,7 +20,6 @@ Conventions:
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -190,6 +189,8 @@ class Vocabulary:
             and np.all(np.isfinite(self.input_embeddings))
         ):
             raise InvalidParameter("vocabulary embeddings must be finite")
+        for t in (self.output_embeddings, self.input_embeddings):
+            t.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -348,20 +349,19 @@ class _FeatureCache:
     served array has exactly the bits of a cold computation, and the guards
     of ``phi_matrix`` run on every row the first time it is featurized.
 
-    The cache also holds ``stack_trace``'s memo of its last result, under the
-    same lock; ``clear`` empties both.
+    The cache also holds ``stack_trace``'s memo of its last result; ``clear``
+    empties both.  No lock guards it, nor ``_ROPE_TABLES``: callers on several
+    threads must hold one of their own around every kernel-mode call.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.entries: list[tuple] = []  # least recently used first
         self.trace: tuple | None = None  # (feature map, key, layer inputs 1..L-1)
-        self._lock = threading.Lock()
 
     def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.trace = None
+        self.entries.clear()
+        self.trace = None
 
     def features(self, w: np.ndarray, fmap: FourierFeatureMap, rows: np.ndarray) -> np.ndarray:
         """Read-only (D, m) features of R_p W x for rows (m, d_i) at positions 1..m."""
@@ -369,31 +369,30 @@ class _FeatureCache:
             raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
         w = np.asarray(w, dtype=float)
-        with self._lock:
-            hit = next(
-                (i for i, (f, v, have, _) in reversed(list(enumerate(self.entries)))
-                 if f is fmap and _same_bits(v, w)
-                 and _same_bits(have[: len(rows)], rows[: len(have)])),
-                None,
-            )
-            if hit is None:
-                entry = (fmap, w.copy(), rows[:0], np.empty((0, fmap.feature_dim)))
-            else:
-                entry = self.entries[hit]
-            have, feats = entry[2:]
-            n = len(have)
-            if len(rows) > n:  # a guard raised here leaves the cache as it was
-                new = _featurize(w, fmap, rows[n:], 1 + n)
-                if n:
-                    have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
-                else:  # a new entry adopts the block _featurize just wrote
-                    have, feats = rows.copy(), new
-                entry = entry[:2] + (have, feats)
-            if hit is not None:
-                del self.entries[hit]
-            self.entries.append(entry)
-            del self.entries[: -self.size]
-            out = feats[: len(rows)].T
+        hit = next(
+            (i for i, (f, v, have, _) in reversed(list(enumerate(self.entries)))
+             if f is fmap and _same_bits(v, w)
+             and _same_bits(have[: len(rows)], rows[: len(have)])),
+            None,
+        )
+        if hit is None:
+            entry = (fmap, w.copy(), rows[:0], np.empty((0, fmap.feature_dim)))
+        else:
+            entry = self.entries[hit]
+        have, feats = entry[2:]
+        n = len(have)
+        if len(rows) > n:  # a guard raised here leaves the cache as it was
+            new = _featurize(w, fmap, rows[n:], 1 + n)
+            if n:
+                have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
+            else:  # a new entry adopts the block _featurize just wrote
+                have, feats = rows.copy(), new
+            entry = entry[:2] + (have, feats)
+        if hit is not None:
+            del self.entries[hit]
+        self.entries.append(entry)
+        del self.entries[: -self.size]
+        out = feats[: len(rows)].T
         out.flags.writeable = False
         return out
 
@@ -566,8 +565,7 @@ def stack_trace(
     """
     _check_pos(seq, query_pos)
     key = _trace_key(stack, seq, query_pos)
-    with _FEATURES._lock:
-        memo = _FEATURES.trace
+    memo = _FEATURES.trace
     layer_inputs = [seq.truncate(query_pos)]
     if memo is not None and memo[0] is fmap and memo[1] == key:
         return layer_inputs + list(memo[2])
@@ -576,8 +574,7 @@ def stack_trace(
         w = stack.conn[l + 1]
         nxt = outs if w is None else outs @ w.T
         layer_inputs.append(layer_inputs[-1].with_tokens(nxt))
-    with _FEATURES._lock:
-        _FEATURES.trace = (fmap, key, tuple(layer_inputs[1:]))
+    _FEATURES.trace = (fmap, key, tuple(layer_inputs[1:]))
     return layer_inputs
 
 

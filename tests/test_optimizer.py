@@ -15,7 +15,7 @@ from dualgrad.errors import (
     InvalidDonor,
     InvalidIndex,
 )
-from dualgrad.experiments import make_toy_env
+from dualgrad.experiments import ExperimentConfig, make_toy_env, optimizer_config
 from dualgrad.metrics import EffectDScore, effect_d, score_output
 from dualgrad.optimizer import (
     MEMORY_CAPACITY,
@@ -550,6 +550,31 @@ def test_prompt_frame_and_vocabulary_must_share_the_embedding_dim():
             score_demos(bad, [Demonstration((1, 2))], 5)
         with pytest.raises(InvalidDimension):
             run_two_stage(_config(iterations=2), bad)
+
+
+def test_candidate_table_is_built_once_per_environment():
+    # like frame, the table is a cached property of the env: neither a run's
+    # score_demos calls nor a second run on the same env rebuild it
+    cfg = optimizer_config(ExperimentConfig(), perturbation=True, seed=0)
+    env = make_toy_env(0)
+    with mock.patch.object(optimizer_module, "_candidate_table",
+                           wraps=optimizer_module._candidate_table) as spy:
+        run_two_stage(cfg, env)
+        assert spy.call_count == 1
+        run_two_stage(cfg, env)
+        assert spy.call_count == 1
+        run_two_stage(cfg, make_toy_env(1))
+        assert spy.call_count == 2
+
+
+def test_vocabulary_tables_are_read_only():
+    # an env derives its frame and candidate table from these tables once, so
+    # an in-place write would leave them stale while generate read the new rows
+    env = make_toy_env(0)
+    score_demos(env, [Demonstration((1, 2))], 5)
+    for table in (env.vocab.output_embeddings, env.vocab.input_embeddings):
+        with pytest.raises(ValueError):
+            table[0] += 1.0
 
 
 def test_score_demos_with_an_empty_candidate_mask_raises():
