@@ -9,7 +9,7 @@ from .engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
 from .errors import InvalidConfig, NormalizationDegenerate
 from .kernelmap import sample_feature_map
 from .metrics import hit_position
-from .optimizer import OptimizerConfig, OptimizerEnv, TraceRecord, run_two_stage
+from .optimizer import OptimizerConfig, OptimizerEnv, ScoreTable, TraceRecord, run_two_stage
 from .rng import stream
 from .sequence import SegmentedSequence
 from .transformer import (
@@ -259,15 +259,14 @@ def collapse_comparison(cfg: ExperimentConfig, n_seeds: int = 20) -> CollapseSum
     """
     sims = {True: [], False: []}
     bests = {True: [], False: []}
-    for rep in range(n_seeds):
-        seed = cfg.seed + rep
+    for seed in range(cfg.seed, cfg.seed + n_seeds):
         env = make_toy_env(seed, cfg.d_i, cfg.d_o, cfg.vocab_size)
+        table = ScoreTable(env, cfg.steps)  # both runs propose the same ids
         for perturbed in (True, False):
-            trace = run_two_stage(optimizer_config(cfg, perturbed, seed), env)
+            trace = run_two_stage(optimizer_config(cfg, perturbed, seed), env, table=table)
             first = next((i for i, r in enumerate(trace) if r.collapse), None)
             if first is not None:
-                tail = [r.similarity for r in trace[first:]]
-                sims[perturbed].append(float(np.mean(tail)))
+                sims[perturbed].append(float(np.mean([r.similarity for r in trace[first:]])))
             bests[perturbed].append(max(r.effect_d for r in trace))
     return CollapseSummary(
         sim_with=float(np.mean(sims[True])) if sims[True] else float("nan"),

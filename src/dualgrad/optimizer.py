@@ -8,7 +8,7 @@ that hit the target are admitted to the path's memory.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ from .errors import (
     InvalidConfig,
     InvalidDimension,
     InvalidDonor,
+    InvalidIndex,
     InvalidParameter,
 )
 from .metrics import EffectDScore, effect_d
@@ -47,6 +48,7 @@ class MemoryEntry:
 
 
 MEMORY_CAPACITY = 16
+_INT_TYPES = frozenset({int, *(t for t in np.sctypeDict.values() if issubclass(t, np.integer))})
 
 
 class MemoryBank:
@@ -70,9 +72,7 @@ class MemoryBank:
         return True
 
     def best(self) -> MemoryEntry | None:
-        if not self.entries:
-            return None
-        return max(self.entries, key=lambda e: e.score.value)
+        return max(self.entries, key=lambda e: e.score.value, default=None)
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,15 @@ class OptimizerEnv:
         return ids.tolist(), table
 
 
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Stage-2 scores by (ids, per_ids): pure functions of these, the env and ``gen_steps``."""
+
+    env: OptimizerEnv
+    steps: int
+    scores: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     iteration: int
@@ -156,16 +165,16 @@ def _first_max(logits: list, ids: list) -> int:
 def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     """Stage 2 of several demonstrations at once: splice each into the frame, generate, score.
 
-    Greedy, emitted ids excluded, stopped at the target (the score reads only
-    its first hit).  Every prompt grows by one token per step, so all prompts
-    that have started and not yet left share one length N: each N makes one
-    ``env.forward`` call, from the shortest start to the last live prompt.
-    After each call, one product over the candidate table (``env.candidates``,
-    a cached property like ``env.frame``) gives every row's logits, and each row picks in plain Python from its own list of remaining
-    candidates, as ``generate`` does: the first maximum, or the first NaN.  A
-    prompt leaves on the target, when out of candidates or after ``steps``
-    tokens.  Each score is bitwise that of ``generate`` over
-    ``SegmentedSequence.build``.
+    Every id must be an integer in [0, V).  Greedy, emitted ids excluded,
+    stopped at the target (the score reads only its first hit).  Every prompt
+    grows by one token per step, so all prompts that have started and not yet
+    left share one length N: each N makes one ``env.forward`` call, from the
+    shortest start to the last live prompt.  After each call, one product over
+    the candidate table (``env.candidates``) gives every row's logits, and each
+    row picks in plain Python from its own list of remaining candidates, as
+    ``generate`` does: the first maximum, or the first NaN.  A prompt leaves on
+    the target, when out of candidates or after ``steps`` tokens.  Each score
+    is bitwise that of ``generate`` over ``SegmentedSequence.build``.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
@@ -177,7 +186,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     rows = np.empty((len(demos), len(instr) + width + len(leads) + steps, emb.shape[1]))
     rows[:, : len(instr)] = instr
     for b, demo in enumerate(demos):
-        ids = demo.ids + demo.per_ids
+        ids = _demo_ids(demo, len(emb))
         n0 = len(instr) + len(ids) + len(leads)
         rows[b, len(instr) : n0 - len(leads)] = emb.take(ids, axis=0)
         rows[b, n0 - len(leads) : n0] = leads
@@ -211,20 +220,28 @@ def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectD
     return score_demos(env, [demo], steps)[0]
 
 
+def _demo_ids(demo: Demonstration, size: int) -> tuple:
+    """``ids + per_ids``, each of an integer type in [0, size); ``bool`` is not one."""
+    ids = demo.ids + demo.per_ids
+    if not (_INT_TYPES.issuperset(map(type, ids)) and 0 <= min(ids) and max(ids) < size):
+        raise InvalidIndex(f"demonstration ids must be integers in [0, {size}), got {ids}")
+    return ids
+
+
 def _mean_norm(vocab: Vocabulary, demo: Demonstration) -> tuple[np.ndarray, float]:
     """Mean token embedding of a demonstration and its Euclidean norm."""
     # the arithmetic of ndarray.mean and np.linalg.norm for real rows, without their dispatch
-    ids = list(demo.ids) + list(demo.per_ids)
-    mean = np.add.reduce(vocab.input_embeddings[ids], axis=0) / len(ids)
-    return mean, math.sqrt(mean @ mean)
+    ids = _demo_ids(demo, vocab.size)
+    mean = np.add.reduce(vocab.input_embeddings.take(ids, axis=0), axis=0) / len(ids)
+    return mean, math.sqrt(mean.dot(mean))
 
 
 def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
-    """Cosine of two ``_mean_norm`` results."""
+    """Cosine of two ``_mean_norm`` results; ``dot`` gives the bits of ``@`` with less dispatch."""
     (m1, n1), (m2, n2) = a, b
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateEmbedding("zero-norm mean embedding")
-    return float(m1 @ m2 / (n1 * n2))
+    return float(m1.dot(m2)) / (n1 * n2)
 
 
 def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float:
@@ -233,14 +250,11 @@ def similarity(vocab: Vocabulary, d1: Demonstration, d2: Demonstration) -> float
 
 
 def detect_collapse(scores, similarities, tau_sim: float, eps_imp: float, window: int) -> bool:
-    """True when consecutive demos are near-duplicates or the best score stalls."""
+    """True when consecutive demos are near-duplicates or the best of finite ``scores`` stalls."""
     if len(scores) < 2 or len(similarities) < 2:
         raise InsufficientHistory("collapse detection needs >= 2 iterations")
-    if similarities[-1] >= tau_sim:
-        return True
-    best = np.maximum.accumulate(np.asarray(scores, dtype=float))
-    anchor = max(len(best) - 1 - window, 0)
-    return bool(best[-1] - best[anchor] < eps_imp)
+    anchor = max(len(scores) - 1 - window, 0)
+    return similarities[-1] >= tau_sim or max(scores) - max(scores[: anchor + 1]) < eps_imp
 
 
 def synth_generate(
@@ -263,28 +277,27 @@ def synth_generate(
         raise InvalidDonor("perturbation donor must come from another path")
     best = memory.best()
     if best is None:
-        ids = tuple(int(v) for v in rng.integers(0, vocab_size, size=demo_len))
+        ids = rng.integers(0, vocab_size, size=demo_len).tolist()
     else:
         ids = list(best.demo.ids)
         ids[int(rng.integers(0, len(ids)))] = int(rng.integers(0, vocab_size))
-        ids = tuple(ids)
     per_ids: tuple[int, ...] = ()
     if donor is not None:
         span = int(donor_rng.integers(1, len(donor.ids) + 1))
         start = int(donor_rng.integers(0, len(donor.ids) - span + 1))
         per_ids = donor.ids[start : start + span]
-    return Demonstration(ids, per_ids, origin=path)
+    return Demonstration(tuple(ids), per_ids, origin=path)
 
 
 def run_two_stage(
-    config: OptimizerConfig, env: OptimizerEnv, generator=synth_generate
+    config: OptimizerConfig, env: OptimizerEnv, generator=synth_generate, table=None
 ) -> list[TraceRecord]:
     """Run the m-path loop; deterministic given (config, env, generator).
 
     An iteration draws its m proposals first, in path order (none depends on
-    a score of its own iteration), then scores their distinct unscored
-    (ids, per_ids) pairs, memory twins included, in one ``score_demos`` call.
-    Each pair is scored once per call; scores are kept only for this run.
+    a score of its own iteration), then scores the (ids, per_ids) pairs that
+    ``table`` lacks, memory twins included, in one ``score_demos`` call.  A
+    table bound to (env, gen_steps) may serve several runs; else scores last one.
     """
     rngs = [stream(config.master_seed, f"path/{p}") for p in range(config.m)]
     donor_rngs = [stream(config.master_seed, f"donor/{p}") for p in range(config.m)]
@@ -294,8 +307,9 @@ def run_two_stage(
     last_demo: list[Demonstration | None] = [None] * config.m
     last_mean: list[tuple[np.ndarray, float] | None] = [None] * config.m  # of last_demo
     trace: list[TraceRecord] = []
-    vocab_size = env.vocab.size
-    scores: dict[tuple[tuple[int, ...], tuple[int, ...]], EffectDScore] = {}
+    if table is not None and (table.env is not env or table.steps != config.gen_steps):
+        raise InvalidConfig("the score table is bound to another env or gen_steps")
+    scores = {} if table is None else table.scores  # (ids, per_ids) -> EffectDScore
 
     for it in range(1, config.iterations + 1):
         drawn = []
@@ -305,28 +319,28 @@ def run_two_stage(
             )
             donor = None
             if collapsed and config.perturbation_enabled:
-                # random other path; prefer its best stored demonstration
+                # another path at random, and its latest demonstration, so that the
+                # injected content varies; ``integers`` draws as ``choice(others)`` does
                 others = [q for q in range(config.m) if q != p and last_demo[q] is not None]
                 if others:
-                    # the other path's latest demonstration, so the injected
-                    # content varies from round to round
-                    donor = last_demo[int(donor_rngs[p].choice(others))]
+                    donor = last_demo[others[int(donor_rngs[p].integers(0, len(others)))]]
             demo = generator(
-                p, memories[p], rngs[p], vocab_size, config.demo_len, donor,
+                p, memories[p], rngs[p], env.vocab.size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],
             )
             mean = _mean_norm(env.vocab, demo)
             sim = 0.0 if last_mean[p] is None else _cosine(last_mean[p], mean)
             drawn.append((demo, collapsed, donor is not None, sim))
             last_demo[p], last_mean[p] = demo, mean
-        # memory tracks the demonstration's own quality: it is scored without
-        # the transient perturbation segment, so donor content cannot inflate
-        # the stored value of a weak demonstration
-        keys = [k for d, *_ in drawn for k in ((d.ids, d.per_ids), (d.ids, ())) if k not in scores]
-        if keys:
-            keys = list(dict.fromkeys(keys))
-            demos = [Demonstration(*k) for k in keys]
-            scores.update(zip(keys, score_demos(env, demos, config.gen_steps)))
+        # memory tracks a demonstration's own quality: scored without the transient
+        # perturbation segment, donor content cannot inflate a weak demonstration's value
+        todo = {}  # each unscored pair, as the proposal itself where it is that pair
+        for d, *_ in drawn:
+            for k in ((d.ids, d.per_ids), (d.ids, ())):
+                if k not in scores and k not in todo:
+                    todo[k] = d if k[1] == d.per_ids else Demonstration(d.ids)
+        if todo:
+            scores.update(zip(todo, score_demos(env, list(todo.values()), config.gen_steps)))
         for p, (demo, collapsed, perturbed, sim) in enumerate(drawn):
             memories[p].admit(demo, scores[(demo.ids, ())])
             effect = scores[(demo.ids, demo.per_ids)].value

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualgrad.experiments as experiments_module
 import dualgrad.optimizer as optimizer_module
 from dualgrad.errors import (
     EmptyCandidateSet,
@@ -15,7 +17,12 @@ from dualgrad.errors import (
     InvalidDonor,
     InvalidIndex,
 )
-from dualgrad.experiments import ExperimentConfig, make_toy_env, optimizer_config
+from dualgrad.experiments import (
+    ExperimentConfig,
+    collapse_comparison,
+    make_toy_env,
+    optimizer_config,
+)
 from dualgrad.metrics import EffectDScore, effect_d, score_output
 from dualgrad.optimizer import (
     MEMORY_CAPACITY,
@@ -23,8 +30,10 @@ from dualgrad.optimizer import (
     MemoryBank,
     OptimizerConfig,
     OptimizerEnv,
+    ScoreTable,
     TraceRecord,
     _first_max,
+    _mean_norm,
     detect_collapse,
     evaluate_demo,
     run_two_stage,
@@ -643,3 +652,183 @@ def test_candidate_ids_outside_the_vocabulary_raise():
             generate(lambda s, p: h, seq, 3, env.vocab, mask=mask)
         with pytest.raises(InvalidIndex):
             score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 5)
+
+
+# ---------------------------------------------------------------------------
+# stage 1 in plain Python: each form against the numpy form it replaced
+
+
+def _detect_collapse_oracle(scores, similarities, tau_sim, eps_imp, window):
+    """``detect_collapse`` through ``np.maximum.accumulate`` of the score history."""
+    if similarities[-1] >= tau_sim:
+        return True
+    best = np.maximum.accumulate(np.asarray(scores, dtype=float))
+    anchor = max(len(best) - 1 - window, 0)
+    return bool(best[-1] - best[anchor] < eps_imp)
+
+
+_EFFECTS = [effect_d(None)] + [effect_d(pos) for pos in range(1, 9)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from(_EFFECTS), min_size=2, max_size=15),
+    sim=st.sampled_from([0.0, 0.5, 0.9499999, 0.95, 1.0]),
+    eps_imp=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    window=st.integers(0, 5),
+)
+def test_detect_collapse_is_the_running_maximum_form(scores, sim, eps_imp, window):
+    sims = [0.0] * (len(scores) - 1) + [sim]
+    got = detect_collapse(scores, sims, 0.95, eps_imp, window)
+    assert type(got) is bool
+    assert got == _detect_collapse_oracle(scores, sims, 0.95, eps_imp, window)
+
+
+# the stall is read from the best score at the anchor, len - 1 - window, and
+# not one score earlier or later: each case fails an anchor off by one
+@pytest.mark.parametrize("scores, window, want", [
+    ([0.5, 0.6, 0.6, 0.6], 2, True),  # the best was 0.6 already at the anchor
+    ([0.5, 0.5, 0.6, 0.6], 2, False),  # it rose from 0.5 after the anchor
+])
+def test_detect_collapse_reads_the_best_score_at_the_anchor(scores, window, want):
+    assert detect_collapse(scores, [0.0] * len(scores), 0.95, 0.01, window) is want
+
+
+def test_run_two_stage_reads_collapse_from_finite_effect_values():
+    # detect_collapse's max form assumes finite scores (a NaN would not
+    # propagate as it did through np.maximum.accumulate): its one caller
+    # passes effect_d values only
+    histories = []
+
+    def spy(scores, *args):
+        histories.append(list(scores))
+        return detect_collapse(scores, *args)
+
+    with mock.patch.object(optimizer_module, "detect_collapse", spy):
+        for seed in range(4):
+            run_two_stage(_config(master_seed=seed), make_toy_env(seed))
+    assert histories and all(s in _EFFECTS[:6] for h in histories for s in h)
+
+
+def _mean_norm_oracle(vocab, demo):
+    """``_mean_norm`` through list conversions and a list fancy-index."""
+    ids = list(demo.ids) + list(demo.per_ids)
+    mean = np.add.reduce(vocab.input_embeddings[ids], axis=0) / len(ids)
+    return mean, math.sqrt(mean @ mean)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    ids=_ids,
+    per=st.lists(st.integers(0, 23), max_size=4),
+)
+def test_mean_norm_is_bitwise_the_fancy_index_form(seed, d, scale, ids, per):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(rng.normal(0, 1, (24, d)), rng.normal(0, scale, (24, d)))
+    demo = Demonstration(tuple(ids), tuple(per))
+    (mean, norm), (want_mean, want_norm) = _mean_norm(vocab, demo), _mean_norm_oracle(vocab, demo)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert np.float64(norm).tobytes() == np.float64(want_norm).tobytes()
+
+
+def test_synth_generate_cold_start_draws_as_the_per_value_form():
+    for seed in range(50):
+        rng, want_rng = stream(seed, "cold"), stream(seed, "cold")
+        demo = synth_generate(0, MemoryBank(), rng, 24, 4, None, stream(seed, "d"))
+        assert demo.ids == tuple(int(v) for v in want_rng.integers(0, 24, size=4))
+        assert all(type(i) is int for i in demo.ids)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# demonstration ids
+
+
+def test_demonstration_ids_outside_the_vocabulary_raise():
+    env = make_toy_env(0)
+    vocab, size = env.vocab, env.vocab.size
+    # -1 would read row V-1, V would raise numpy's bare IndexError, 1.5 would
+    # read row 1 and True would be read as id 1
+    for bad in ((-1,), (size,), (1, 2, 1.5), (True, 2), (1, np.float64(2.0))):
+        for demo in (Demonstration(bad), Demonstration((3,), bad)):
+            with pytest.raises(InvalidIndex):
+                score_demos(env, [Demonstration((1, 2)), demo], 5)
+            with pytest.raises(InvalidIndex):
+                evaluate_demo(env, demo, 5)
+            with pytest.raises(InvalidIndex):
+                similarity(vocab, demo, Demonstration((size - 1,)))
+            with pytest.raises(InvalidIndex):
+                similarity(vocab, Demonstration((size - 1,)), demo)
+
+    def bad_ids(path, memory, rng, vocab_size, demo_len, donor=None, donor_rng=None):
+        return Demonstration((vocab_size,), origin=path)
+
+    with pytest.raises(InvalidIndex):
+        run_two_stage(_config(iterations=2), env, generator=bad_ids)
+
+
+def test_numpy_integer_ids_score_as_python_ints():
+    env = make_toy_env(0)
+    ids, per = (0, 5, env.vocab.size - 1), (7,)
+    as_np = Demonstration(tuple(np.array(ids)), tuple(np.array(per, dtype=np.uint8)))
+    assert score_demos(env, [as_np], 5) == score_demos(env, [Demonstration(ids, per)], 5)
+    assert similarity(env.vocab, as_np, Demonstration((1,))) == similarity(
+        env.vocab, Demonstration(ids, per), Demonstration((1,)))
+
+
+# ---------------------------------------------------------------------------
+# a score table shared by the two arms of a paired run
+
+
+def test_paired_arms_draw_the_same_ids():
+    # the premise of sharing a table: perturbation changes per_ids only
+    cfg = ExperimentConfig()
+    for seed in range(20):
+        env = make_toy_env(seed, cfg.d_i, cfg.d_o, cfg.vocab_size)
+        arms = [run_two_stage(optimizer_config(cfg, on, seed), env) for on in (True, False)]
+        assert [r.demo.ids for r in arms[0]] == [r.demo.ids for r in arms[1]]
+        assert any(r.demo.per_ids for r in arms[0])
+
+
+def test_a_score_table_serves_only_its_env_and_steps():
+    cfg = _config(iterations=4)
+    env = make_toy_env(0)
+    table = ScoreTable(env, cfg.gen_steps)
+    want = run_two_stage(cfg, env)
+    assert run_two_stage(cfg, env, table=table) == want
+    assert table.scores
+    # a second run on a full table scores nothing and gives the same trace
+    with mock.patch.object(optimizer_module, "score_demos") as spy:
+        assert run_two_stage(cfg, env, table=table) == want
+    assert not spy.called
+    for bad in (ScoreTable(make_toy_env(0), cfg.gen_steps), ScoreTable(env, cfg.gen_steps + 1)):
+        with pytest.raises(InvalidConfig):
+            run_two_stage(cfg, env, table=bad)
+
+
+def _scored_keys(run):
+    """Summary of ``run()`` and the number of demonstrations it sends to ``score_demos``."""
+    count = [0]
+
+    def counted(env, demos, steps):
+        count[0] += len(demos)
+        return score_demos(env, demos, steps)
+
+    with mock.patch.object(optimizer_module, "score_demos", counted):
+        return run(), count[0]
+
+
+def test_collapse_comparison_scores_each_key_once_per_seed():
+    cfg = ExperimentConfig(m=3, iterations=15, seed=0)
+    shared, n_shared = _scored_keys(lambda: collapse_comparison(cfg, n_seeds=40))
+
+    def unshared(config, env, table=None):
+        return run_two_stage(config, env)
+
+    with mock.patch.object(experiments_module, "run_two_stage", unshared):
+        alone, n_alone = _scored_keys(lambda: collapse_comparison(cfg, n_seeds=40))
+    assert shared == alone
+    assert (n_shared, n_alone) == (2822, 4496)
