@@ -48,7 +48,7 @@ class MemoryEntry:
 
 
 MEMORY_CAPACITY = 16
-_INT_TYPES = frozenset({int, *(t for t in np.sctypeDict.values() if issubclass(t, np.integer))})
+_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 class MemoryBank:

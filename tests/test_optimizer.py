@@ -704,10 +704,12 @@ def test_run_two_stage_reads_collapse_from_finite_effect_values():
         histories.append(list(scores))
         return detect_collapse(scores, *args)
 
+    cfg = _config()
+    allowed = {effect_d(None)} | {effect_d(pos) for pos in range(1, cfg.gen_steps + 1)}
     with mock.patch.object(optimizer_module, "detect_collapse", spy):
         for seed in range(4):
-            run_two_stage(_config(master_seed=seed), make_toy_env(seed))
-    assert histories and all(s in _EFFECTS[:6] for h in histories for s in h)
+            run_two_stage(replace(cfg, master_seed=seed), make_toy_env(seed))
+    assert histories and all(s in allowed for h in histories for s in h)
 
 
 def _mean_norm_oracle(vocab, demo):
@@ -751,8 +753,9 @@ def test_demonstration_ids_outside_the_vocabulary_raise():
     env = make_toy_env(0)
     vocab, size = env.vocab, env.vocab.size
     # -1 would read row V-1, V would raise numpy's bare IndexError, 1.5 would
-    # read row 1 and True would be read as id 1
-    for bad in ((-1,), (size,), (1, 2, 1.5), (True, 2), (1, np.float64(2.0))):
+    # read row 1, and True and a numpy timedelta of 1 would be read as id 1
+    for bad in ((-1,), (size,), (1, 2, 1.5), (True, 2), (1, np.float64(2.0)),
+                (np.True_,), (np.timedelta64(1), 2)):
         for demo in (Demonstration(bad), Demonstration((3,), bad)):
             with pytest.raises(InvalidIndex):
                 score_demos(env, [Demonstration((1, 2)), demo], 5)
