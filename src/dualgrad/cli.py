@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import props as props_mod
-from .config import format_cell, load_config, write_csv
+from .config import csv_text, load_config, write_csv
 from .errors import (
     DualgradError,
     EmptyData,
@@ -64,9 +64,7 @@ def _emit(cfg, header, rows) -> None:
     if cfg.out:
         write_csv(cfg.out, header, rows)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_cell(v) for v in row))
+        sys.stdout.write(csv_text(header, rows))
 
 
 def cmd_equiv(cfg, args) -> int:

@@ -108,12 +108,15 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """The header and rows as CSV lines, each ending in LF, floats at full precision."""
+    return "".join(",".join(map(format_cell, row)) + "\n" for row in [header, *rows])
+
+
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Write rows with full float precision; deterministic bytes."""
+    """Write ``csv_text``; deterministic bytes."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_cell(v) for v in row) + "\n")
+            fh.write(csv_text(header, rows))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

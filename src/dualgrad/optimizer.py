@@ -19,13 +19,12 @@ from .errors import (
     InvalidConfig,
     InvalidDimension,
     InvalidDonor,
-    InvalidIndex,
     InvalidParameter,
 )
 from .metrics import EffectDScore, effect_d
 from .rng import stream
 from .sequence import _unit_rows
-from .transformer import Vocabulary, _candidate_table
+from .transformer import Vocabulary, _candidate_table, _token_ids
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class MemoryEntry:
 
 
 MEMORY_CAPACITY = 16
-_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 class MemoryBank:
@@ -186,7 +184,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     rows = np.empty((len(demos), len(instr) + width + len(leads) + steps, emb.shape[1]))
     rows[:, : len(instr)] = instr
     for b, demo in enumerate(demos):
-        ids = _demo_ids(demo, len(emb))
+        ids = _token_ids(demo.ids + demo.per_ids, len(emb))
         n0 = len(instr) + len(ids) + len(leads)
         rows[b, len(instr) : n0 - len(leads)] = emb.take(ids, axis=0)
         rows[b, n0 - len(leads) : n0] = leads
@@ -220,18 +218,10 @@ def evaluate_demo(env: OptimizerEnv, demo: Demonstration, steps: int) -> EffectD
     return score_demos(env, [demo], steps)[0]
 
 
-def _demo_ids(demo: Demonstration, size: int) -> tuple:
-    """``ids + per_ids``, each of an integer type in [0, size); ``bool`` is not one."""
-    ids = demo.ids + demo.per_ids
-    if not (_INT_TYPES.issuperset(map(type, ids)) and 0 <= min(ids) and max(ids) < size):
-        raise InvalidIndex(f"demonstration ids must be integers in [0, {size}), got {ids}")
-    return ids
-
-
 def _mean_norm(vocab: Vocabulary, demo: Demonstration) -> tuple[np.ndarray, float]:
     """Mean token embedding of a demonstration and its Euclidean norm."""
     # the arithmetic of ndarray.mean and np.linalg.norm for real rows, without their dispatch
-    ids = _demo_ids(demo, vocab.size)
+    ids = _token_ids(demo.ids + demo.per_ids, vocab.size)
     mean = np.add.reduce(vocab.input_embeddings.take(ids, axis=0), axis=0) / len(ids)
     return mean, math.sqrt(mean.dot(mean))
 

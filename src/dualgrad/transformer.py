@@ -595,7 +595,12 @@ def stack_forward(
     seq: SegmentedSequence,
     query_pos: int,
 ) -> np.ndarray:
-    """Output of the final layer at query_pos; L = 1 reduces to layer_forward."""
+    """Output of the final layer at query_pos.
+
+    L = 1 reduces to ``layer_forward`` at query_pos >= 2 only: at 1, where that
+    gives the FFN of a zero attention, this raises ``InvalidIndex`` as the dual
+    builders do.
+    """
     layer_inputs = stack_trace(stack, fmap, seq, query_pos)
     att, ffn = stack.layers[-1]
     return layer_forward(att, ffn, layer_inputs[-1], query_pos, fmap)
@@ -623,14 +628,14 @@ def gqa_attention(
 # decoding and generation
 
 
-def _candidate_ids(mask, size: int) -> np.ndarray:
-    """Distinct ascending ids in [0, size) from a set or other iterable of ids, or an int array."""
-    ids = np.asarray(mask if isinstance(mask, np.ndarray) else list(mask))
-    if ids.size and ids.dtype.kind not in "iu":
-        raise InvalidIndex(f"candidate ids must be integers, got {ids.dtype} entries")
-    ids = np.unique(ids.astype(np.intp))
-    if ids.size and (ids[0] < 0 or ids[-1] >= size):
-        raise InvalidIndex(f"candidate ids must lie in [0, {size}), got {ids[0]}..{ids[-1]}")
+_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
+
+def _token_ids(ids, size: int) -> tuple:
+    """The one id rule: ``ids`` as a tuple, each an int or numpy integer (no bool) in [0, size)."""
+    ids = tuple(ids)
+    if ids and not (_INT_TYPES.issuperset(map(type, ids)) and 0 <= min(ids) and max(ids) < size):
+        raise InvalidIndex(f"token ids must be integers in [0, {size}), got {ids}")
     return ids
 
 
@@ -644,7 +649,7 @@ def _candidate_table(vocab: Vocabulary, mask) -> tuple[np.ndarray | None, np.nda
         if not vocab.size:
             raise EmptyCandidateSet("vocabulary is empty")
         return None, vocab.output_embeddings
-    ids = _candidate_ids(mask, vocab.size)
+    ids = np.unique(np.array(_token_ids(mask, vocab.size), dtype=np.intp))
     if not ids.size:
         raise EmptyCandidateSet("candidate mask is empty")
     return ids, vocab.output_embeddings[ids]
@@ -655,7 +660,7 @@ def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
 
     A BLAS may round two identical rows of the table differently (OpenBLAS's
     gemv does at d_o >= 8), so the smaller twin is not sure to win.
-    ``mask`` is any iterable of candidate ids (a set, or an int array).
+    ``mask`` is any iterable of ids that ``_token_ids`` accepts (a set, or a 1-D int array).
     """
     ids, table = _candidate_table(vocab, mask)
     i = int((table @ h).argmax())

@@ -627,8 +627,9 @@ def test_a_repeated_candidate_id_is_emitted_once():
 def test_candidate_ids_must_be_integers():
     env = _fixed_env()
     seq = SegmentedSequence.build(env.instr, np.ones((1, 4)), env.leads)
-    # flags would otherwise be read as the ids 0 and 1
-    for bad in (np.array([False, True, False, False, False, False]), [True, False], [2.0, 3.0]):
+    # flags would otherwise be read as the ids 0 and 1, and a 2-D array flattened into ids
+    for bad in (np.array([False, True, False, False, False, False]), [True, False], [2.0, 3.0],
+                {True, 5}, frozenset({np.True_, 2, 3}), np.array([[1, 2], [3, 4]])):
         with pytest.raises(InvalidIndex):
             decode(env.vocab, _H, bad)
         with pytest.raises(InvalidIndex):

@@ -438,10 +438,15 @@ def test_single_layer_stack_reduces_to_layer_forward():
     ffn = _ffn(rng, params.d_o, 9)
     fmap = sample_feature_map(params.d_o, 256, seed=7)
     stack = LayerStack(((params, ffn),))
-    pos = len(seq)
-    assert np.allclose(
-        stack_forward(stack, fmap, seq, pos), layer_forward(params, ffn, seq, pos, fmap)
-    )
+    for pos in range(2, len(seq) + 1):
+        assert np.allclose(
+            stack_forward(stack, fmap, seq, pos), layer_forward(params, ffn, seq, pos, fmap)
+        )
+    # position 1: layer_forward gives the FFN of a zero attention, the stack refuses
+    assert np.array_equal(layer_forward(params, ffn, seq, 1, fmap),
+                          ffn.w1 @ np.maximum(ffn.b2, 0.0) + ffn.b1)
+    with pytest.raises(InvalidIndex):
+        stack_forward(stack, fmap, seq, 1)
 
 
 def test_identity_connection_equals_explicit_eye():
