@@ -1,9 +1,9 @@
 """Command-line harness.
 
-    dualgrad equiv|fig7|props|optimize|generate|plot
-        --config <path> --seed <int> --out <path>
+    dualgrad <command> [<csv>] --config <path> --seed <int> --out <path>
         [--reps <int>] [--mode exact|kernel] [--schedule per-token|fractional:<S>]
 
+The commands are the keys of ``_COMMANDS``; only ``plot`` takes ``<csv>``.
 Exit codes: 0 success, 1 suite/acceptance failure, 2 config error, 3 I/O error.
 ``DUALGRAD_SEED`` overrides the default master seed when no flag is given.
 """
@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import props as props_mod
-from .config import csv_text, load_config, write_csv
+from .config import csv_text, load_config, read_text, write_text
 from .errors import (
     DualgradError,
     EmptyData,
@@ -37,32 +37,9 @@ from .metrics import effect_d
 from .svgplot import line_chart, read_csv
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as a config error: exit 2, one stderr line."""
-
-    def error(self, message):
-        raise InvalidConfig(message)
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dualgrad")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("equiv", "fig7", "props", "optimize", "generate", "plot"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--mode", choices=("exact", "kernel"), default=None)
-        p.add_argument("--schedule", default=None)
-        if name == "plot":
-            p.add_argument("csv", nargs="?", default=None)
-    return parser
-
-
 def _emit(cfg, header, rows) -> None:
     if cfg.out:
-        write_csv(cfg.out, header, rows)
+        write_text(cfg.out, csv_text(header, rows))
     else:
         sys.stdout.write(csv_text(header, rows))
 
@@ -81,7 +58,7 @@ def cmd_equiv(cfg, args) -> int:
 def cmd_fig7(cfg, args) -> int:
     report = run_fig7(cfg)
     if cfg.out:
-        write_csv(cfg.out, FIG7_HEADER, report.rows)
+        write_text(cfg.out, csv_text(FIG7_HEADER, report.rows))
     for kind in ("good", "bad"):
         print(
             f"{kind}: hit_position={report.hits[kind]} "
@@ -120,15 +97,11 @@ def cmd_plot(cfg, args) -> int:
     csv_path = args.csv or cfg.out
     if not csv_path:
         raise InvalidConfig("plot needs a CSV path (positional or out=)")
-    header, rows = read_csv(csv_path)
+    header, rows = read_csv(read_text(csv_path), csv_path)
     group = cfg.group if cfg.group in header else None
     svg = line_chart(header, rows, cfg.x, cfg.y, group)
     out = cfg.out if cfg.out and cfg.out != csv_path else csv_path + ".svg"
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise IoError(f"cannot write {out}: {exc}") from exc
+    write_text(out, svg)
     print(f"wrote {out}")
     return 0
 
@@ -142,6 +115,29 @@ _COMMANDS = {
     "generate": cmd_generate,
     "plot": cmd_plot,
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a config error: exit 2, one stderr line."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="dualgrad")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.add_argument("--reps", type=int, default=None)
+        p.add_argument("--mode", choices=("exact", "kernel"), default=None)
+        p.add_argument("--schedule", default=None)
+        if command is cmd_plot:
+            p.add_argument("csv", nargs="?", default=None)
+    return parser
 
 
 def main(argv=None) -> int:

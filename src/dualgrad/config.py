@@ -1,4 +1,4 @@
-"""Flat key=value config documents and CSV output helpers.
+"""Flat key=value config documents, CSV lines and the package's text-file reads and writes.
 
 Precedence for every setting: command-line flag > config file > default.
 CSV files are UTF-8 with LF line endings, a mandatory header row, '.' decimal
@@ -8,9 +8,8 @@ separators and full float round-trip precision.
 import dataclasses
 import os
 
-from .dual import parse_schedule
-from .errors import InvalidConfig, InvalidParameter, IoError, ParseError
-from .experiments import TOY_CANDIDATES, ExperimentConfig
+from .errors import InvalidConfig, IoError, ParseError
+from .experiments import ExperimentConfig
 
 # config-document keys that differ from the dataclass field names
 _ALIASES = {
@@ -68,36 +67,32 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
     """Assemble the effective config: defaults, then file, then flags."""
     values = dict(_KIND_DEFAULTS.get(kind, {}))
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise IoError(f"cannot read config {path}: {exc}") from exc
-        values.update(parse_config_text(text))
+        values.update(parse_config_text(read_text(path)))
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "seed" not in values and "DUALGRAD_SEED" in os.environ:
         try:
             values["seed"] = int(os.environ["DUALGRAD_SEED"])
         except ValueError:
             raise InvalidConfig("DUALGRAD_SEED must be an integer") from None
-    cfg = ExperimentConfig(**values)
-    if cfg.feature_dim % 2 or cfg.feature_dim < 2:
-        raise InvalidConfig("D (feature_dim) must be even and >= 2")
-    if cfg.reps < 1:
-        raise InvalidConfig("repetitions must be >= 1")
-    if min(cfg.d_i, cfg.d_o, cfg.n_t, cfg.n_d, cfg.demo_len) < 1:
-        raise InvalidConfig("dims and sizes must be positive")
-    if min(cfg.k_leads, cfg.window) < 0:
-        raise InvalidConfig("k_leads and window must be >= 0")
-    if cfg.vocab_size < TOY_CANDIDATES:
-        raise InvalidConfig(f"vocab_size must be >= {TOY_CANDIDATES}, the toy candidate count")
-    if cfg.mode not in ("exact", "kernel"):
-        raise InvalidConfig(f"mode must be exact|kernel, got {cfg.mode!r}")
+    return ExperimentConfig(**values)
+
+
+def read_text(path: str) -> str:
+    """The file's text as UTF-8; a path that cannot be read or decoded is an ``IoError``."""
     try:
-        parse_schedule(cfg.schedule)
-    except InvalidParameter as exc:
-        raise InvalidConfig(str(exc)) from None
-    return cfg
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line endings; an unwritable path is an ``IoError``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def format_cell(value) -> str:
@@ -111,12 +106,3 @@ def format_cell(value) -> str:
 def csv_text(header: list[str], rows: list[list]) -> str:
     """The header and rows as CSV lines, each ending in LF, floats at full precision."""
     return "".join(",".join(map(format_cell, row)) + "\n" for row in [header, *rows])
-
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Write ``csv_text``; deterministic bytes."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text(header, rows))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc

@@ -58,4 +58,4 @@ class EmptyData(DualgradError):
 
 
 class IoError(DualgradError):
-    """An output path could not be written."""
+    """A path could not be read or written."""

@@ -4,9 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import DualModel, build_dual_attention, descend, start_descent
+from .dual import DualModel, build_dual_attention, descend, parse_schedule, start_descent
 from .engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
-from .errors import InvalidConfig, NormalizationDegenerate
+from .errors import InvalidConfig, InvalidParameter, NormalizationDegenerate
 from .kernelmap import sample_feature_map
 from .metrics import hit_position
 from .optimizer import OptimizerConfig, OptimizerEnv, ScoreTable, TraceRecord, run_two_stage
@@ -24,7 +24,7 @@ from .transformer import (
 
 @dataclass
 class ExperimentConfig:
-    """Flat configuration shared by the CLI subcommands."""
+    """Flat configuration shared by the CLI subcommands; construction checks every range."""
 
     d_i: int = 8
     d_o: int = 6
@@ -51,6 +51,24 @@ class ExperimentConfig:
     x: str = "step"
     y: str = "se"
     group: str = "seed"
+
+    def __post_init__(self):
+        if self.feature_dim % 2 or self.feature_dim < 2:
+            raise InvalidConfig("D (feature_dim) must be even and >= 2")
+        if self.reps < 1:
+            raise InvalidConfig("repetitions must be >= 1")
+        if min(self.d_i, self.d_o, self.n_t, self.n_d, self.demo_len) < 1:
+            raise InvalidConfig("dims and sizes must be positive")
+        if min(self.k_leads, self.window) < 0:
+            raise InvalidConfig("k_leads and window must be >= 0")
+        if self.vocab_size < TOY_CANDIDATES:
+            raise InvalidConfig(f"vocab_size must be >= {TOY_CANDIDATES}, the toy candidate count")
+        if self.mode not in ("exact", "kernel"):
+            raise InvalidConfig(f"mode must be exact|kernel, got {self.mode!r}")
+        try:
+            parse_schedule(self.schedule)
+        except InvalidParameter as exc:
+            raise InvalidConfig(str(exc)) from None
 
 
 def random_attention(rng: np.random.Generator, d_i: int, d_o: int) -> AttentionParams:

@@ -119,8 +119,7 @@ class OptimizerEnv:
     @cached_property
     def candidates(self) -> tuple[list[int], np.ndarray]:
         """Ascending candidate ids and their output-embedding rows, from ``_candidate_table``."""
-        ids, table = _candidate_table(self.vocab, self.candidate_mask)
-        return ids.tolist(), table
+        return _candidate_table(self.vocab, self.candidate_mask)
 
 
 @dataclass(frozen=True, eq=False)

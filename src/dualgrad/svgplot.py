@@ -1,18 +1,15 @@
 """Minimal dependency-free SVG line charts with deterministic output bytes."""
 
-from .errors import EmptyData, IoError, ParseError
+from .errors import EmptyData, ParseError
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN = 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+def read_csv(text: str, path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the CSV document ``text``; ``path`` names it in a ``ParseError``."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: missing header row")
     header = lines[0].split(",")

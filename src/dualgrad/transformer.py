@@ -633,26 +633,30 @@ _INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllIntege
 
 def _token_ids(ids, size: int) -> tuple:
     """The one id rule: ``ids`` as a tuple, each an int or numpy integer (no bool) in [0, size)."""
-    ids = tuple(ids)
+    try:
+        ids = tuple(ids)
+    except TypeError:
+        raise InvalidIndex(f"token ids must be an iterable of ids, got {ids!r}") from None
     if ids and not (_INT_TYPES.issuperset(map(type, ids)) and 0 <= min(ids) and max(ids) < size):
-        raise InvalidIndex(f"token ids must be integers in [0, {size}), got {ids}")
+        bad = next(i for i in ids if type(i) not in _INT_TYPES or not 0 <= i < size)
+        raise InvalidIndex(f"token ids must be integers in [0, {size}), got {bad!r}")
     return ids
 
 
-def _candidate_table(vocab: Vocabulary, mask) -> tuple[np.ndarray | None, np.ndarray]:
-    """Ascending candidate ids (None for the whole vocabulary) and their output embeddings.
+def _candidate_table(vocab: Vocabulary, mask) -> tuple[range | list[int], np.ndarray]:
+    """Ascending candidate ids (``range(V)`` without a mask) and their output embeddings.
 
     Every greedy pick is an ``argmax`` over logits of this one table, so an
     id's logit has the same bits whichever ids an emission rule has removed.
     """
     if mask is None:
-        if not vocab.size:
-            raise EmptyCandidateSet("vocabulary is empty")
-        return None, vocab.output_embeddings
-    ids = np.unique(np.array(_token_ids(mask, vocab.size), dtype=np.intp))
-    if not ids.size:
-        raise EmptyCandidateSet("candidate mask is empty")
-    return ids, vocab.output_embeddings[ids]
+        ids, table = range(vocab.size), vocab.output_embeddings
+    else:
+        ids = sorted({int(i) for i in _token_ids(mask, vocab.size)})
+        table = vocab.output_embeddings.take(ids, axis=0)
+    if not ids:
+        raise EmptyCandidateSet(f"{'vocabulary' if mask is None else 'candidate mask'} is empty")
+    return ids, table
 
 
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
@@ -663,8 +667,7 @@ def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
     ``mask`` is any iterable of ids that ``_token_ids`` accepts (a set, or a 1-D int array).
     """
     ids, table = _candidate_table(vocab, mask)
-    i = int((table @ h).argmax())
-    return i if ids is None else int(ids[i])
+    return ids[int((table @ h).argmax())]
 
 
 @dataclass(frozen=True)
@@ -701,7 +704,7 @@ def generate(
         h = forward(seq, pos)
         logits = table @ h
         i = int(logits.argmax() if left is None else left[logits[left].argmax()])
-        tok = i if cand is None else int(cand[i])
+        tok = cand[i]
         ids.append(tok)
         hiddens.append(h)
         positions.append(pos)

@@ -13,8 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualgrad
+from dualgrad import cli
 from dualgrad.cli import main
-from dualgrad.config import _ALIASES, format_cell, load_config, parse_config_text, write_csv
+from dualgrad.config import (
+    _ALIASES,
+    csv_text,
+    format_cell,
+    load_config,
+    parse_config_text,
+    read_text,
+    write_text,
+)
 from dualgrad.errors import InvalidConfig, IoError, ParseError
 from dualgrad.experiments import TOY_CANDIDATES, ExperimentConfig
 from dualgrad.svgplot import line_chart, read_csv
@@ -87,7 +96,7 @@ def test_load_config_validation(tmp_path):
 
 def test_csv_format(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(str(path), ["a", "b"], [[1, 0.5], [2, True]])
+    write_text(str(path), csv_text(["a", "b"], [[1, 0.5], [2, True]]))
     raw = path.read_bytes()
     assert raw == b"a,b\n1,0.5\n2,1\n"
     assert format_cell(1 / 3) == repr(1 / 3)
@@ -100,7 +109,7 @@ def test_csv_format(tmp_path):
 def test_equiv_writes_csv_with_schema(tmp_path, capsys):
     out = tmp_path / "equiv.csv"
     assert main(["equiv", "--reps", "2", "--seed", "1", "--out", str(out)]) == 0
-    header, rows = read_csv(str(out))
+    header, rows = read_csv(read_text(str(out)), str(out))
     assert header == ["seed", "n_d", "step", "se", "schedule", "mode"]
     assert rows and all(len(r) == 6 for r in rows)
 
@@ -135,7 +144,7 @@ def test_props_pass_and_fault_injection(tmp_path, capsys):
 def test_optimize_csv_schema(tmp_path):
     out = tmp_path / "opt.csv"
     assert main(["optimize", "--seed", "2", "--out", str(out)]) == 0
-    header, rows = read_csv(str(out))
+    header, rows = read_csv(read_text(str(out)), str(out))
     assert header == [
         "iteration", "path", "effect_d", "similarity", "collapse", "perturbed", "demo_id",
     ]
@@ -212,8 +221,34 @@ def test_unwritable_out_exits_3(tmp_path):
     assert main(["equiv", "--reps", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
 
 
-def test_missing_config_file_exits_3(tmp_path):
-    assert main(["equiv", "--config", str(tmp_path / "nope.cfg")]) == 3
+def test_missing_config_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "nope.cfg"
+    assert main(["equiv", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"io error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("argv", [["equiv", "--config"], ["plot"]])
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"seed = 3\nx = caf\xe9\n")
+    assert main(argv + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: cannot read {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["equiv", "--reps", "2"], ["optimize", "--seed", "1"], ["generate", "--seed", "0"]]
+)
+def test_out_file_holds_the_csv_lines_of_stdout(tmp_path, capsys, monkeypatch, argv):
+    # without --out the CSV lines go to stdout, followed by what is printed either way
+    monkeypatch.delenv("DUALGRAD_SEED", raising=False)
+    out = tmp_path / "out.csv"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    rest = capsys.readouterr().out
+    csv = out.read_bytes()
+    assert csv.count(b"\n") > 1 and stdout.encode() == csv + rest.encode()
 
 
 # config files for the rows below, written into the working directory
@@ -371,7 +406,7 @@ _BAD_FLAGS = st.one_of(
         lambda v: [f"--schedule={v}"]),
     st.just(["--no-such-flag"]),
 )
-_COMMANDS = st.sampled_from(["equiv", "fig7", "props", "optimize", "generate", "plot"])
+_COMMANDS = st.sampled_from(list(cli._COMMANDS))
 
 
 @st.composite
@@ -418,6 +453,16 @@ def test_plot_produces_svg(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_plot_to_an_unwritable_svg_path_exits_3(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("step,se,seed\n0,0.5,1\n1,0.25,1\n")
+    svg = tmp_path / "no" / "chart.svg"
+    assert main(["plot", str(csv), "--out", str(svg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: cannot write {svg}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_plot_missing_column_exits_2(tmp_path):
     csv = tmp_path / "data.csv"
     csv.write_text("a,b\n1,2\n")
@@ -450,4 +495,4 @@ def test_read_csv_validates_row_lengths(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1\n")
     with pytest.raises(ParseError):
-        read_csv(str(path))
+        read_csv(read_text(str(path)), str(path))

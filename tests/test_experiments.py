@@ -98,6 +98,21 @@ def test_mask_forcing_overrides_demo_quality():
     assert hit_position(trace.ids, TARGET_ID) == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"mode": "Kernel"}, {"mode": "both"}, {"schedule": "sgd"}, {"schedule": "fractional:0"},
+        {"reps": 0}, {"feature_dim": 7}, {"feature_dim": 0}, {"d_o": 0}, {"demo_len": 0},
+        {"k_leads": -1}, {"window": -1}, {"vocab_size": TOY_CANDIDATES - 1},
+    ],
+)
+def test_experiment_config_checks_its_own_ranges(bad):
+    # a config built in code gets the checks a config file or flag gets; else
+    # run_equiv would run mode "Kernel" as exact attention
+    with pytest.raises(InvalidConfig):
+        run_equiv(ExperimentConfig(**{"reps": 1, **bad}))
+
+
 def test_scenario_validation():
     with pytest.raises(ConstructionFailed):
         build_scenario("mediocre", **FIG7)

@@ -655,6 +655,32 @@ def test_candidate_ids_outside_the_vocabulary_raise():
             score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 5)
 
 
+def test_a_mask_that_is_not_iterable_raises_invalid_index():
+    env = _fixed_env()
+    seq = SegmentedSequence.build(env.instr, np.ones((1, 4)), env.leads)
+    for bad in (2, np.array(2), 2.0, np.int64(2)):
+        with pytest.raises(InvalidIndex, match="iterable"):
+            decode(env.vocab, _H, bad)
+        with pytest.raises(InvalidIndex, match="iterable"):
+            generate(lambda s, p: _H, seq, 3, env.vocab, mask=bad)
+        with pytest.raises(InvalidIndex, match="iterable"):
+            score_demos(replace(env, candidate_mask=bad), [Demonstration((1, 2))], 5)
+
+
+def test_an_invalid_id_message_names_the_first_bad_id():
+    env = make_toy_env(0)
+    h = np.ones(env.vocab.output_embeddings.shape[1])
+    ids = [*range(env.vocab.size)] * 375  # 9,000 valid ids
+    want = f"token ids must be integers in [0, {env.vocab.size}), got "
+    for bad, shown in ((-1, "-1"), (np.int64(99), "np.int64(99)"), (True, "True"), (2.0, "2.0")):
+        with pytest.raises(InvalidIndex) as err:
+            decode(env.vocab, h, ids + [bad])
+        assert str(err.value) == want + shown
+        with pytest.raises(InvalidIndex) as err:
+            score_demos(env, [Demonstration((3, bad))], 5)
+        assert str(err.value) == want + shown
+
+
 # ---------------------------------------------------------------------------
 # stage 1 in plain Python: each form against the numpy form it replaced
 
