@@ -202,7 +202,7 @@ def make_toy_env(
     target = int(candidates[0])
 
     return OptimizerEnv(
-        forward=lambda tokens: exact_attention_batch(params, tokens),
+        params=params,
         instr=rng.normal(0, 1, (4, d_i)),
         leads=rng.normal(0, 1, (2, d_i)),
         vocab=vocab,
@@ -220,8 +220,8 @@ def run_generate(cfg: ExperimentConfig) -> list[list]:
         env.instr, env.vocab.input_embeddings[demo_ids], env.leads, normalize=True
     )
     trace = generate(
-        lambda s, pos: env.forward(s.tokens[None, :pos])[0], seq, cfg.steps, env.vocab,
-        env.candidate_mask,
+        lambda s, pos: exact_attention_batch(env.params, s.tokens[None, :pos])[0],
+        seq, cfg.steps, env.vocab, env.candidate_mask,
     )
     return [
         [i + 1, p, t] for i, (p, t) in enumerate(zip(trace.positions, trace.ids))

@@ -24,7 +24,9 @@ from .errors import (
 from .metrics import EffectDScore, effect_d
 from .rng import stream
 from .sequence import _unit_rows
-from .transformer import Vocabulary, _candidate_table, _token_ids
+from .transformer import (
+    AttentionParams, SlotTables, Vocabulary, _candidate_table, _token_ids, exact_attention_slots,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class Demonstration:
             raise InvalidConfig("a demonstration must contain at least one token")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryEntry:
     demo: Demonstration
     score: EffectDScore
@@ -54,23 +56,33 @@ class MemoryBank:
 
     At most ``MEMORY_CAPACITY`` entries, enforced by evicting the
     lowest-scoring one; the maximum is therefore never discarded and
-    best-of-memory is non-decreasing.
+    best-of-memory is non-decreasing.  ``admit`` keeps the first maximal
+    entry, which ``best`` returns, and ``entries`` is a read-only tuple.
     """
 
     def __init__(self):
-        self.entries: list[MemoryEntry] = []
+        self._entries: tuple[MemoryEntry, ...] = ()
+        self._best: MemoryEntry | None = None
+
+    @property
+    def entries(self) -> tuple[MemoryEntry, ...]:
+        return self._entries
 
     def admit(self, demo: Demonstration, score: EffectDScore) -> bool:
         if score.value <= 0.0:
             return False
-        self.entries.append(MemoryEntry(demo, score))
-        if len(self.entries) > MEMORY_CAPACITY:
-            worst = min(range(len(self.entries)), key=lambda i: self.entries[i].score.value)
-            del self.entries[worst]
+        self._entries += (MemoryEntry(demo, score),)
+        if self._best is None or score.value > self._best.score.value:
+            self._best = self._entries[-1]
+        if len(self._entries) > MEMORY_CAPACITY:
+            worst = min(self._entries, key=lambda e: e.score.value)  # the first lowest
+            self._entries = tuple(e for e in self._entries if e is not worst)
+            if worst is self._best:  # then every entry ties, and the next is the first maximum
+                self._best = self._entries[0]
         return True
 
     def best(self) -> MemoryEntry | None:
-        return max(self.entries, key=lambda e: e.score.value, default=None)
+        return self._best
 
 
 @dataclass(frozen=True)
@@ -98,9 +110,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerEnv:
-    """Fixed evaluation environment: batched model forward, prompt frame, candidates and target."""
+    """Fixed evaluation environment: attention parameters, prompt frame, candidates and target.
 
-    forward: object  # callable((B, N, d_i) prompts) -> (B, d_o) hiddens at position N
+    Stage 2 runs the exact attention of ``params`` from ``tables``, which holds every frame row.
+    """
+
+    params: AttentionParams
     instr: np.ndarray
     leads: np.ndarray
     vocab: Vocabulary
@@ -120,6 +135,11 @@ class OptimizerEnv:
     def candidates(self) -> tuple[list[int], np.ndarray]:
         """Ascending candidate ids and their output-embedding rows, from ``_candidate_table``."""
         return _candidate_table(self.vocab, self.candidate_mask)
+
+    @cached_property
+    def tables(self) -> SlotTables:
+        """``SlotTables`` of ``params`` over the frame rows, stacked ``[instr; leads; emb]``."""
+        return SlotTables(self.params, np.vstack(self.frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +185,10 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     Every id must be an integer in [0, V).  Greedy, emitted ids excluded,
     stopped at the target (the score reads only its first hit).  Every prompt
     grows by one token per step, so all prompts that have started and not yet
-    left share one length N: each N makes one ``env.forward`` call, from the
-    shortest start to the last live prompt.  After each call, one product over
+    left share one length N: each N makes one ``exact_attention_slots`` call on
+    a block of frame-row slots of ``env.tables`` (grown first to the longest
+    prompt the call can ask for), from the shortest start to the last live
+    prompt.  After each call, one product over
     the candidate table (``env.candidates``) gives every row's logits, and each
     row picks in plain Python from its own list of remaining candidates, as
     ``generate`` does: the first maximum, or the first NaN.  A prompt leaves on
@@ -177,17 +199,19 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
         raise InvalidParameter("steps must be >= 1")
     instr, leads, emb = env.frame
     cand, table = env.candidates
+    first = len(instr) + len(leads)  # the slot of token id 0
     hits: list[int | None] = [None] * len(demos)
     groups: dict[int, list[int]] = {}  # start length -> prompts
     width = max((len(d.ids) + len(d.per_ids) for d in demos), default=0)
-    rows = np.empty((len(demos), len(instr) + width + len(leads) + steps, emb.shape[1]))
-    rows[:, : len(instr)] = instr
+    slots = np.empty((len(demos), first + width + steps), dtype=np.intp)
+    slots[:, : len(instr)] = range(len(instr))
     for b, demo in enumerate(demos):
         ids = _token_ids(demo.ids + demo.per_ids, len(emb))
-        n0 = len(instr) + len(ids) + len(leads)
-        rows[b, len(instr) : n0 - len(leads)] = emb.take(ids, axis=0)
-        rows[b, n0 - len(leads) : n0] = leads
+        n0 = first + len(ids)
+        slots[b, len(instr) : n0 - len(leads)] = [first + int(i) for i in ids]
+        slots[b, n0 - len(leads) : n0] = range(len(instr), first)
         groups.setdefault(n0, []).append(b)
+    tables = env.tables.grow(slots.shape[1] - 1)
     todo = sorted(groups)
     active = []  # (prompt, start, remaining candidate indices) in start order
     n = 0
@@ -196,7 +220,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
             n = todo[0]
         if todo and todo[0] == n:
             active += [(b, n, list(range(len(cand)))) for b in groups[todo.pop(0)]]
-        h = env.forward(rows[:, :n].take([b for b, _, _ in active], axis=0))
+        h = exact_attention_slots(tables, slots[:, :n].take([b for b, _, _ in active], axis=0))
         logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
         kept = []
         for (b, n0, left), row in zip(active, logits):
@@ -206,7 +230,7 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
             elif len(left) > 1 and n - n0 + 1 < steps:
                 left.remove(i)
                 kept.append((b, n0, left))
-                rows[b, n] = emb[cand[i]]
+                slots[b, n] = first + cand[i]
         active = kept
         n += 1
     return [EffectDScore(effect_d(pos), pos) for pos in hits]

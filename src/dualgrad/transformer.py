@@ -21,6 +21,7 @@ Conventions:
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -308,12 +309,82 @@ def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.nda
     """
     if tokens.ndim != 3 or tokens.shape[1] < 2:
         raise InvalidIndex(f"need a (B, N >= 2, d_i) token block, got shape {tokens.shape}")
-    keys, values, q = _qkv(params, tokens)
-    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / math.sqrt(params.d_o)
+    return _softmax(*_qkv(params, tokens))
+
+
+def _softmax(keys: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Softmax attention (B, d_o) of queries q (B, d_o, 1) over keys and values (B, d_o, N-1)."""
+    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / math.sqrt(keys.shape[1])
     scores -= scores.max(axis=1, keepdims=True)
     w = np.exp(scores)
     w /= w.sum(axis=1, keepdims=True)
     return np.matmul(values, w[:, :, None])[:, :, 0]
+
+
+def _project(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """W x (n, d_o) of rows x (n, d_i), by gemms of 64 columns in ``_qkv``'s call form."""
+    pad = np.vstack((rows, np.zeros((-len(rows) % 64, rows.shape[1]))))
+    cols = np.matmul(w, pad.reshape(-1, 64, pad.shape[1]).transpose(0, 2, 1))
+    return cols.transpose(0, 2, 1).reshape(-1, len(w))[: len(rows)]
+
+
+@cache
+def _width_free(d_o: int, d_i: int, end: int) -> bool:
+    """Whether ``_qkv``'s context gemms of widths 2..end-1 give every column ``_project``'s bits.
+
+    A BLAS may take another path at another width or tail position (gemv at d_o = 1,
+    OpenBLAS's small-matrix kernel, edge tiles), and no path reads the data: random rows
+    settle it for a shape, each row at every position of a block of each width.
+    """
+    rng = np.random.default_rng(0)
+    w, x = rng.normal(size=(d_o, d_i)), rng.normal(size=(64, d_i))
+    spin, want = np.arange(64)[:, None], _project(w, x)
+    return all(_same_bits(np.matmul(w, x[at].transpose(0, 2, 1)), want[at].transpose(0, 2, 1))
+               for at in ((spin + np.arange(m)) % 64 for m in range(2, end)))
+
+
+class SlotTables:
+    """Keys, queries and values of the rows of ``rows`` (slots) at positions 1..P.
+
+    Keys and queries, turned by ``_rotate``, are flat C-order (P, d_o, S) tables, values a
+    flat (d_o, S) one: a block's flat indices are its slots plus ``offsets``.  Key and value
+    columns come from ``_project``, query columns from ``matvecs``, as ``_qkv``'s query.
+    """
+
+    def __init__(self, params: AttentionParams, rows: np.ndarray):
+        self.params, self.rows, self.positions = params, rows, 0
+
+    def grow(self, end: int) -> "SlotTables":
+        """Hold positions 1..end at least, rebuilt at exactly that length when longer.
+
+        Tables that are not width-free are never read, so they are not built.
+        """
+        p, rows = self.params, self.rows
+        if end > self.positions:
+            self.positions, self.width_free = end, _width_free(p.d_o, p.d_i, end)
+            if self.width_free:
+                k, q = (np.broadcast_to(t[:, :, None], (*t.shape, end))
+                        for t in (_project(p.w_k, rows), matvecs(p.w_q, rows)))
+                self.keys, self.queries = (_rotate(t, 1).transpose(2, 1, 0).ravel() for t in (k, q))
+                self.values = _project(p.w_v, rows).T.ravel()
+                self.offsets = np.arange(0, end * p.d_o * len(rows), len(rows)).reshape(end, -1).T
+        return self
+
+
+def exact_attention_slots(tables: SlotTables, slots: np.ndarray) -> np.ndarray:
+    """``exact_attention_batch(tables.params, tables.rows[slots])``, bitwise, of a (B, N) int block.
+
+    Keys, values (B, d_o, N-1) and query (B, d_o, 1) are gathered C-contiguous, as ``_qkv``
+    lays them out.  N < 3 (a 1-column context is gemv in ``_qkv``; N < 2 raises there)
+    and tables that are not width-free take the row forward.
+    """
+    n = slots.shape[1]
+    if n < 3 or not tables.grow(n).width_free:
+        return exact_attention_batch(tables.params, tables.rows[slots])
+    at = slots[:, None, :] + tables.offsets[:, :n]
+    ctx = at[:, :, :-1]
+    return _softmax(tables.keys.take(ctx), tables.values.take(ctx - tables.offsets[0, : n - 1]),
+                    tables.queries.take(at[:, :, -1:]))
 
 
 def exact_attention(

@@ -313,6 +313,7 @@ def test_malformed_input_exit_code_without_traceback(
         (["fig7", "--config", "leads0.cfg"], 1),
         (["equiv", "--config", "bad.cfg"], 2),
         (["plot", "missing.csv"], 3),
+        (["generate", "--no-such-option"], 2),
     ],
 )
 def test_exit_code_reaches_the_shell_without_traceback(tmp_path, argv, code):
@@ -321,7 +322,7 @@ def test_exit_code_reaches_the_shell_without_traceback(tmp_path, argv, code):
     src = os.path.dirname(os.path.dirname(dualgrad.__file__))
     env = {k: v for k, v in os.environ.items() if k != "DUALGRAD_SEED"}
     proc = subprocess.run(
-        [sys.executable, "-m", "dualgrad.cli", *argv],
+        [sys.executable, "-m", "dualgrad", *argv],
         cwd=tmp_path,
         env={**env, "PYTHONPATH": src},
         capture_output=True,
@@ -331,10 +332,25 @@ def test_exit_code_reaches_the_shell_without_traceback(tmp_path, argv, code):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+def test_python_m_dualgrad_exits_0_with_the_golden_bytes(tmp_path):
+    # the package runs as a module; the error exits go through the test above
+    src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "DUALGRAD_SEED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualgrad", "generate", "--seed", "0"],
+        cwd=tmp_path,
+        env={**env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "generate.txt").read_text()
+
+
 def test_closed_stdout_exits_3_with_one_stderr_line():
     src = os.path.dirname(os.path.dirname(dualgrad.__file__))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dualgrad.cli", "generate", "--seed", "0"],
+        [sys.executable, "-m", "dualgrad", "generate", "--seed", "0"],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -45,7 +45,7 @@ def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
     instr = scen.seq.tokens[:n_t]
     leads = scen.seq.tokens[scen.seq.idx_task[n_t] :]
     env = OptimizerEnv(
-        forward=lambda tokens: exact_attention_batch(scen.params, tokens),
+        params=scen.params,
         instr=instr,
         leads=leads,
         vocab=vocab,
@@ -79,8 +79,8 @@ def test_scenario_env_scores_equal_per_demonstration_generation(kind):
         seq = SegmentedSequence.build(
             env.instr, emb[list(d.ids)], env.leads, per=emb[list(d.per_ids)] if d.per_ids else None
         )
-        trace = generate(lambda s, p: env.forward(s.tokens[None, :p])[0], seq, 5, env.vocab,
-                         env.candidate_mask, exclude_emitted=True)
+        trace = generate(lambda s, p: exact_attention_batch(env.params, s.tokens[None, :p])[0],
+                         seq, 5, env.vocab, env.candidate_mask, exclude_emitted=True)
         want.append(score_output(trace.ids, env.target_id))
     assert score_demos(env, demos, 5) == want
     assert {s.hit_position for s in want} != {None}

@@ -43,7 +43,14 @@ from dualgrad.optimizer import (
 )
 from dualgrad.rng import stream
 from dualgrad.sequence import SegmentedSequence
-from dualgrad.transformer import Vocabulary, decode, generate
+from dualgrad.transformer import (
+    AttentionParams,
+    Vocabulary,
+    decode,
+    exact_attention_batch,
+    exact_attention_slots,
+    generate,
+)
 
 
 def _config(**kw):
@@ -78,6 +85,41 @@ def test_memory_evicts_lowest_keeps_best():
     assert len(bank.entries) == MEMORY_CAPACITY
     assert [e.demo.ids[0] for e in bank.entries] == [i for i in range(len(values)) if i != 2]
     assert bank.best().demo.ids == (5,)
+
+
+class _MemoryOracle:
+    """The bank as a list, its best found by a scan: the first maximum, as ``max`` finds it."""
+
+    def __init__(self):
+        self.entries = []
+
+    def admit(self, demo, score):
+        if score.value <= 0.0:
+            return False
+        self.entries.append((demo, score))
+        if len(self.entries) > MEMORY_CAPACITY:
+            del self.entries[min(range(len(self.entries)),
+                                 key=lambda i: self.entries[i][1].value)]
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]), max_size=3 * MEMORY_CAPACITY))
+@example([1.0] * (2 * MEMORY_CAPACITY))  # every eviction takes the best entry, all tying
+@example([0.5] * MEMORY_CAPACITY + [1.0, 0.5, 1.0, 0.25])
+def test_memory_keeps_its_first_best_entry_through_ties_and_evictions(values):
+    bank, oracle = MemoryBank(), _MemoryOracle()
+    for i, v in enumerate(values):
+        score = EffectDScore(v, 1 if v else None)
+        assert bank.admit(Demonstration((i,)), score) == oracle.admit(Demonstration((i,)), score)
+        assert [(e.demo, e.score) for e in bank.entries] == oracle.entries
+        assert bank.best() is max(bank.entries, key=lambda e: e.score.value, default=None)
+    assert type(bank.entries) is tuple
+    with pytest.raises(AttributeError):
+        bank.entries = ()  # read-only, so nothing outside admit can desynchronise best
+    if bank.entries:
+        with pytest.raises(AttributeError):
+            bank.entries[0].score = EffectDScore(0.1, 9)
 
 
 def test_config_validation():
@@ -272,18 +314,20 @@ def test_scores_are_valid_effect_values():
 # stage-2 work: stop at the target, one evaluation per distinct demonstration
 
 
-def _evaluate_demo_oracle(env, demo, steps, seen=None):
+def _evaluate_demo_oracle(env, demo, steps, seen=None, batch=None):
     """Reference stage 2: build, full-length generation, then the first hit.
 
-    With ``seen``, the bytes of every prompt given to the forward map to the
-    bytes of its output.
+    ``batch`` maps (B, N, d_i) prompts to (B, d_o) hiddens, by default
+    ``exact_attention_batch`` of ``env.params``.  With ``seen``, the bytes of
+    every prompt given to the forward map to the bytes of its output.
     """
     emb = env.vocab.input_embeddings
     per = emb[list(demo.per_ids)] if demo.per_ids else None
     seq = SegmentedSequence.build(env.instr, emb[list(demo.ids)], env.leads, per=per)
+    batch = batch or (lambda tokens: exact_attention_batch(env.params, tokens))
 
     def forward(s, pos):
-        h = env.forward(s.tokens[None, :pos])[0]
+        h = batch(s.tokens[None, :pos])[0]
         if seen is not None:
             seen[s.tokens[:pos].tobytes()] = h.tobytes()
         return h
@@ -343,17 +387,17 @@ def test_evaluate_demo_stops_at_the_target():
     env = make_toy_env(8)
     calls = []
 
-    def forward(tokens):
-        calls.append(tokens.shape)
-        return env.forward(tokens)
+    def forward(tables, slots):
+        calls.append(slots.shape)
+        return exact_attention_slots(tables, slots)
 
-    counted = replace(env, forward=forward)
     rng = np.random.default_rng(8)
     hits = set()
     for _ in range(60):
         demo = Demonstration(tuple(int(v) for v in rng.integers(0, env.vocab.size, 4)))
         calls.clear()
-        score = evaluate_demo(counted, demo, steps=5)
+        with mock.patch.object(optimizer_module, "exact_attention_slots", forward):
+            score = evaluate_demo(env, demo, steps=5)
         assert score == _evaluate_demo_oracle(env, demo, 5)
         assert len(calls) == (score.hit_position or 5)
         assert all(shape[0] == 1 for shape in calls)
@@ -420,12 +464,13 @@ def test_score_demos_is_bitwise_per_demonstration_generation(seed, variant, demo
     want = [_evaluate_demo_oracle(env, d, steps, seen) for d in demos]
     blocks = []
 
-    def forward(tokens):
-        h = env.forward(tokens)
-        blocks.append((tokens.copy(), h))
+    def forward(tables, slots):
+        h = exact_attention_slots(tables, slots)
+        blocks.append((tables.rows[slots], h))
         return h
 
-    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    with mock.patch.object(optimizer_module, "exact_attention_slots", forward):
+        assert score_demos(env, demos, steps) == want
     assert [evaluate_demo(env, d, steps) for d in demos] == want
     # every row a block fed to the forward is a prompt that per-demonstration
     # generation builds, and its output has the same bits
@@ -448,11 +493,12 @@ def test_score_demos_makes_one_forward_call_per_prompt_length():
     assert len(set(starts)) == 4
     blocks = []
 
-    def forward(tokens):
-        blocks.append(tokens.copy())
-        return env.forward(tokens)
+    def forward(tables, slots):
+        blocks.append(tables.rows[slots])
+        return exact_attention_slots(tables, slots)
 
-    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    with mock.patch.object(optimizer_module, "exact_attention_slots", forward):
+        assert score_demos(env, demos, steps) == want
     lengths = [b.shape[1] for b in blocks]
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
     assert len(blocks) <= max(starts) - min(starts) + steps
@@ -474,17 +520,27 @@ def test_first_max_is_argmax_over_the_listed_ids(logits, data):
     assert _first_max(logits, ids) == want
 
 
-def _assert_scores_match_generation(env, demos, steps):
+def _assert_scores_match_generation(env, demos, steps, poison=None):
+    """``score_demos`` against per-demonstration generation, hidden rows compared bitwise.
+
+    ``poison(tokens, h)``, if given, rewrites both forwards' hidden rows by the prompts' content.
+    """
+    def oracle_forward(tokens):
+        h = exact_attention_batch(env.params, tokens)
+        return h if poison is None else poison(tokens, h)
+
     seen = {}
-    want = [_evaluate_demo_oracle(env, d, steps, seen) for d in demos]
+    want = [_evaluate_demo_oracle(env, d, steps, seen, oracle_forward) for d in demos]
     blocks = []
 
-    def forward(tokens):
-        h = env.forward(tokens)
-        blocks.append((tokens.copy(), h))
+    def forward(tables, slots):
+        tokens, h = tables.rows[slots], exact_attention_slots(tables, slots)
+        h = h if poison is None else poison(tokens, h)
+        blocks.append((tokens, h))
         return h
 
-    assert score_demos(replace(env, forward=forward), demos, steps) == want
+    with mock.patch.object(optimizer_module, "exact_attention_slots", forward):
+        assert score_demos(env, demos, steps) == want
     for tokens, h in blocks:
         for row, out in zip(tokens, h):
             assert seen[row.tobytes()] == out.tobytes()
@@ -521,8 +577,8 @@ def test_score_demos_with_nan_hidden_rows_matches_generation():
         out[::3, 0] = 0.0
         env = replace(env, vocab=Vocabulary(out, env.vocab.input_embeddings))
 
-        def forward(tokens, forward=env.forward):
-            h = forward(tokens).copy()
+        def poison(tokens, h):
+            h = h.copy()
             key = tokens[:, -1, 0]  # by content, so a row is poisoned alike in any block
             h[key > 0.4] = np.nan
             h[(key > -0.2) & (key <= 0.4), 0] = np.inf
@@ -531,7 +587,7 @@ def test_score_demos_with_nan_hidden_rows_matches_generation():
             return h
 
         demos = [Demonstration(ids, per) for ids, per in _EDGE_DEMOS]
-        _assert_scores_match_generation(replace(env, forward=forward), demos, steps=6)
+        _assert_scores_match_generation(env, demos, steps=6, poison=poison)
     assert kinds == {"nan", "inf"}
 
 
@@ -594,16 +650,21 @@ def test_score_demos_with_an_empty_candidate_mask_raises():
         evaluate_demo(env, Demonstration((1, 2)), 5)
 
 
-_H = np.array([1.0, 0.0, 0.0])  # every hidden state of ``_fixed_env``
+_H = np.array([1.0, 0.0, 0.0])
+
+
+def _fixed_forward(tables, slots):
+    return np.tile(_H, (len(slots), 1))
 
 
 def _fixed_env():
-    """Candidates 2 and 3, target 3; every hidden state is ``_H``, whose logits favour 2."""
+    """Candidates 2 and 3, target 3; ``_H``, every hidden state of ``_fixed_forward``, favours 2."""
     out = np.zeros((6, 3))
     out[2, 0], out[3, 0] = 2.0, 1.0
-    inp = stream(0, "fixed-env").normal(0, 1, (6, 4))
+    rng = stream(0, "fixed-env")
+    inp = rng.normal(0, 1, (6, 4))
     return OptimizerEnv(
-        forward=lambda tokens: np.tile(_H, (len(tokens), 1)),
+        params=AttentionParams(*rng.normal(0, 1, (3, 3, 4))),
         instr=np.ones((2, 4)),
         leads=np.ones((1, 4)),
         vocab=Vocabulary(out, inp),
@@ -620,7 +681,8 @@ def test_a_repeated_candidate_id_is_emitted_once():
         assert trace.ids == (2, 3)
         assert decode(env.vocab, _H, mask) == 2
         # the target follows the one other candidate
-        scores = score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 3)
+        with mock.patch.object(optimizer_module, "exact_attention_slots", _fixed_forward):
+            scores = score_demos(replace(env, candidate_mask=mask), [Demonstration((1, 2))], 3)
         assert scores == [EffectDScore(effect_d(2), 2)]
 
 

@@ -4,7 +4,7 @@
 
 Exports ``src/`` and ``bench/`` of BASE_REF (any git revision) once, with
 ``git archive``, into a temporary directory, then compares that tree with
-this checkout in two reports:
+this checkout in three reports:
 
 * CLI bytes.  The commands of ``COMMANDS`` run at their defaults: every
   subcommand but ``plot``, ``optimize`` with ``paired`` 0 and 1, and
@@ -13,6 +13,10 @@ this checkout in two reports:
   other command reads either option).  Each runs in a fresh interpreter with
   ``PYTHONPATH`` set to its own tree's ``src/`` only and ``DUALGRAD_SEED``
   unset.  A command is the same when its exit code and stdout bytes are.
+* File bytes.  The commands of ``FILES`` write ``equiv``'s CSV with
+  ``--out`` and draw it with ``plot``, in a fresh directory per tree, run as
+  the CLI commands are.  A file of ``WRITTEN`` is the same when both trees
+  wrote it with the same bytes and every command exited 0.
 * Benchmark op digests.  One interpreter per tree imports the tree's own
   ``src/`` and ``bench/workloads.py`` without writing bytecode, runs every
   unit of the three workloads at seeds 0-4 with a clock that times nothing,
@@ -20,7 +24,7 @@ this checkout in two reports:
   BLAS runs on one thread, as in ``bench/run.py``.  An op is the same when
   both trees give it the same digest and both gates pass.
 
-Exits 0 when every command and every op is the same, 1 when any differs,
+Exits 0 when every command, file and op is the same, 1 when any differs,
 2 when BASE_REF is not given or cannot be exported.
 
 The rest of the tool's environment reaches both trees' runs alike, so
@@ -45,6 +49,8 @@ COMMANDS = (
     ["optimize", "--config", "paired0.cfg"], ["optimize", "--config", "paired1.cfg"],
     ["equiv", "--mode", "exact"], ["equiv", "--schedule", "fractional:3"],
 )
+FILES = (["equiv", "--out", "equiv.csv"], ["plot", "equiv.csv"])  # in order, in one directory
+WRITTEN = ("equiv.csv", "equiv.csv.svg")  # what FILES writes there
 RUN_CLI = "import sys; from dualgrad.cli import main; sys.exit(main(sys.argv[1:]))"
 RUN_OPS = "import json, sys; from same_outputs import ops; print(json.dumps(ops(sys.argv[1])))"
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -99,6 +105,28 @@ def same_cli(trees: list[Path], cwd: Path, ref: str) -> bool:
     return not differ
 
 
+def same_files(trees: list[Path], cwd: Path, ref: str) -> bool:
+    found = []
+    for i, tree in enumerate(trees):
+        work = cwd / f"files{i}"
+        work.mkdir()
+        codes = [run(RUN_CLI, command, work, PYTHONPATH=str(tree / "src")).returncode
+                 for command in FILES]
+        found.append([codes, [(work / name).read_bytes() if (work / name).is_file() else None
+                              for name in WRITTEN]])
+    (base_codes, base), (head_codes, head) = found
+    ok = base_codes == head_codes == [0] * len(FILES)
+    differ = 0
+    for name, b, h in zip(WRITTEN, base, head):
+        same = ok and b is not None and b == h
+        differ += not same
+        sizes = "/".join("missing" if f is None else f"{len(f)} B" for f in (b, h))
+        print(f"{'same' if same else 'DIFFERENT':9} {sizes}  {name}")
+    print(f"{len(WRITTEN) - differ} of {len(WRITTEN)} files written with identical bytes at {ref} "
+          f"(exit codes {base_codes}/{head_codes})")
+    return not differ
+
+
 def same_ops(trees: list[Path], cwd: Path, ref: str) -> bool:
     found = []
     for tree in trees:
@@ -142,7 +170,8 @@ def main(argv: list[str]) -> int:
         for cfg, text in PAIRED.items():
             (tmp / cfg).write_text(text)
         trees = [tmp / "base", ROOT]
-        same = [same_cli(trees, tmp, ref), same_ops(trees, tmp, ref)]  # both reports, always
+        # every report, always
+        same = [same_cli(trees, tmp, ref), same_files(trees, tmp, ref), same_ops(trees, tmp, ref)]
     return 0 if all(same) else 1
 
 
