@@ -16,7 +16,6 @@ from .transformer import (
     AttentionParams,
     Vocabulary,
     exact_attention,
-    exact_attention_batch,
     generate,
     kernel_attention,
 )
@@ -216,13 +215,9 @@ def run_generate(cfg: ExperimentConfig) -> list[list]:
     env = make_toy_env(cfg.seed, cfg.d_i, cfg.d_o, cfg.vocab_size)
     rng = stream(cfg.seed, "generate-demo")
     demo_ids = rng.integers(0, cfg.vocab_size, size=cfg.n_d)
-    seq = SegmentedSequence.build(
-        env.instr, env.vocab.input_embeddings[demo_ids], env.leads, normalize=True
-    )
-    trace = generate(
-        lambda s, pos: exact_attention_batch(env.params, s.tokens[None, :pos])[0],
-        seq, cfg.steps, env.vocab, env.candidate_mask,
-    )
+    seq = SegmentedSequence.build(env.instr, env.vocab.input_embeddings[demo_ids], env.leads)
+    trace = generate(lambda s, pos: exact_attention(env.params, s, pos),
+                     seq, cfg.steps, env.vocab, env.candidate_mask)
     return [
         [i + 1, p, t] for i, (p, t) in enumerate(zip(trace.positions, trace.ids))
     ]

@@ -17,13 +17,12 @@ from .errors import (
     DegenerateEmbedding,
     InsufficientHistory,
     InvalidConfig,
-    InvalidDimension,
     InvalidDonor,
     InvalidParameter,
 )
 from .metrics import EffectDScore, effect_d
 from .rng import stream
-from .sequence import _unit_rows
+from .sequence import SegmentedSequence
 from .transformer import (
     AttentionParams, SlotTables, Vocabulary, _candidate_table, _token_ids, exact_attention_slots,
 )
@@ -123,13 +122,9 @@ class OptimizerEnv:
     candidate_mask: frozenset
 
     @cached_property
-    def frame(self) -> list[np.ndarray]:
-        """Instruction rows, lead rows and input embeddings, normalized as ``build`` does."""
-        tables = [np.atleast_2d(np.asarray(t, dtype=float))
-                  for t in (self.instr, self.leads, self.vocab.input_embeddings)]
-        if len({t.shape[1] for t in tables}) != 1:
-            raise InvalidDimension("prompt frame and vocabulary disagree on embedding dim")
-        return [_unit_rows(t) for t in tables]
+    def frame(self) -> SegmentedSequence:
+        """Instruction rows, input embeddings and lead rows: ``build``'s one normalized stack."""
+        return SegmentedSequence.build(self.instr, self.vocab.input_embeddings, self.leads)
 
     @cached_property
     def candidates(self) -> tuple[list[int], np.ndarray]:
@@ -138,8 +133,8 @@ class OptimizerEnv:
 
     @cached_property
     def tables(self) -> SlotTables:
-        """``SlotTables`` of ``params`` over the frame rows, stacked ``[instr; leads; emb]``."""
-        return SlotTables(self.params, np.vstack(self.frame))
+        """``SlotTables`` of ``params`` over the frame rows, ``[instr; emb; leads]``."""
+        return SlotTables(self.params, self.frame.tokens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +181,10 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     stopped at the target (the score reads only its first hit).  Every prompt
     grows by one token per step, so all prompts that have started and not yet
     left share one length N: each N makes one ``exact_attention_slots`` call on
-    a block of frame-row slots of ``env.tables`` (grown first to the longest
-    prompt the call can ask for), from the shortest start to the last live
-    prompt.  After each call, one product over
+    a block of slots of ``env.tables``, numbered as the frame ``[instr; emb; leads]``.
+    A prompt picks at most ``min(steps, candidates)`` tokens, so the tables grow
+    first to the longest start plus that, less one: the longest prompt the call can
+    reach.  After each call, one product over
     the candidate table (``env.candidates``) gives every row's logits, and each
     row picks in plain Python from its own list of remaining candidates, as
     ``generate`` does: the first maximum, or the first NaN.  A prompt leaves on
@@ -197,29 +193,28 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
-    instr, leads, emb = env.frame
-    cand, table = env.candidates
-    first = len(instr) + len(leads)  # the slot of token id 0
-    hits: list[int | None] = [None] * len(demos)
+    frame, (cand, table) = env.frame, env.candidates
+    if not demos:
+        return []
+    first = len(np.atleast_2d(env.instr))  # the slot of token id 0
+    leads = range(first + env.vocab.size, len(frame))
+    ids = [_token_ids(d.ids + d.per_ids, env.vocab.size) for d in demos]
+    end = first + max(map(len, ids)) + len(leads) + min(steps, len(cand))  # past the longest prompt
+    slots = np.empty((len(demos), end), dtype=np.intp)
+    slots[:, :first] = range(first)
     groups: dict[int, list[int]] = {}  # start length -> prompts
-    width = max((len(d.ids) + len(d.per_ids) for d in demos), default=0)
-    slots = np.empty((len(demos), first + width + steps), dtype=np.intp)
-    slots[:, : len(instr)] = range(len(instr))
-    for b, demo in enumerate(demos):
-        ids = _token_ids(demo.ids + demo.per_ids, len(emb))
-        n0 = first + len(ids)
-        slots[b, len(instr) : n0 - len(leads)] = [first + int(i) for i in ids]
-        slots[b, n0 - len(leads) : n0] = range(len(instr), first)
+    for b, demo in enumerate(ids):
+        n0 = first + len(demo) + len(leads)
+        slots[b, first : n0 - len(leads)] = [first + int(i) for i in demo]
+        slots[b, n0 - len(leads) : n0] = leads
         groups.setdefault(n0, []).append(b)
-    tables = env.tables.grow(slots.shape[1] - 1)
-    todo = sorted(groups)
+    tables = env.tables.grow(end - 1)
+    hits: list[int | None] = [None] * len(demos)
     active = []  # (prompt, start, remaining candidate indices) in start order
-    n = 0
-    while todo or active:
-        if not active:  # no prompt has this length: skip to the next start
-            n = todo[0]
-        if todo and todo[0] == n:
-            active += [(b, n, list(range(len(cand)))) for b in groups[todo.pop(0)]]
+    for n in range(min(groups), end):
+        active += [(b, n, list(range(len(cand)))) for b in groups.get(n, ())]
+        if not active:  # no prompt has this length
+            continue
         h = exact_attention_slots(tables, slots[:, :n].take([b for b, _, _ in active], axis=0))
         logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
         kept = []
@@ -232,7 +227,6 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
                 kept.append((b, n0, left))
                 slots[b, n] = first + cand[i]
         active = kept
-        n += 1
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
 
 

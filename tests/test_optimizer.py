@@ -508,6 +508,32 @@ def test_score_demos_makes_one_forward_call_per_prompt_length():
     assert sum(len(b) for b in blocks) == len(demos) * steps == len(seen)
 
 
+def test_steps_beyond_the_candidate_count_score_as_that_count():
+    # a prompt leaves once out of candidates, so no step past the candidate count can move a score
+    env = make_toy_env(4)
+    demos = [Demonstration(ids, per) for ids, per in _EDGE_DEMOS]
+    count = len(env.candidate_mask)
+    want = score_demos(make_toy_env(4), demos, count)
+    for steps in (count + 1, 400):
+        assert score_demos(env, demos, steps) == want
+
+
+def test_tables_stop_at_the_longest_prompt_a_call_can_reach():
+    env = make_toy_env(0)
+    # a target outside the candidates is never hit, so every prompt takes every candidate
+    env = replace(env, target_id=next(i for i in range(env.vocab.size)
+                                      if i not in env.candidate_mask))
+    frame = len(env.instr) + len(env.leads)
+    score_demos(env, [Demonstration((1,)), Demonstration((1, 2, 3), (4,))], 400)
+    assert env.tables.positions == frame + 4 + len(env.candidate_mask) - 1
+
+
+def test_no_demonstrations_score_nothing_and_grow_no_tables():
+    env = make_toy_env(0)
+    assert score_demos(env, [], 5) == []
+    assert env.tables.positions == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     logits=st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
@@ -604,6 +630,24 @@ def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
             tied = replace(env, vocab=vocab, candidate_mask=mask)
             _assert_scores_match_generation(
                 tied, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=12)
+
+
+@pytest.mark.parametrize("n_instr, n_leads", [(0, 2), (4, 0), (0, 1)])
+def test_frames_without_instruction_or_lead_rows_match_generation(n_instr, n_leads):
+    # without leads a prompt ends on a demonstration id; with one row of frame,
+    # a one-id demonstration makes a 2-row prompt, which takes the row forward
+    for seed in range(3):
+        env = make_toy_env(seed)
+        env = replace(env, instr=env.instr[:n_instr], leads=env.leads[:n_leads])
+        _assert_scores_match_generation(
+            env, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=6)
+
+
+def test_frame_is_one_stack_of_the_rows_build_makes():
+    env = make_toy_env(0)
+    want = SegmentedSequence.build(env.instr, env.vocab.input_embeddings, env.leads).tokens
+    assert env.frame.tokens.tobytes() == want.tobytes()
+    assert env.tables.rows is env.frame.tokens  # the tables hold no second copy
 
 
 def test_prompt_frame_and_vocabulary_must_share_the_embedding_dim():

@@ -24,7 +24,7 @@ from dualgrad.transformer import SlotTables, exact_attention_batch, exact_attent
 
 
 def _frame(rng, d_i, vocab):
-    """Rows stacked as an environment's are, [instr; leads; emb], unit length or zero."""
+    """Rows stacked as an environment's are, [instr; emb; leads], unit length or zero."""
     rows = rng.normal(0, 1, (4 + 2 + vocab, d_i))
     rows[1] = rows[6::5] = 0.0  # an instruction row and every fifth embedding row
     return _unit_rows(rows)
