@@ -56,58 +56,3 @@ from .transformer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttentionParams",
-    "Demonstration",
-    "DescentState",
-    "DualModel",
-    "DualgradError",
-    "EffectDScore",
-    "FfnParams",
-    "FourierFeatureMap",
-    "GenerationTrace",
-    "GqaConfig",
-    "GqaParams",
-    "LayerStack",
-    "MemoryBank",
-    "OptimizerConfig",
-    "OptimizerEnv",
-    "SegmentedSequence",
-    "Tag",
-    "TraceRecord",
-    "Vocabulary",
-    "build_dual_attention",
-    "build_dual_gqa",
-    "build_dual_stack",
-    "build_dual_transformer",
-    "decode",
-    "descend",
-    "dual_forward",
-    "dual_gqa_forward",
-    "effect_d",
-    "exact_attention",
-    "exp_estimate",
-    "generate",
-    "gqa_attention",
-    "grad_full",
-    "hit_position",
-    "kernel_attention",
-    "layer_forward",
-    "linear_dual_equivalence",
-    "loss_icl",
-    "ndcg_at_k",
-    "phi",
-    "phi_matrix",
-    "recall_at_k",
-    "rope",
-    "run_two_stage",
-    "sample_feature_map",
-    "score_output",
-    "split_attention",
-    "stack_forward",
-    "stack_trace",
-    "start_descent",
-    "stream",
-    "with_value_regularization",
-]

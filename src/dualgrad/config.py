@@ -30,20 +30,16 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 def _coerce(name: str, raw: str):
     kind = _FIELDS[name]
-    kind = getattr(kind, "__name__", kind)
-    raw = raw.strip()
-    if kind in ("int", "float"):
-        try:
-            return int(raw) if kind == "int" else float(raw)
-        except ValueError:
-            raise InvalidConfig(f"cannot read {raw!r} as {kind} for {name}") from None
-    if kind == "bool":
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise InvalidConfig(f"cannot read {raw!r} as a boolean for {name}")
-    return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InvalidConfig(f"cannot read {raw!r} as {kind.__name__} for {name}") from None
 
 
 def parse_config_text(text: str) -> dict:

@@ -55,19 +55,13 @@ class SegmentedSequence:
         normalize: bool = True,
     ) -> "SegmentedSequence":
         """Assemble instruction, demonstration, perturbation and lead segments."""
-        parts = [np.atleast_2d(np.asarray(instr, dtype=float))]
-        tags = [Tag.T_INSTR] * parts[0].shape[0]
-        demo = np.atleast_2d(np.asarray(demo, dtype=float))
-        parts.append(demo)
-        tags += [Tag.D_CURR] * demo.shape[0]
-        if per is not None and np.size(per):
-            per = np.atleast_2d(np.asarray(per, dtype=float))
-            parts.append(per)
-            tags += [Tag.D_PER] * per.shape[0]
-        leads = np.atleast_2d(np.asarray(leads, dtype=float))
-        parts.append(leads)
-        tags += [Tag.T_LEAD] * leads.shape[0]
-        parts = [p for p in parts if p.size]
+        parts, tags = [], []
+        segments = (instr, Tag.T_INSTR), (demo, Tag.D_CURR), (per, Tag.D_PER), (leads, Tag.T_LEAD)
+        for rows, tag in segments:
+            if rows is not None and np.size(rows):  # an empty segment adds no row and no tag
+                rows = np.atleast_2d(np.asarray(rows, dtype=float))
+                parts.append(rows)
+                tags += [tag] * rows.shape[0]
         dims = {p.shape[1] for p in parts}
         if len(dims) != 1:
             raise InvalidDimension(f"segments disagree on embedding dim: {sorted(dims)}")

@@ -440,17 +440,12 @@ class _FeatureCache:
             raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
         w = np.asarray(w, dtype=float)
-        hit = next(
-            (i for i, (f, v, have, _) in reversed(list(enumerate(self.entries)))
-             if f is fmap and _same_bits(v, w)
-             and _same_bits(have[: len(rows)], rows[: len(have)])),
-            None,
-        )
-        if hit is None:
-            entry = (fmap, w.copy(), rows[:0], np.empty((0, fmap.feature_dim)))
+        for hit in reversed(range(len(self.entries))):  # the most recent match
+            f, v, have, feats = self.entries[hit]
+            if f is fmap and _same_bits(v, w) and _same_bits(have[: len(rows)], rows[: len(have)]):
+                break
         else:
-            entry = self.entries[hit]
-        have, feats = entry[2:]
+            hit, v, have, feats = None, w.copy(), rows[:0], np.empty((0, fmap.feature_dim))
         n = len(have)
         if len(rows) > n:  # a guard raised here leaves the cache as it was
             new = _featurize(w, fmap, rows[n:], 1 + n)
@@ -458,10 +453,9 @@ class _FeatureCache:
                 have, feats = np.concatenate((have, rows[n:])), np.concatenate((feats, new))
             else:  # a new entry adopts the block _featurize just wrote
                 have, feats = rows.copy(), new
-            entry = entry[:2] + (have, feats)
         if hit is not None:
             del self.entries[hit]
-        self.entries.append(entry)
+        self.entries.append((fmap, v, have, feats))
         del self.entries[: -self.size]
         out = feats[: len(rows)].T
         out.flags.writeable = False

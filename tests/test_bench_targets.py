@@ -5,10 +5,13 @@ deleted or renamed target only fails once a benchmark runs with
 ``--trace 1``.  ``bench/workloads.py`` gates kernel attention on its own
 oracle, ``kernel_attention_ref``, which reads the parameters' fields, so a
 field the oracle reads and the library drops only fails once a benchmark
-runs.  These tests load both files as they are; they change nothing under
-``bench/``.
+runs.  The workloads call the library through module aliases
+(``dg.kernel_attention``, ``O.run_two_stage``), so a dropped re-export also
+only fails once a benchmark runs.  These tests load both files as they are;
+they change nothing under ``bench/``.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -39,6 +42,36 @@ def test_traced_name_resolves(layer, owner, attr):
     else:
         target = getattr(importlib.import_module(owner), attr, None)
     assert callable(target), f"{layer}: {owner}.{attr} is gone"
+
+
+def _aliased_reads(path):
+    """(module, attribute) for each ``alias.attr`` read through ``import dualgrad... as alias``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.asname and alias.name.split(".")[0] == "dualgrad"
+    }
+    return sorted({
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    })
+
+
+_WORKLOAD_READS = _aliased_reads(_BENCH / "workloads.py")
+
+
+def test_workloads_read_the_three_library_modules():
+    assert {module for module, _ in _WORKLOAD_READS} == {
+        "dualgrad", "dualgrad.experiments", "dualgrad.optimizer"
+    }
+
+
+@pytest.mark.parametrize("module, attr", _WORKLOAD_READS)
+def test_workload_library_read_resolves(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module}.{attr} is gone"
 
 
 @pytest.mark.parametrize("d_o", [5, 8])  # an odd d_o keeps its last coordinate unrotated

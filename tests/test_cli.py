@@ -217,6 +217,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["equiv", "--reps", "0"]) == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("reps = 2.5", "cannot read '2.5' as int for reps"),
+    ("tau_sim = abc", "cannot read 'abc' as float for tau_sim"),
+    ("paired = maybe", "cannot read 'maybe' as a boolean for paired"),
+])
+def test_an_unreadable_setting_exits_2_naming_its_type(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_text_setting_stays_text_with_its_spaces_stripped():
+    assert parse_config_text("y = 3\nmode =  exact  \nreps =\t4 ") == {
+        "y": "3", "mode": "exact", "reps": 4
+    }
+
+
 def test_unwritable_out_exits_3(tmp_path):
     assert main(["equiv", "--reps", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
 

@@ -85,6 +85,23 @@ def test_dimension_mismatch_rejected():
         _seq().append(np.ones(6))
 
 
+@pytest.mark.parametrize("empty", [np.zeros(0), []], ids=["zeros", "list"])
+@pytest.mark.parametrize("segment", ["instr", "demo", "per", "leads"])
+def test_an_empty_segment_adds_no_token(segment, empty):
+    rng = np.random.default_rng(0)
+    sizes = {"instr": 2, "demo": 2, "per": 1, "leads": 1}
+    parts = {name: rng.normal(0, 1, (n, 3)) for name, n in sizes.items()}
+    want = SegmentedSequence.build(**{**parts, segment: np.zeros((0, 3))})
+    got = SegmentedSequence.build(**{**parts, segment: empty})
+    assert got.tags == want.tags and got.tokens.tobytes() == want.tokens.tobytes()
+    assert len(got) == 6 - len(parts[segment])
+
+
+def test_an_empty_instruction_leaves_the_demonstration_and_lead():
+    seq = SegmentedSequence.build(np.zeros(0), np.ones((2, 3)), np.ones((1, 3)))
+    assert seq.tags == (Tag.D_CURR, Tag.D_CURR, Tag.T_LEAD) and seq.tokens.shape == (3, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     x=hnp.arrays(

@@ -1170,6 +1170,23 @@ def test_overflow_guard_fires_for_a_key_appended_to_a_warm_cache():
     assert kernel_attention(params, fmap, seq, len(seq)).tobytes() == before.tobytes()
 
 
+def test_a_raise_while_extending_a_middle_entry_leaves_every_entry_in_its_place():
+    rng = stream(53, "guard-order")
+    fmap = sample_feature_map(4, 64, seed=53)
+    ws = [rng.normal(0, 0.1, (4, 6)) for _ in range(3)]
+    rows = rng.normal(0, 0.1, (2, 6))
+    _FEATURES.clear()
+    for w in ws:
+        _FEATURES.features(w, fmap, rows)
+    before = list(_FEATURES.entries)
+    grown = np.vstack((rows, np.full((1, 6), 1e3)))  # a key far over the overflow bound
+    with pytest.raises(OverflowGuard):
+        _FEATURES.features(ws[1], fmap, grown)
+    # the same three entries, in the same least-recently-used order
+    assert len(_FEATURES.entries) == 3
+    assert all(got is want for got, want in zip(_FEATURES.entries, before))
+
+
 def test_degenerate_normalization_fires_for_a_key_appended_to_a_warm_cache():
     # one frequency, rope the identity (d_o = 1): the denominator is
     # sum_i e^{k_i^2/2} cos(k_i - q) up to a positive factor, so keys pi/2, pi/2
