@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import props as props_mod
-from .config import csv_text, load_config, read_text, write_text
+from .config import _FIELDS, csv_text, load_config, read_csv, read_text, write_text
 from .errors import (
     DualgradError,
     EmptyData,
@@ -34,7 +34,7 @@ from .experiments import (
     run_optimize,
 )
 from .metrics import effect_d
-from .svgplot import line_chart, read_csv
+from .svgplot import line_chart
 
 
 def _emit(cfg, header, rows) -> None:
@@ -117,6 +117,9 @@ _COMMANDS = {
 }
 
 
+_FLAGS = ("seed", "out", "reps", "mode", "schedule")  # ``ExperimentConfig`` fields a flag sets
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a config error: exit 2, one stderr line."""
 
@@ -130,11 +133,8 @@ def _parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--mode", choices=("exact", "kernel"), default=None)
-        p.add_argument("--schedule", default=None)
+        for flag in _FLAGS:  # typed as the config reads them; the config checks the value
+            p.add_argument(f"--{flag}", type=_FIELDS[flag], default=None)
         if command is cmd_plot:
             p.add_argument("csv", nargs="?", default=None)
     return parser
@@ -143,7 +143,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        flags = {k: getattr(args, k) for k in ("seed", "out", "reps", "mode", "schedule")}
+        flags = {k: getattr(args, k) for k in _FLAGS}
         code = _COMMANDS[args.command](load_config(args.command, args.config, flags), args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
         return code

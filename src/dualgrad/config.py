@@ -1,4 +1,4 @@
-"""Flat key=value config documents, CSV lines and the package's text-file reads and writes.
+"""Flat key=value config documents, CSV written and read, and the package's text-file I/O.
 
 Precedence for every setting: command-line flag > config file > default.
 CSV files are UTF-8 with LF line endings, a mandatory header row, '.' decimal
@@ -102,3 +102,18 @@ def format_cell(value) -> str:
 def csv_text(header: list[str], rows: list[list]) -> str:
     """The header and rows as CSV lines, each ending in LF, floats at full precision."""
     return "".join(",".join(map(format_cell, row)) + "\n" for row in [header, *rows])
+
+
+def read_csv(text: str, path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the CSV document ``text``; ``path`` names it in a ``ParseError``."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: missing header row")
+    header = lines[0].split(",")
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells")
+        rows.append(cells)
+    return header, rows

@@ -32,7 +32,6 @@ from .transformer import ROPE_BASE, AttentionParams, Vocabulary
 TARGET_ID = 0
 # decode-table scalars; the target carries the largest one
 _DECODE = (2.0, 1.0, 0.5, -0.5, -1.0)
-CANDIDATE_IDS = frozenset(range(len(_DECODE)))  # every scenario decodes over its whole table
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import DualModel, build_dual_attention, descend, parse_schedule, start_descent
-from .engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
+from .engineering import TARGET_ID, build_scenario
 from .errors import InvalidConfig, InvalidParameter, NormalizationDegenerate
 from .kernelmap import sample_feature_map
 from .metrics import hit_position
@@ -159,9 +159,7 @@ def run_fig7(cfg: ExperimentConfig) -> Fig7Report:
         def forward(seq, pos):
             return exact_attention(scen.params, seq, pos)
 
-        trace = generate(
-            forward, scen.seq, FIG7_STEPS, scen.vocab, CANDIDATE_IDS, exclude_emitted=True
-        )
+        trace = generate(forward, scen.seq, FIG7_STEPS, scen.vocab, exclude_emitted=True)
         report.hits[kind] = hit_position(trace.ids, TARGET_ID)
 
         # one full descent pass per generated token, logged against the

@@ -121,6 +121,10 @@ class OptimizerEnv:
     target_id: int
     candidate_mask: frozenset
 
+    def __post_init__(self):
+        for rows in (self.instr, self.leads):  # the cached properties below read them
+            rows.setflags(write=False)
+
     @cached_property
     def frame(self) -> SegmentedSequence:
         """Instruction rows, input embeddings and lead rows: ``build``'s one normalized stack."""
@@ -326,11 +330,10 @@ def run_two_stage(
             )
             donor = None
             if collapsed and config.perturbation_enabled:
-                # another path at random, and its latest demonstration, so that the
-                # injected content varies; ``integers`` draws as ``choice(others)`` does
-                others = [q for q in range(config.m) if q != p and last_demo[q] is not None]
-                if others:
-                    donor = last_demo[others[int(donor_rngs[p].integers(0, len(others)))]]
+                # another path at random (each has drawn by now, and m >= 2) lends its latest
+                # demonstration, so injected content varies; ``integers`` draws as ``choice``
+                others = [q for q in range(config.m) if q != p]
+                donor = last_demo[others[int(donor_rngs[p].integers(0, len(others)))]]
             demo = generator(
                 p, memories[p], rngs[p], env.vocab.size, config.demo_len, donor,
                 donor_rng=donor_rngs[p],

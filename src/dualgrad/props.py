@@ -136,27 +136,22 @@ def suite_metrics():
         yield ok, f"metric check {i} failed"
 
 
-SUITES = {
-    "kernelmap": lambda fault: suite_kernelmap(),
-    "rope": lambda fault: suite_rope(),
-    "attention": lambda fault: suite_attention(),
-    "dual": lambda fault: suite_dual(inject_fault=fault),
-    "linear-duality": lambda fault: suite_linear_duality(),
-    "metrics": lambda fault: suite_metrics(),
-}
-
-
-FAULTS = ("", "grad-sign")  # no fault, then each fault ``inject_fault`` can name
-
-
 def run_all(inject_fault: str = ""):
     """Run every suite; returns (all_passed, report_lines)."""
-    if inject_fault not in FAULTS:
+    if inject_fault not in ("", "grad-sign"):  # no fault, or a fault ``suite_dual`` injects
         raise InvalidConfig(f"unknown inject_fault {inject_fault!r}")
+    suites = {
+        "kernelmap": suite_kernelmap(),
+        "rope": suite_rope(),
+        "attention": suite_attention(),
+        "dual": suite_dual(inject_fault),
+        "linear-duality": suite_linear_duality(),
+        "metrics": suite_metrics(),
+    }
     lines = []
     all_passed = True
-    for name, fn in SUITES.items():
-        results = list(fn(inject_fault))
+    for name, suite in suites.items():
+        results = list(suite)
         msgs = [msg for ok, msg in results if not ok]
         status = "FAIL" if msgs else "PASS"
         lines.append(f"{status} {name}: {len(results) - len(msgs)} passed, {len(msgs)} failed")

@@ -60,8 +60,12 @@ class SegmentedSequence:
         for rows, tag in segments:
             if rows is not None and np.size(rows):  # an empty segment adds no row and no tag
                 rows = np.atleast_2d(np.asarray(rows, dtype=float))
+                if rows.ndim > 2:
+                    raise InvalidDimension(f"{tag.value} segment {rows.shape} is not (n, d_i)")
                 parts.append(rows)
                 tags += [tag] * rows.shape[0]
+        if not parts:
+            raise InvalidDimension("a sequence needs at least one token; every segment is empty")
         dims = {p.shape[1] for p in parts}
         if len(dims) != 1:
             raise InvalidDimension(f"segments disagree on embedding dim: {sorted(dims)}")

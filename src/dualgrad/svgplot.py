@@ -7,21 +7,6 @@ _MARGIN = 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
-def read_csv(text: str, path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of the CSV document ``text``; ``path`` names it in a ``ParseError``."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: missing header row")
-    header = lines[0].split(",")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells")
-        rows.append(cells)
-    return header, rows
-
-
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 

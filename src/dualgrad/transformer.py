@@ -228,35 +228,27 @@ def rope(position: int, d_o: int) -> np.ndarray:
     return out
 
 
-# d -> read-only rope multipliers C and S, (d, P), of positions 0..P-1, and the swap
-_ROPE_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _rope_table(d: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C, S and swap: rope(p, d) @ x = x * C[:, p] + x[swap] * S[:, p] for p < P, some P >= end.
+@cache
+def _rope_table(d: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only C, S and swap: rope(p, d) @ x = x * C[:, p] + x[swap] * S[:, p] for p < size.
 
     Rows 2j and 2j+1 hold cos of block j's angles in C, -sin and sin in S;
     swap exchanges them, and an odd d's last row (1 in C, 0 in S) stays.
-    Each d has one table, at ROPE_BASE.  A request past its end rebuilds it at twice
-    its size, so it grows with the longest position asked for.  Each element is the
+    ``_rotate`` asks for a power-of-two size, so each d holds one table per
+    power of two up to its longest position, at ROPE_BASE.  Each element is the
     product and the ``cos``/``sin`` call a table of exactly these positions would
-    make, so a slice has the bits of a fresh computation.
+    make, so a slice has the bits of a fresh computation at any size.
     """
-    table = _ROPE_TABLES.get(d)
-    if table is None or table[0].shape[1] < end:
-        size = max(end, 0 if table is None else 2 * table[0].shape[1])
-        angles = np.outer(ROPE_BASE ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
-        cos, sin = np.ones((d, size)), np.zeros((d, size))
-        cos[0 : d - 1 : 2] = cos[1::2] = np.cos(angles)
-        sin[1::2] = np.sin(angles)
-        sin[0 : d - 1 : 2] = -sin[1::2]
-        swap = np.arange(d)
-        swap[: d - d % 2] ^= 1
-        table = cos, sin, swap
-        for t in table:
-            t.flags.writeable = False
-        _ROPE_TABLES[d] = table
-    return table
+    angles = np.outer(ROPE_BASE ** (-2.0 * np.arange(d // 2) / d), np.arange(size))
+    cos, sin = np.ones((d, size)), np.zeros((d, size))
+    cos[0 : d - 1 : 2] = cos[1::2] = np.cos(angles)
+    sin[1::2] = np.sin(angles)
+    sin[0 : d - 1 : 2] = -sin[1::2]
+    swap = np.arange(d)
+    swap[: d - d % 2] ^= 1
+    for t in (cos, sin, swap):
+        t.flags.writeable = False
+    return cos, sin, swap
 
 
 def _rotate(x: np.ndarray, first: int) -> np.ndarray:
@@ -266,7 +258,7 @@ def _rotate(x: np.ndarray, first: int) -> np.ndarray:
     bitwise c a - s b and s a + c b for finite x; an odd d's last row is copied from x.
     """
     d, n = x.shape[-2:]
-    cos, sin, swap = _rope_table(d, first + n)
+    cos, sin, swap = _rope_table(d, 1 << (first + n - 1).bit_length())
     out = x * cos[:, first : first + n]
     out += x.take(swap, axis=-2) * sin[:, first : first + n]
     if d % 2:
@@ -421,8 +413,8 @@ class _FeatureCache:
     of ``phi_matrix`` run on every row the first time it is featurized.
 
     The cache also holds ``stack_trace``'s memo of its last result; ``clear``
-    empties both.  No lock guards it, nor ``_ROPE_TABLES``: callers on several
-    threads must hold one of their own around every kernel-mode call.
+    empties both.  No lock guards it: callers on several threads must hold
+    one of their own around every kernel-mode call.
     """
 
     def __init__(self, size: int):

@@ -21,12 +21,13 @@ from dualgrad.config import (
     format_cell,
     load_config,
     parse_config_text,
+    read_csv,
     read_text,
     write_text,
 )
 from dualgrad.errors import InvalidConfig, IoError, ParseError
 from dualgrad.experiments import TOY_CANDIDATES, ExperimentConfig
-from dualgrad.svgplot import line_chart, read_csv
+from dualgrad.svgplot import line_chart
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text("nonsense=1\n")
     assert main(["equiv", "--config", str(cfg)]) == 2
     assert main(["equiv", "--reps", "0"]) == 2
+
+
+def test_a_bad_mode_flag_and_a_bad_mode_key_print_the_same_line(tmp_path, capsys):
+    # the flag is typed as the config reads it; the config alone checks the value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode = bogus\n")
+    errs = []
+    for argv in (["equiv", "--mode", "bogus"], ["equiv", "--config", str(cfg)]):
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == ["config error: mode must be exact|kernel, got 'bogus'\n"] * 2
 
 
 @pytest.mark.parametrize("line, message", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrad.dual import build_dual_attention
-from dualgrad.engineering import CANDIDATE_IDS, TARGET_ID, build_scenario
+from dualgrad.engineering import TARGET_ID, build_scenario
 from dualgrad.errors import ConstructionFailed, InvalidConfig
 from dualgrad.experiments import (
     OPTIMIZE_HEADER,
@@ -50,7 +50,7 @@ def _scenario_env(kind: str) -> tuple[OptimizerEnv, int]:
         leads=leads,
         vocab=vocab,
         target_id=TARGET_ID,
-        candidate_mask=CANDIDATE_IDS,
+        candidate_mask=frozenset(range(scen.vocab.size)),  # the scenario's whole table
     )
     return env, first_demo_id
 

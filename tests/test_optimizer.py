@@ -383,6 +383,27 @@ def test_run_two_stage_matches_full_length_oracle(seed, perturbation):
     assert run_two_stage(cfg, env) == _run_two_stage_oracle(cfg, env)
 
 
+@pytest.mark.parametrize("perturbation", [True, False])
+def test_run_two_stage_matches_the_oracle_through_memory_evictions(perturbation):
+    # a path admits at most one entry per iteration, so only runs of more than
+    # MEMORY_CAPACITY iterations evict, and draw from a memory that has evicted
+    evictions = 0
+    admit = MemoryBank.admit
+
+    def counting_admit(bank, demo, score):
+        nonlocal evictions
+        evictions += len(bank.entries) == MEMORY_CAPACITY and score.value > 0.0
+        return admit(bank, demo, score)
+
+    for seed in range(10):
+        env = make_toy_env(100 + seed, d_i=8, d_o=6)
+        cfg = _config(iterations=40, master_seed=seed, perturbation_enabled=perturbation)
+        with mock.patch.object(MemoryBank, "admit", counting_admit):
+            trace = run_two_stage(cfg, env)
+        assert trace == _run_two_stage_oracle(cfg, env)
+    assert evictions > 0  # else these seeds no longer reach eviction: choose longer runs
+
+
 def test_evaluate_demo_stops_at_the_target():
     env = make_toy_env(8)
     calls = []
@@ -684,6 +705,17 @@ def test_vocabulary_tables_are_read_only():
     for table in (env.vocab.output_embeddings, env.vocab.input_embeddings):
         with pytest.raises(ValueError):
             table[0] += 1.0
+
+
+def test_env_instruction_and_lead_rows_are_read_only():
+    # the env's frame and slot tables are cached from these rows, as from the
+    # vocabulary's: an in-place write would leave stage 2 scoring the old rows
+    env = make_toy_env(0, 8, 6)
+    before = score_demos(env, [Demonstration((1, 2, 3, 4))], 5)
+    for rows in (env.instr, env.leads):
+        with pytest.raises(ValueError):
+            rows[:] = 0.0
+    assert score_demos(env, [Demonstration((1, 2, 3, 4))], 5) == before
 
 
 def test_score_demos_with_an_empty_candidate_mask_raises():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,24 @@ def test_dimension_mismatch_rejected():
         )
     with pytest.raises(InvalidDimension):
         _seq().append(np.ones(6))
+
+
+@pytest.mark.parametrize("segment, tag", [
+    ("instr", "T_instr"), ("demo", "D_curr"), ("per", "D_per"), ("leads", "T_lead"),
+])
+def test_a_segment_of_three_dimensions_is_named_with_its_shape(segment, tag):
+    parts = {"instr": np.ones((2, 3)), "demo": np.ones((2, 3)), "leads": np.ones((1, 3))}
+    parts[segment] = np.ones((2, 3, 3))
+    with pytest.raises(InvalidDimension, match=re.escape(f"{tag} segment (2, 3, 3) is not")):
+        SegmentedSequence.build(**parts)
+
+
+@pytest.mark.parametrize(
+    "empty", [np.zeros(0), [], np.zeros((0, 3))], ids=["zeros", "list", "rows"]
+)
+def test_a_sequence_of_empty_segments_is_rejected(empty):
+    with pytest.raises(InvalidDimension, match="needs at least one token"):
+        SegmentedSequence.build(empty, empty, empty, per=empty)
 
 
 @pytest.mark.parametrize("empty", [np.zeros(0), []], ids=["zeros", "list"])

@@ -57,7 +57,14 @@ from dualgrad.transformer import (
     stack_forward,
     stack_trace,
 )
-from dualgrad.transformer import _FEATURES, _ROPE_TABLES, _check_pos, _featurize, _qkv, _rotate
+from dualgrad.transformer import (
+    _FEATURES,
+    _check_pos,
+    _featurize,
+    _qkv,
+    _rope_table,
+    _rotate,
+)
 
 
 def _draw(seed, d_i=6, d_o=4, n_t=6, n_d=4):
@@ -156,35 +163,36 @@ def test_rotate_is_bitwise_the_positions_oracle(d, first, n, batch, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 3, (*batch, d, n))
     early = rng.normal(0, 3, (*batch, d, 3))
-    _ROPE_TABLES.pop(d, None)
+    _rope_table.cache_clear()
     try:
         before = _rotate(early, 1)  # a table of positions 0..3
-        got = _rotate(x, first)  # grows it past its end when first + n > 4
+        got = _rotate(x, first)  # a larger table when first + n > 4
         want = _rotate_oracle(x, np.arange(first, first + n))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        cos, sin, _ = _ROPE_TABLES[d]
-        assert cos.shape[1] >= max(4, first + n)
-        assert not (cos.flags.writeable or sin.flags.writeable)
-        # the grown table keeps the bits of the slices the smaller one gave
+        # the larger tables keep the bits of the slices the smaller one gave
         assert _rotate(early, 1).tobytes() == before.tobytes()
-    finally:  # a table grown to 3,080 positions would otherwise stay for the session
-        _ROPE_TABLES.pop(d, None)
+    finally:  # a table of 4,096 positions would otherwise stay for the session
+        _rope_table.cache_clear()
 
 
-def test_rope_table_grows_to_twice_its_size_and_is_read_only():
-    _ROPE_TABLES.pop(4, None)
+def test_rope_tables_are_cached_per_power_of_two_and_read_only():
+    _rope_table.cache_clear()
     try:
-        _rotate(np.ones((4, 5)), 0)
-        assert _ROPE_TABLES[4][0].shape == (4, 5)
-        _rotate(np.ones((4, 1)), 5)  # one past the end: twice the size
-        cos, sin, _ = _ROPE_TABLES[4]
-        assert cos.shape == sin.shape == (4, 10)
-        _rotate(np.ones((4, 30)), 0)  # further than twice: exactly what is asked
-        assert _ROPE_TABLES[4][0].shape == (4, 30)
-        with pytest.raises(ValueError):
-            cos[0, 0] = 0.0
-    finally:
-        _ROPE_TABLES.pop(4, None)
+        _rotate(np.ones((4, 5)), 0)  # positions 0..4: the table of 8
+        _rotate(np.ones((4, 1)), 7)  # position 7: the same table
+        _rotate(np.ones((4, 1)), 8)  # position 8: a table of 16 beside it
+        _rotate(np.ones((4, 30)), 0)  # positions 0..29: a table of 32
+        _rotate(np.ones((3, 1)), 0)  # position 0 of another dimension: a table of 1
+        assert _rope_table.cache_info()[:2] == (1, 4)  # hits, misses
+        for d, size in [(4, 8), (4, 16), (4, 32), (3, 1)]:
+            cos, sin, swap = _rope_table(d, size)  # a hit each: no table is built
+            assert cos.shape == sin.shape == (d, size) and swap.shape == (d,)
+            for t in (cos, sin, swap):
+                with pytest.raises(ValueError):
+                    t[0] = 0
+        assert _rope_table.cache_info()[:2] == (5, 4)
+    finally:  # later tests start from no tables
+        _rope_table.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
