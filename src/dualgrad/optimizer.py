@@ -185,7 +185,8 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     stopped at the target (the score reads only its first hit).  Every prompt
     grows by one token per step, so all prompts that have started and not yet
     left share one length N: each N makes one ``exact_attention_slots`` call on
-    a block of slots of ``env.tables``, numbered as the frame ``[instr; emb; leads]``.
+    a block of slots of ``env.tables``, numbered as the frame ``[instr; emb; leads]``:
+    the live prompts' rows in start order, compacted only on a step where one leaves.
     A prompt picks at most ``min(steps, candidates)`` tokens, so the tables grow
     first to the longest start plus that, less one: the longest prompt the call can
     reach.  After each call, one product over
@@ -200,37 +201,41 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     frame, (cand, table) = env.frame, env.candidates
     if not demos:
         return []
-    first = len(np.atleast_2d(env.instr))  # the slot of token id 0
-    leads = range(first + env.vocab.size, len(frame))
+    # the slot of token id 0: ``build`` adds no row for an instruction of no elements
+    first = len(np.atleast_2d(env.instr)) if np.size(env.instr) else 0
+    leads = list(range(first + env.vocab.size, len(frame)))
     ids = [_token_ids(d.ids + d.per_ids, env.vocab.size) for d in demos]
     end = first + max(map(len, ids)) + len(leads) + min(steps, len(cand))  # past the longest prompt
     slots = np.empty((len(demos), end), dtype=np.intp)
     slots[:, :first] = range(first)
     groups: dict[int, list[int]] = {}  # start length -> prompts
     for b, demo in enumerate(ids):
-        n0 = first + len(demo) + len(leads)
-        slots[b, first : n0 - len(leads)] = [first + int(i) for i in demo]
-        slots[b, n0 - len(leads) : n0] = leads
+        prompt = [first + int(i) for i in demo] + leads  # its slots past the instruction
+        n0 = first + len(prompt)
+        slots[b, first:n0] = prompt
         groups.setdefault(n0, []).append(b)
-    tables = env.tables.grow(end - 1)
+    tables, target, every = env.tables.grow(end - 1), env.target_id, list(range(len(cand)))
     hits: list[int | None] = [None] * len(demos)
-    active = []  # (prompt, start, remaining candidate indices) in start order
+    active, block = [], slots[:0]  # (prompt, start, remaining candidate indices), slot rows
     for n in range(min(groups), end):
-        active += [(b, n, list(range(len(cand)))) for b in groups.get(n, ())]
+        if n in groups:  # prompts that start here join in start order
+            active += [(b, n, every.copy()) for b in groups[n]]
+            block = np.concatenate((block, slots[groups[n]]))
         if not active:  # no prompt has this length
             continue
-        h = exact_attention_slots(tables, slots[:, :n].take([b for b, _, _ in active], axis=0))
+        h = exact_attention_slots(tables, block[:, :n])
         logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
         kept = []
-        for (b, n0, left), row in zip(active, logits):
+        for k, ((b, n0, left), row) in enumerate(zip(active, logits)):
             i = _first_max(row, left)
-            if cand[i] == env.target_id:
+            if cand[i] == target:
                 hits[b] = n - n0 + 1
             elif len(left) > 1 and n - n0 + 1 < steps:
                 left.remove(i)
-                kept.append((b, n0, left))
-                slots[b, n] = first + cand[i]
-        active = kept
+                kept.append(k)
+                block[k, n] = first + cand[i]
+        if len(kept) < len(active):  # a prompt left
+            active, block = [active[k] for k in kept], block.take(kept, axis=0)
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
 
 

@@ -305,12 +305,17 @@ def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.nda
 
 
 def _softmax(keys: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Softmax attention (B, d_o) of queries q (B, d_o, 1) over keys and values (B, d_o, N-1)."""
-    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / math.sqrt(keys.shape[1])
-    scores -= scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=1, keepdims=True)
-    return np.matmul(values, w[:, :, None])[:, :, 0]
+    """Softmax attention (B, d_o) of queries q (B, d_o, 1) over keys and values (B, d_o, N-1).
+
+    Works in place on the (B, N-1, 1) score block, which weights the values as it stands;
+    the ufunc reductions are the arithmetic of ``ndarray.max`` and ``.sum`` without their wrappers.
+    """
+    scores = np.matmul(keys.transpose(0, 2, 1), q)
+    scores /= math.sqrt(keys.shape[1])
+    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=1, keepdims=True)
+    return np.matmul(values, scores)[:, :, 0]
 
 
 def _project(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -338,9 +343,9 @@ def _width_free(d_o: int, d_i: int, end: int) -> bool:
 class SlotTables:
     """Keys, queries and values of the rows of ``rows`` (slots) at positions 1..P.
 
-    Keys and queries, turned by ``_rotate``, are flat C-order (P, d_o, S) tables, values a
-    flat (d_o, S) one: a block's flat indices are its slots plus ``offsets``.  Key and value
-    columns come from ``_project``, query columns from ``matvecs``, as ``_qkv``'s query.
+    Keys and queries, turned by ``_rotate``, and values, alike at every position, are flat
+    C-order (P, d_o, S) tables: a block's flat indices are its slots plus ``offsets``.  Key and
+    value columns come from ``_project``, query columns from ``matvecs``, as ``_qkv``'s query.
     """
 
     def __init__(self, params: AttentionParams, rows: np.ndarray):
@@ -358,7 +363,8 @@ class SlotTables:
                 k, q = (np.broadcast_to(t[:, :, None], (*t.shape, end))
                         for t in (_project(p.w_k, rows), matvecs(p.w_q, rows)))
                 self.keys, self.queries = (_rotate(t, 1).transpose(2, 1, 0).ravel() for t in (k, q))
-                self.values = _project(p.w_v, rows).T.ravel()
+                v = _project(p.w_v, rows).T
+                self.values = np.broadcast_to(v, (end, *v.shape)).ravel()
                 self.offsets = np.arange(0, end * p.d_o * len(rows), len(rows)).reshape(end, -1).T
         return self
 
@@ -375,7 +381,7 @@ def exact_attention_slots(tables: SlotTables, slots: np.ndarray) -> np.ndarray:
         return exact_attention_batch(tables.params, tables.rows[slots])
     at = slots[:, None, :] + tables.offsets[:, :n]
     ctx = at[:, :, :-1]
-    return _softmax(tables.keys.take(ctx), tables.values.take(ctx - tables.offsets[0, : n - 1]),
+    return _softmax(tables.keys.take(ctx), tables.values.take(ctx),
                     tables.queries.take(at[:, :, -1:]))
 
 

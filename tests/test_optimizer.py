@@ -653,13 +653,33 @@ def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
                 tied, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=12)
 
 
-@pytest.mark.parametrize("n_instr, n_leads", [(0, 2), (4, 0), (0, 1)])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), lengths=st.lists(st.integers(1, 7), min_size=2, max_size=6),
+       steps=st.integers(1, 3))
+# the 1-id prompt leaves after its second token, as the 3-id one joins the 2-id one
+@example(seed=0, lengths=[1, 2, 3], steps=2)
+# one token each: the block empties before every later start group joins
+@example(seed=5, lengths=[1, 1, 4, 6, 6], steps=1)
+def test_prompts_that_leave_before_a_later_start_joins_match_generation(seed, lengths, steps):
+    # starts spread wider than ``steps``: prompts leave stage 2's live block, which is
+    # compacted, before a longer start group is appended to it
+    env = make_toy_env(seed % 8)
+    rng = stream(seed, "leave-then-join")
+    demos = [Demonstration(tuple(rng.integers(0, env.vocab.size, m).tolist())) for m in lengths]
+    _assert_scores_match_generation(env, demos, steps)
+
+
+@pytest.mark.parametrize("n_instr, n_leads", [(0, 2), (4, 0), (0, 1), (None, 2), (4, None)])
 def test_frames_without_instruction_or_lead_rows_match_generation(n_instr, n_leads):
     # without leads a prompt ends on a demonstration id; with one row of frame,
-    # a one-id demonstration makes a 2-row prompt, which takes the row forward
+    # a one-id demonstration makes a 2-row prompt, which takes the row forward;
+    # None is a 1-D empty array, which build drops as it drops a (0, d_i) segment
+    def cut(rows, n):
+        return np.zeros(0) if n is None else rows[:n]
+
     for seed in range(3):
         env = make_toy_env(seed)
-        env = replace(env, instr=env.instr[:n_instr], leads=env.leads[:n_leads])
+        env = replace(env, instr=cut(env.instr, n_instr), leads=cut(env.leads, n_leads))
         _assert_scores_match_generation(
             env, [Demonstration(ids, per) for ids, per in _EDGE_DEMOS], steps=6)
 

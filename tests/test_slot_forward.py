@@ -9,10 +9,13 @@ not width-free and the forward takes the rows, so these tests hold under
 every kernel.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dualgrad.transformer as transformer_module
 from dualgrad.errors import InvalidIndex
@@ -20,7 +23,9 @@ from dualgrad.experiments import make_toy_env, random_attention
 from dualgrad.optimizer import Demonstration, score_demos
 from dualgrad.rng import stream
 from dualgrad.sequence import _unit_rows
-from dualgrad.transformer import SlotTables, exact_attention_batch, exact_attention_slots
+from dualgrad.transformer import (
+    SlotTables, _project, _qkv, exact_attention_batch, exact_attention_slots,
+)
 
 
 def _frame(rng, d_i, vocab):
@@ -71,10 +76,14 @@ def test_tables_grow_to_exactly_the_longest_prompt_asked_for():
     assert env.tables.positions == first + 3 + 5 - 1  # long enough already
     score_demos(env, [Demonstration((1, 2, 3), (4, 5))], 6)
     assert env.tables.positions == first + 5 + 6 - 1  # not doubled
-    if env.tables.width_free:  # else nothing is built, as under Prescott for this shape
-        s, d_o = len(env.tables.rows), env.params.d_o
-        assert env.tables.keys.shape == env.tables.queries.shape == ((first + 10) * d_o * s,)
-        assert env.tables.values.shape == (d_o * s,)
+    tables = env.tables
+    if tables.width_free:  # else nothing is built, as under Prescott for this shape
+        s, d_o = len(tables.rows), env.params.d_o
+        assert tables.keys.shape == tables.queries.shape == tables.values.shape \
+            == ((first + 10) * d_o * s,)
+        # values are held per position like keys, each position the same projected columns
+        want = _project(env.params.w_v, tables.rows).T.tobytes()
+        assert all(block.tobytes() == want for block in tables.values.reshape(-1, d_o, s))
 
 
 def test_tables_that_are_not_width_free_and_short_prompts_take_the_row_forward():
@@ -99,3 +108,30 @@ def test_a_one_row_prompt_raises_as_the_row_forward_does():
     tables = SlotTables(random_attention(rng, 6, 4), rows).grow(4)
     with pytest.raises(InvalidIndex):
         exact_attention_slots(tables, np.zeros((2, 1), dtype=np.intp))
+
+
+def _softmax_oracle(keys, values, q):
+    """``_softmax``'s arithmetic in plain form: fresh arrays and ndarray methods."""
+    scores = np.matmul(keys.transpose(0, 2, 1), q)[:, :, 0] / math.sqrt(keys.shape[1])
+    scores -= scores.max(axis=1, keepdims=True)
+    w = np.exp(scores)
+    w /= w.sum(axis=1, keepdims=True)
+    return np.matmul(values, w[:, :, None])[:, :, 0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), b=st.integers(1, 7), n=st.integers(2, 64),
+       d_o=st.integers(1, 32), d_i=st.integers(1, 12), scale=st.sampled_from([1e-3, 1.0, 40.0]),
+       nan=st.booleans())
+@example(seed=0, b=3, n=64, d_o=32, d_i=8, scale=40.0, nan=True)
+def test_softmax_is_bitwise_its_plain_form(seed, b, n, d_o, d_i, scale, nan):
+    # the slot and stage-2 tests compare forwards that share ``_softmax``: this one does not
+    rng = stream(seed, "softmax-oracle")
+    params = random_attention(rng, d_i, d_o)
+    tokens = rng.normal(0, scale, (b, n, d_i))
+    if nan:  # one prompt's row: its output is NaN, and no other prompt's may move
+        tokens[rng.integers(b), rng.integers(n), rng.integers(d_i)] = np.nan
+    got = exact_attention_batch(params, tokens)
+    assert got.tobytes() == _softmax_oracle(*_qkv(params, tokens)).tobytes()
+    assert np.isnan(got).any(axis=1).sum() == nan
