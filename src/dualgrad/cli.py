@@ -4,7 +4,7 @@
         [--reps <int>] [--mode exact|kernel] [--schedule per-token|fractional:<S>]
 
 The commands are the keys of ``_COMMANDS``; only ``plot`` takes ``<csv>``.
-Exit codes: 0 success, 1 suite/acceptance failure, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 suite, library or memory failure, 2 config error, 3 I/O error.
 ``DUALGRAD_SEED`` overrides the default master seed when no flag is given.
 """
 
@@ -160,4 +160,7 @@ def main(argv=None) -> int:
         return 3
     except DualgradError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an allocation too large for this process, e.g. a huge vocab_size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

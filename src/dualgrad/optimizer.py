@@ -22,7 +22,7 @@ from .errors import (
 )
 from .metrics import EffectDScore, effect_d
 from .rng import stream
-from .sequence import SegmentedSequence
+from .sequence import SegmentedSequence, Tag
 from .transformer import (
     AttentionParams, SlotTables, Vocabulary, _candidate_table, _token_ids, exact_attention_slots,
 )
@@ -184,25 +184,23 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
     Every id must be an integer in [0, V).  Greedy, emitted ids excluded,
     stopped at the target (the score reads only its first hit).  Every prompt
     grows by one token per step, so all prompts that have started and not yet
-    left share one length N: each N makes one ``exact_attention_slots`` call on
-    a block of slots of ``env.tables``, numbered as the frame ``[instr; emb; leads]``:
-    the live prompts' rows in start order, compacted only on a step where one leaves.
-    A prompt picks at most ``min(steps, candidates)`` tokens, so the tables grow
-    first to the longest start plus that, less one: the longest prompt the call can
-    reach.  After each call, one product over
-    the candidate table (``env.candidates``) gives every row's logits, and each
-    row picks in plain Python from its own list of remaining candidates, as
-    ``generate`` does: the first maximum, or the first NaN.  A prompt leaves on
-    the target, when out of candidates or after ``steps`` tokens.  Each score
-    is bitwise that of ``generate`` over ``SegmentedSequence.build``.
+    left share one length N: each N makes one ``exact_attention_slots`` call on the
+    live prompts' rows, in start order, of one array of slots of ``env.tables``,
+    numbered as the frame ``[instr; emb; leads]``.  A prompt picks at most
+    ``min(steps, candidates)`` tokens, so the tables grow first to the longest start
+    plus that, less one: the longest prompt the call can reach.  After each call, one
+    product over the candidate table (``env.candidates``) gives every row's logits,
+    and each row picks in plain Python from its own list of remaining candidates, as
+    ``generate`` does: the first maximum, or the first NaN.  A prompt leaves on the
+    target, when out of candidates or after ``steps`` tokens.  Each score is bitwise
+    that of ``generate`` over ``SegmentedSequence.build``.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
     frame, (cand, table) = env.frame, env.candidates
     if not demos:
         return []
-    # the slot of token id 0: ``build`` adds no row for an instruction of no elements
-    first = len(np.atleast_2d(env.instr)) if np.size(env.instr) else 0
+    first = frame.tags.index(Tag.D_CURR)  # the slot of token id 0
     leads = list(range(first + env.vocab.size, len(frame)))
     ids = [_token_ids(d.ids + d.per_ids, env.vocab.size) for d in demos]
     end = first + max(map(len, ids)) + len(leads) + min(steps, len(cand))  # past the longest prompt
@@ -216,26 +214,23 @@ def score_demos(env: OptimizerEnv, demos, steps: int) -> list[EffectDScore]:
         groups.setdefault(n0, []).append(b)
     tables, target, every = env.tables.grow(end - 1), env.target_id, list(range(len(cand)))
     hits: list[int | None] = [None] * len(demos)
-    active, block = [], slots[:0]  # (prompt, start, remaining candidate indices), slot rows
+    active = []  # (prompt, start, remaining candidate indices), in start order
     for n in range(min(groups), end):
-        if n in groups:  # prompts that start here join in start order
-            active += [(b, n, every.copy()) for b in groups[n]]
-            block = np.concatenate((block, slots[groups[n]]))
+        active += [(b, n, every.copy()) for b in groups.get(n, ())]  # prompts that start here
         if not active:  # no prompt has this length
             continue
-        h = exact_attention_slots(tables, block[:, :n])
+        h = exact_attention_slots(tables, slots[:, :n].take([b for b, _, _ in active], axis=0))
         logits = np.matmul(table, h[:, :, None])[:, :, 0].tolist()
         kept = []
-        for k, ((b, n0, left), row) in enumerate(zip(active, logits)):
+        for (b, n0, left), row in zip(active, logits):
             i = _first_max(row, left)
             if cand[i] == target:
                 hits[b] = n - n0 + 1
             elif len(left) > 1 and n - n0 + 1 < steps:
                 left.remove(i)
-                kept.append(k)
-                block[k, n] = first + cand[i]
-        if len(kept) < len(active):  # a prompt left
-            active, block = [active[k] for k in kept], block.take(kept, axis=0)
+                kept.append((b, n0, left))
+                slots[b, n] = first + cand[i]
+        active = kept
     return [EffectDScore(effect_d(pos), pos) for pos in hits]
 
 

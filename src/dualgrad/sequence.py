@@ -7,7 +7,6 @@ lead tokens form the "task" index set; every other token is a demonstration
 token, whose terms drive the dual model's gradient.
 """
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -90,13 +89,13 @@ class SegmentedSequence:
     def append(self, embedding: np.ndarray) -> "SegmentedSequence":
         """Return a new sequence with one lead token appended under the same norm policy.
 
-        A normalized sequence scales the row with ``_unit_rows``'s arithmetic, bit for bit.
+        A normalized sequence scales the row with ``_unit_rows``, as ``build`` does.
         """
         emb = np.asarray(embedding, dtype=float).reshape(1, -1)
         if emb.shape[1] != self.dim:
             raise InvalidDimension("appended embedding has wrong dimension")
         if self.normalized:
-            emb = emb / (math.sqrt(np.add.reduce(emb * emb, axis=1)[0]) or 1.0)
+            emb = _unit_rows(emb)
         tokens = np.concatenate((self.tokens, emb))
         return type(self)(tokens, self.tags + (Tag.T_LEAD,), self.normalized)
 

@@ -37,6 +37,7 @@ from .kernelmap import FourierFeatureMap, matvecs, phi_matrix
 from .sequence import SegmentedSequence
 
 DEGENERATE_EPS = 1e-12
+MAX_KAPPA = 10.0  # largest sum|w| / |sum w|: cancellation scales the normalizer's rounding by it
 ROPE_BASE = 10000.0  # RoFormer's rotary base: block j turns by p * ROPE_BASE^{-2j/d}
 
 
@@ -214,17 +215,11 @@ def rope(position: int, d_o: int) -> np.ndarray:
     if d_o < 1:
         raise InvalidDimension("d_o must be >= 1")
     out = np.eye(d_o)
-    half = d_o // 2
-    if half == 0:
-        return out
-    j = np.arange(half)
+    j = np.arange(d_o // 2)
     angles = position * ROPE_BASE ** (-2.0 * j / d_o)
     c, s = np.cos(angles), np.sin(angles)
-    for b in range(half):
-        out[2 * b, 2 * b] = c[b]
-        out[2 * b, 2 * b + 1] = -s[b]
-        out[2 * b + 1, 2 * b] = s[b]
-        out[2 * b + 1, 2 * b + 1] = c[b]
+    out[2 * j, 2 * j] = out[2 * j + 1, 2 * j + 1] = c
+    out[2 * j, 2 * j + 1], out[2 * j + 1, 2 * j] = -s, s
     return out
 
 
@@ -278,19 +273,15 @@ def _check_pos(seq: SegmentedSequence, query_pos: int) -> None:
 def _qkv(params: AttentionParams, tokens: np.ndarray):
     """Rotated keys, values (B, d_o, N-1) and rotated query (B, d_o, 1) of (B, N, d_i) tokens.
 
-    Keys and query are rotated together, as columns 1..N.  A stacked
-    ``np.matmul`` calls BLAS once per prompt with a lone prompt's strides, so
-    no prompt's bits depend on the others.  Keys and query are C-contiguous
-    copies: a strided view would change the BLAS path and last bits of the scores.
+    Keys sit at positions 1..N-1 and the query at N.  A stacked ``np.matmul``
+    calls BLAS once per prompt with a lone prompt's strides, so no prompt's
+    bits depend on the others.  ``_rotate`` returns fresh C-contiguous arrays:
+    a strided view would change the BLAS path and last bits of the scores.
     """
-    n = tokens.shape[1]
     context = tokens[:, :-1].transpose(0, 2, 1)
-    block = np.empty((len(tokens), params.d_o, n))
-    block[:, :, :-1] = np.matmul(params.w_k, context)
-    block[:, :, -1:] = np.matmul(params.w_q, tokens[:, -1, :, None])
-    block = _rotate(block, 1)
-    keys = np.ascontiguousarray(block[:, :, :-1])
-    return keys, np.matmul(params.w_v, context), block[:, :, -1:].copy()
+    keys = _rotate(np.matmul(params.w_k, context), 1)
+    query = _rotate(np.matmul(params.w_q, tokens[:, -1, :, None]), tokens.shape[1])
+    return keys, np.matmul(params.w_v, context), query
 
 
 def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.ndarray:
@@ -434,8 +425,6 @@ class _FeatureCache:
 
     def features(self, w: np.ndarray, fmap: FourierFeatureMap, rows: np.ndarray) -> np.ndarray:
         """Read-only (D, m) features of R_p W x for rows (m, d_i) at positions 1..m."""
-        if fmap.input_dim != w.shape[0]:
-            raise InvalidDimension("feature map input_dim must equal d_o")
         rows = np.asarray(rows, dtype=float)
         w = np.asarray(w, dtype=float)
         for hit in reversed(range(len(self.entries))):  # the most recent match
@@ -486,8 +475,9 @@ def _kernel_block(
     Returns values V (d_o, n-1), read-only key features (D, n-1) from
     ``_FEATURES``, query features (D, n-first+1), featurized after the keys,
     the unnormalized weights phi(K)' phi(q) of each query's preceding keys,
-    and their column sums; the first sum below ``DEGENERATE_EPS`` in size
-    raises ``NormalizationDegenerate``.  Keys and queries are pre-divided by
+    and their column sums.  The first sum whose size is below ``DEGENERATE_EPS``,
+    or below sum |w| / ``MAX_KAPPA`` (weights that cancel), raises
+    ``NormalizationDegenerate``.  Keys and queries are pre-divided by
     d_o^{1/4} so that feature inner products target exp(k.q / sqrt(d_o)).
     """
     feat_keys = _FEATURES.features(params.w_k, fmap, tokens[:-1])
@@ -499,7 +489,8 @@ def _kernel_block(
     if weights.shape[1] > 1:
         weights = np.triu(weights, 2 - first)
     denom = weights.sum(axis=0)
-    bad = np.flatnonzero(np.abs(denom) < DEGENERATE_EPS)
+    floor = np.maximum(np.add.reduce(np.abs(weights)) / MAX_KAPPA, DEGENERATE_EPS)
+    bad = np.flatnonzero(np.abs(denom) < floor)
     if bad.size:
         raise NormalizationDegenerate(
             f"normalization denominator {denom[bad[0]]:.3e} at position {first + bad[0]}"

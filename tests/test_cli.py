@@ -337,6 +337,19 @@ def test_malformed_input_exit_code_without_traceback(
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_an_allocation_failure_exits_1_with_one_stderr_line(monkeypatch, capsys):
+    # numpy raises a MemoryError when an array does not fit, as at a huge vocab_size
+    message = "Unable to allocate 763. MiB for an array with shape (100000, 1000)"
+
+    def optimize(cfg, args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "optimize", optimize)
+    monkeypatch.delenv("DUALGRAD_SEED", raising=False)
+    assert main(["optimize"]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"  # no traceback
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -658,24 +658,26 @@ def test_score_demos_matches_generation_on_tied_rows_of_wide_outputs(d_o):
        steps=st.integers(1, 3))
 # the 1-id prompt leaves after its second token, as the 3-id one joins the 2-id one
 @example(seed=0, lengths=[1, 2, 3], steps=2)
-# one token each: the block empties before every later start group joins
+# one token each: no prompt is live when each later start group joins
 @example(seed=5, lengths=[1, 1, 4, 6, 6], steps=1)
 def test_prompts_that_leave_before_a_later_start_joins_match_generation(seed, lengths, steps):
-    # starts spread wider than ``steps``: prompts leave stage 2's live block, which is
-    # compacted, before a longer start group is appended to it
+    # starts spread wider than ``steps``: prompts leave stage 2's live rows before a
+    # longer start group joins them, so a step's rows skip the prompts that left
     env = make_toy_env(seed % 8)
     rng = stream(seed, "leave-then-join")
     demos = [Demonstration(tuple(rng.integers(0, env.vocab.size, m).tolist())) for m in lengths]
     _assert_scores_match_generation(env, demos, steps)
 
 
-@pytest.mark.parametrize("n_instr, n_leads", [(0, 2), (4, 0), (0, 1), (None, 2), (4, None)])
+@pytest.mark.parametrize("n_instr, n_leads",
+                         [(0, 2), (4, 0), (0, 1), (None, 2), (4, None), ("row", 2), (4, "row")])
 def test_frames_without_instruction_or_lead_rows_match_generation(n_instr, n_leads):
     # without leads a prompt ends on a demonstration id; with one row of frame,
     # a one-id demonstration makes a 2-row prompt, which takes the row forward;
-    # None is a 1-D empty array, which build drops as it drops a (0, d_i) segment
+    # None is a 1-D empty array, which build drops as it drops a (0, d_i) segment;
+    # "row" is one 1-D row, which build makes a (1, d_i) segment
     def cut(rows, n):
-        return np.zeros(0) if n is None else rows[:n]
+        return np.zeros(0) if n is None else rows[0] if n == "row" else rows[:n]
 
     for seed in range(3):
         env = make_toy_env(seed)
