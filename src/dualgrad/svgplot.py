@@ -8,6 +8,8 @@ _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
 def _fmt(v: float) -> str:
+    if not abs(v) < float("inf"):  # a NaN or infinite cell, or a span that overflows
+        raise ParseError(f"cannot draw a point at {v}: every cell and span must be finite")
     return f"{v:.3f}"
 
 

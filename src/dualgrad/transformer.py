@@ -713,15 +713,47 @@ def _candidate_table(vocab: Vocabulary, mask) -> tuple[range | list[int], np.nda
     return ids, table
 
 
+def _screen_table(table: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``_pick``'s screen: a float32 copy and N, the largest row norm; None out of range."""
+    n = math.sqrt(np.einsum("ij,ij->i", table, table, dtype=float).max())
+    ok = table.shape[1] <= 1024 and 2.0**-40 <= n <= 2.0**40
+    return (table.astype(np.float32), n) if ok else None
+
+
+def _pick(table: np.ndarray, h: np.ndarray, left=None, screen=None) -> int:
+    """Row of the first maximum of the float64 logits ``table @ h``, among the rows ``left`` if given.
+
+    With ``screen`` (``_screen_table(table)``) and ||h|| in [2^-40, 2^40], each float32
+    logit s_i is within slack = (d + 4) 2^-24 N ||h|| of row i's float64 logit, in any
+    summation order, with or without FMA: the roundings of both operands, the products and
+    at most d - 1 sums add at most (d + 2) 2^-24 sum_j |t_ij h_j| <= (d + 2) 2^-24 N ||h||;
+    2 more units cover second-order terms (d <= 1024), underflow and float64's own error.
+    So if no other s_j is within 2 slack of the largest s_k, row k's float64 logit is
+    strictly the largest.  Otherwise (ties, near-ties, a NaN, inf or zero h) float64 decides.
+    """
+    if np.shape(h) != table.shape[1:]:
+        raise InvalidDimension(f"a hidden must have shape {table.shape[1:]}, got {np.shape(h)}")
+    if screen and 2.0**-40 <= (hn := float(np.linalg.norm(np.asarray(h, float)))) <= 2.0**40:
+        s = screen[0] @ np.asarray(h, np.float32)
+        s = s if left is None else s[left]
+        k = int(s.argmax())
+        cut = float(s[k]) - 2 * (len(h) + 4) * 2.0**-24 * screen[1] * hn
+        s[k] = -np.inf
+        if float(s[s.argmax()]) < cut:
+            return k if left is None else int(left[k])
+    logits = table @ h
+    return int(logits.argmax() if left is None else left[logits[left].argmax()])
+
+
 def decode(vocab: Vocabulary, h: np.ndarray, mask=None) -> int:
     """Greedy pick: the first maximum of the logits ``table @ h`` over ascending candidate ids.
 
     A BLAS may round two identical rows of the table differently (OpenBLAS's
     gemv does at d_o >= 8), so the smaller twin is not sure to win.
-    ``mask`` is any iterable of ids that ``_token_ids`` accepts (a set, or a 1-D int array).
+    ``mask`` is any iterable that ``_token_ids`` accepts (a set, a 1-D int array); ``h`` is (d_o,).
     """
     ids, table = _candidate_table(vocab, mask)
-    return ids[int((table @ h).argmax())]
+    return ids[_pick(table, h)]
 
 
 @dataclass(frozen=True)
@@ -747,18 +779,18 @@ def generate(
     items: an id is removed from the candidate set once emitted.  Each step
     picks as ``decode`` does over the candidate set (its first id is
     ``decode``'s), the emitted ids skipped by the argmax, not removed from the table.
+    ``_pick`` reads the pick from a float32 copy of the table wherever that copy proves it.
     """
     if steps < 1:
         raise InvalidParameter("steps must be >= 1")
     cand, table = _candidate_table(vocab, mask)
+    screen = _screen_table(table)
     left = np.arange(len(table)) if exclude_emitted else None  # table rows not yet emitted
     ids, hiddens, positions = [], [], []
     for _ in range(steps):
         pos = len(seq)
         h = forward(seq, pos)
-        logits = table @ h
-        i = int(logits.argmax() if left is None else left[logits[left].argmax()])
-        tok = cand[i]
+        tok = cand[i := _pick(table, h, left, screen)]
         ids.append(tok)
         hiddens.append(h)
         positions.append(pos)

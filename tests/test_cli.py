@@ -528,6 +528,27 @@ def test_plot_missing_column_exits_2(tmp_path):
     assert main(["plot", str(csv)]) == 2
 
 
+def _plot_exits_2_and_writes_nothing(tmp_path, capsys, text):
+    csv = tmp_path / "data.csv"
+    csv.write_text(text)
+    assert main(["plot", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot draw a point at ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "data.csv.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["step,se\n1,nan\n2,inf\n", "step,se\n1,0.5\n2,-inf\n", "step,se\nnan,0.5\n2,1\n"]
+)
+def test_plot_refuses_a_non_finite_cell(tmp_path, capsys, text):
+    _plot_exits_2_and_writes_nothing(tmp_path, capsys, text)
+
+
+def test_plot_refuses_a_finite_span_that_overflows(tmp_path, capsys):
+    # y1 - y0 = 2e308 overflows to inf, so each scaled coordinate is 0 or NaN
+    _plot_exits_2_and_writes_nothing(tmp_path, capsys, "step,se\n1,1e308\n2,-1e308\n")
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
 

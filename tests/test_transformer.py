@@ -1,3 +1,4 @@
+import re
 from contextlib import ExitStack, suppress
 from dataclasses import astuple, replace
 from types import SimpleNamespace
@@ -61,9 +62,11 @@ from dualgrad.transformer import (
     _FEATURES,
     _check_pos,
     _featurize,
+    _pick,
     _qkv,
     _rope_table,
     _rotate,
+    _screen_table,
 )
 
 
@@ -1366,3 +1369,130 @@ def test_generate_validates_steps():
     vocab = _vocab(rng, 6, 4, 5)
     with pytest.raises(InvalidParameter):
         generate(lambda s, p: exact_attention(params, s, p), seq, 0, vocab)
+
+
+# ---------------------------------------------------------------------------
+# the float32 screen of greedy picks: bitwise the float64 first maximum
+
+
+def _float64_pick(table, h, left=None):
+    logits = table @ h
+    return int(logits.argmax() if left is None else left[logits[left].argmax()])
+
+
+class _CountingTable(np.ndarray):
+    """A decode table that counts its float64 products with a hidden: ``_pick``'s fallbacks."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if self.dtype == np.float64:
+            type(self).products += 1
+        return np.asarray(self) @ other
+
+
+@st.composite
+def _screen_draws(draw):
+    """A table, a hidden and maybe a ``left`` subset, built to make the screen's proof fail."""
+    size, d = draw(st.integers(1, 300)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # near-twins twice as often: logits 2^-18 to 2^-30 apart are where a wrong slack shows
+    rows = draw(st.sampled_from(["normal", "integer", "twins", "near-twins", "near-twins"]))
+    if rows == "integer":  # every score exact, so equal scores tie exactly
+        table = rng.integers(-2, 3, (size, d)).astype(float)
+    else:
+        table = rng.normal(0, 1, (size, d))
+    hidden = draw(st.sampled_from(["normal", "integer", "row", "zero", "nan", "inf"]))
+    h = {
+        "normal": lambda: rng.normal(0, 1, d),
+        "integer": lambda: rng.integers(-2, 3, d).astype(float),
+        "row": lambda: table[rng.integers(size)] + rng.normal(0, 1e-3, d),  # a near-best row
+        "zero": lambda: np.zeros(d),
+        "nan": lambda: np.where(np.arange(d) == rng.integers(d), np.nan, rng.normal(0, 1, d)),
+        "inf": lambda: np.where(np.arange(d) == rng.integers(d), np.inf, rng.normal(0, 1, d)),
+    }[hidden]()
+    if rows != "normal" and size > 1:  # the best row gets twins, exact or about 2^-k apart
+        k = draw(st.integers(18, 30)) if rows == "near-twins" else None
+        with np.errstate(invalid="ignore"):
+            best = int(np.nan_to_num(table @ h).argmax())
+        for twin in rng.choice(size, int(rng.integers(1, min(size, 8) + 1)), replace=False):
+            table[twin] = table[best] + (0 if k is None else rng.normal(0, 2.0**-k, d))
+    # scales from 2^-48 to 2^48 cross the screen's range [2^-40, 2^40] on either side
+    table *= 2.0 ** draw(st.integers(-48, 48))
+    h *= 2.0 ** draw(st.integers(-48, 48))
+    left = None
+    if draw(st.booleans()):
+        left = np.sort(rng.choice(size, int(rng.integers(1, size + 1)), replace=False))
+    return table, h, left
+
+
+@settings(max_examples=600, deadline=None)
+@given(_screen_draws())
+def test_screened_pick_is_the_float64_first_maximum(draw):
+    table, h, left = draw
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _pick(table, h, left, _screen_table(table)) == _float64_pick(table, h, left)
+
+
+def test_screen_is_off_out_of_range():
+    table = np.random.default_rng(0).normal(0, 1, (20, 4))
+    assert _screen_table(table) is not None
+    assert _screen_table(table * 2.0**41) is None and _screen_table(table * 2.0**-42) is None
+    assert _screen_table(np.ones((3, 1025))) is None  # past d = 1024 the proof's spare units run out
+    assert _screen_table(np.zeros((3, 4))) is None
+
+
+def _fallbacks(table, h):
+    """The float64 products ``_pick`` ran to pick from ``table``, once its pick is checked."""
+    _CountingTable.products = 0
+    pick = _pick(table.view(_CountingTable), h, None, _screen_table(table))
+    assert pick == _float64_pick(table, h)
+    return _CountingTable.products
+
+
+def test_float64_product_runs_only_on_near_ties():
+    rng = np.random.default_rng(7)
+    separated = twins = 0
+    for _ in range(200):
+        table, h = rng.normal(0, 1, (1000, 16)), rng.normal(0, 1, 16)
+        separated += _fallbacks(table, h)
+        best = _float64_pick(table, h)
+        table[(best + 1) % 1000] = table[best]  # an exact twin of the best row: a tie
+        twins += _fallbacks(table, h)
+    assert (separated, twins) == (0, 200)
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_generate_at_the_benchmark_shape_matches_the_float64_argmax(exclude):
+    # long-generate's shape: V = 10,000, d = 16, D = 256, 200 tokens
+    rng = stream(33, "screen")
+    params = random_attention(rng, 16, 16)
+    fmap = sample_feature_map(16, 256, seed=int(rng.integers(2**31)))
+    vocab = _vocab(rng, 10_000, 16, 16)
+    seq = random_sequence(rng, 16, 14, 16, 2)
+    table = vocab.output_embeddings.view(_CountingTable)
+    with mock.patch.object(
+        transformer_module, "_candidate_table", lambda v, m: (range(v.size), table)
+    ):
+        _CountingTable.products = 0
+        trace = generate(
+            lambda s, p: kernel_attention(params, fmap, s, p), seq, 200, vocab,
+            exclude_emitted=exclude,
+        )
+    left = np.arange(vocab.size)
+    for tok, h in zip(trace.ids, trace.hiddens):
+        assert tok == _float64_pick(vocab.output_embeddings, h, left if exclude else None)
+        left = left[left != tok]
+    assert len(trace.ids) == 200 and _CountingTable.products == 0
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4), ()])
+def test_decode_and_generate_refuse_a_hidden_that_is_not_a_d_o_vector(shape):
+    rng = np.random.default_rng(0)
+    vocab = _vocab(rng, 6, 4, 3)
+    seq = SegmentedSequence(np.zeros((1, 3)), (Tag.T_INSTR,))
+    with pytest.raises(InvalidDimension, match=rf"shape \(4,\), got {re.escape(str(shape))}"):
+        decode(vocab, np.zeros(shape))
+    for exclude in (False, True):
+        with pytest.raises(InvalidDimension, match="shape"):
+            generate(lambda s, p: np.ones(shape), seq, 2, vocab, exclude_emitted=exclude)
