@@ -317,18 +317,17 @@ def _project(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _width_free(d_o: int, d_i: int, end: int) -> bool:
-    """Whether ``_qkv``'s context gemms of widths 2..end-1 give every column ``_project``'s bits.
+def _width_free(d_o: int, d_i: int, m: int) -> bool:
+    """Whether ``_qkv``'s context gemm of width m gives every column ``_project``'s bits.
 
-    A BLAS may take another path at another width or tail position (gemv at d_o = 1,
-    OpenBLAS's small-matrix kernel, edge tiles), and no path reads the data: random rows
-    settle it for a shape, each row at every position of a block of each width.
+    A BLAS may take another path at another width or tail position (gemv at d_o = 1 or
+    m = 1, OpenBLAS's small-matrix kernel, edge tiles), and no path reads the data: random
+    rows settle it for a shape, each row at every position of a width-m block.
     """
     rng = np.random.default_rng(0)
     w, x = rng.normal(size=(d_o, d_i)), rng.normal(size=(64, d_i))
-    spin, want = np.arange(64)[:, None], _project(w, x)
-    return all(_same_bits(np.matmul(w, x[at].transpose(0, 2, 1)), want[at].transpose(0, 2, 1))
-               for at in ((spin + np.arange(m)) % 64 for m in range(2, end)))
+    at = (np.arange(64)[:, None] + np.arange(m)) % 64
+    return _same_bits(np.matmul(w, x[at].transpose(0, 2, 1)), _project(w, x)[at].transpose(0, 2, 1))
 
 
 class SlotTables:
@@ -343,20 +342,16 @@ class SlotTables:
         self.params, self.rows, self.positions = params, rows, 0
 
     def grow(self, end: int) -> "SlotTables":
-        """Hold positions 1..end at least, rebuilt at exactly that length when longer.
-
-        Tables that are not width-free are never read, so they are not built.
-        """
+        """Hold positions 1..end at least, rebuilt at exactly that length when longer."""
         p, rows = self.params, self.rows
         if end > self.positions:
-            self.positions, self.width_free = end, _width_free(p.d_o, p.d_i, end)
-            if self.width_free:
-                k, q = (np.broadcast_to(t[:, :, None], (*t.shape, end))
-                        for t in (_project(p.w_k, rows), matvecs(p.w_q, rows)))
-                self.keys, self.queries = (_rotate(t, 1).transpose(2, 1, 0).ravel() for t in (k, q))
-                v = _project(p.w_v, rows).T
-                self.values = np.broadcast_to(v, (end, *v.shape)).ravel()
-                self.offsets = np.arange(0, end * p.d_o * len(rows), len(rows)).reshape(end, -1).T
+            self.positions = end
+            k, q = (np.broadcast_to(t[:, :, None], (*t.shape, end))
+                    for t in (_project(p.w_k, rows), matvecs(p.w_q, rows)))
+            self.keys, self.queries = (_rotate(t, 1).transpose(2, 1, 0).ravel() for t in (k, q))
+            v = _project(p.w_v, rows).T
+            self.values = np.broadcast_to(v, (end, *v.shape)).ravel()
+            self.offsets = np.arange(0, end * p.d_o * len(rows), len(rows)).reshape(end, -1).T
         return self
 
 
@@ -364,13 +359,13 @@ def exact_attention_slots(tables: SlotTables, slots: np.ndarray) -> np.ndarray:
     """``exact_attention_batch(tables.params, tables.rows[slots])``, bitwise, of a (B, N) int block.
 
     Keys, values (B, d_o, N-1) and query (B, d_o, 1) are gathered C-contiguous, as ``_qkv``
-    lays them out.  N < 3 (a 1-column context is gemv in ``_qkv``; N < 2 raises there)
-    and tables that are not width-free take the row forward.
+    lays them out.  N < 2 (which raises there) and a context width N-1 that is not
+    ``_width_free`` take the row forward.
     """
-    n = slots.shape[1]
-    if n < 3 or not tables.grow(n).width_free:
-        return exact_attention_batch(tables.params, tables.rows[slots])
-    at = slots[:, None, :] + tables.offsets[:, :n]
+    n, p = slots.shape[1], tables.params
+    if n < 2 or not _width_free(p.d_o, p.d_i, n - 1):
+        return exact_attention_batch(p, tables.rows[slots])
+    at = slots[:, None, :] + tables.grow(n).offsets[:, :n]
     ctx = at[:, :, :-1]
     return _softmax(tables.keys.take(ctx), tables.values.take(ctx),
                     tables.queries.take(at[:, :, -1:]))

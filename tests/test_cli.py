@@ -241,6 +241,14 @@ def test_an_unreadable_setting_exits_2_naming_its_type(tmp_path, capsys, line, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_eps_imp_exits_2_with_one_line(tmp_path, capsys, value):
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(f"eps_imp = {value}\n")
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: eps_imp must be finite, got {float(value)!r}\n"
+
+
 def test_a_text_setting_stays_text_with_its_spaces_stripped():
     assert parse_config_text("y = 3\nmode =  exact  \nreps =\t4 ") == {
         "y": "3", "mode": "exact", "reps": 4

@@ -129,6 +129,9 @@ def test_config_validation():
         _config(iterations=0)
     with pytest.raises(InvalidConfig):
         _config(tau_sim=0.0)
+    for eps_imp in (math.nan, math.inf, -math.inf):  # NaN never stalls; inf always does
+        with pytest.raises(InvalidConfig, match="eps_imp must be finite"):
+            _config(eps_imp=eps_imp)
     with pytest.raises(InvalidConfig):
         _config(m=1, perturbation_enabled=True)
     _config(m=1, perturbation_enabled=False)  # fine

@@ -4,9 +4,9 @@
 ``exact_attention_batch(params, rows[slots])`` for every block: prompts of
 2 to 64 rows, blocks of 1, 2 and 7 prompts, odd and even d_o, d_i up to 32,
 frames with zero rows and vocabularies of up to 10,000 ids.  Where a BLAS
-kernel makes a gemm column's bits depend on the gemm's width, the tables are
-not width-free and the forward takes the rows, so these tests hold under
-every kernel.
+kernel makes a gemm column's bits depend on the gemm's width, that context
+width is not ``_width_free`` and the forward takes the rows, so these tests
+hold under every kernel.
 """
 
 import math
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualgrad.optimizer as optimizer_module
 import dualgrad.transformer as transformer_module
 from dualgrad.errors import InvalidIndex
 from dualgrad.experiments import make_toy_env, random_attention
@@ -76,30 +77,61 @@ def test_tables_grow_to_exactly_the_longest_prompt_asked_for():
     assert env.tables.positions == first + 3 + 5 - 1  # long enough already
     score_demos(env, [Demonstration((1, 2, 3), (4, 5))], 6)
     assert env.tables.positions == first + 5 + 6 - 1  # not doubled
-    tables = env.tables
-    if tables.width_free:  # else nothing is built, as under Prescott for this shape
-        s, d_o = len(tables.rows), env.params.d_o
-        assert tables.keys.shape == tables.queries.shape == tables.values.shape \
-            == ((first + 10) * d_o * s,)
-        # values are held per position like keys, each position the same projected columns
-        want = _project(env.params.w_v, tables.rows).T.tobytes()
-        assert all(block.tobytes() == want for block in tables.values.reshape(-1, d_o, s))
+    tables, s, d_o = env.tables, len(env.tables.rows), env.params.d_o
+    assert tables.keys.shape == tables.queries.shape == tables.values.shape \
+        == ((first + 10) * d_o * s,)
+    # values are held per position like keys, each position the same projected columns
+    want = _project(env.params.w_v, tables.rows).T.tobytes()
+    assert all(block.tobytes() == want for block in tables.values.reshape(-1, d_o, s))
 
 
-def test_tables_that_are_not_width_free_and_short_prompts_take_the_row_forward():
+def test_only_context_widths_that_are_not_width_free_take_the_row_forward():
     rng = stream(0, "slot-fallback")
     rows = _frame(rng, 6, 24)
     params = random_attention(rng, 6, 4)
-    for width_free, n, rows_called in ((True, 5, False), (True, 2, True), (False, 5, True)):
-        slots = rng.integers(0, len(rows), (3, n))
-        with mock.patch.object(transformer_module, "_width_free", lambda *_: width_free), \
-                mock.patch.object(transformer_module, "exact_attention_batch",
-                                  wraps=exact_attention_batch) as spy:
-            tables = SlotTables(params, rows).grow(8)
+    tables = SlotTables(params, rows)
+    with mock.patch.object(transformer_module, "_width_free", lambda d_o, d_i, m: m not in (1, 4)):
+        for n in range(2, 9):
+            slots = rng.integers(0, len(rows), (3, n))
+            with mock.patch.object(transformer_module, "exact_attention_batch",
+                                   wraps=exact_attention_batch) as spy:
+                got = exact_attention_slots(tables, slots)
+            assert spy.called is (n in (2, 5)), n  # widths 1 and 4
+            assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes(), n
+
+
+def test_each_context_width_is_checked_once_and_only_when_a_block_reads_it():
+    env = make_toy_env(0)
+    first = len(env.instr) + len(env.leads)
+    check = transformer_module._width_free
+    check.cache_clear()
+    with mock.patch.object(transformer_module, "_width_free", wraps=check) as checks, \
+            mock.patch.object(optimizer_module, "exact_attention_slots",
+                              wraps=exact_attention_slots) as forward:
+        for demos in ([Demonstration((1, 2))], [Demonstration((1, 2, 3), (4, 5))],
+                      [Demonstration((6,)), Demonstration((7, 8, 9, 10))]):
+            score_demos(env, demos, 5)
+            read = {c.args[1].shape[1] - 1 for c in forward.call_args_list}
+            assert {c.args[2] for c in checks.call_args_list} == read
+            assert check.cache_info().misses == len(read)  # each width once
+    assert min(read) == first  # the one-token demonstration's context width; none below it
+
+
+def test_a_shape_free_at_some_widths_takes_the_row_forward_at_the_others():
+    rng = stream(11, "slot-mixed")
+    rows = _frame(rng, 11, 24)
+    params = random_attention(rng, 11, 1)
+    widths = range(1, 24)
+    free = {m for m in widths if transformer_module._width_free(1, 11, m)}
+    assert free and len(free) < len(widths)  # 4, 8, 12, ... under every kernel measured
+    tables = SlotTables(params, rows)
+    with mock.patch.object(transformer_module, "exact_attention_batch",
+                           wraps=exact_attention_batch) as spy:
+        for m in widths:
+            slots = rng.integers(0, len(rows), (3, m + 1))
             got = exact_attention_slots(tables, slots)
-        assert spy.called is rows_called
-        if not width_free or rows_called:
-            assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes()
+            assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes(), m
+    assert [c.args[1].shape[1] - 1 for c in spy.call_args_list] == [m for m in widths if m not in free]
 
 
 def test_a_one_row_prompt_raises_as_the_row_forward_does():
