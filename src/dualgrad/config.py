@@ -74,9 +74,9 @@ def load_config(kind: str, path: str | None, overrides: dict) -> ExperimentConfi
 
 
 def read_text(path: str) -> str:
-    """The file's text as UTF-8; a path that cannot be read or decoded is an ``IoError``."""
+    """The file's UTF-8 text less a leading BOM; a file not read or decoded is an ``IoError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

@@ -273,15 +273,17 @@ def _check_pos(seq: SegmentedSequence, query_pos: int) -> None:
 def _qkv(params: AttentionParams, tokens: np.ndarray):
     """Rotated keys, values (B, d_o, N-1) and rotated query (B, d_o, 1) of (B, N, d_i) tokens.
 
-    Keys sit at positions 1..N-1 and the query at N.  A stacked ``np.matmul``
-    calls BLAS once per prompt with a lone prompt's strides, so no prompt's
-    bits depend on the others.  ``_rotate`` returns fresh C-contiguous arrays:
-    a strided view would change the BLAS path and last bits of the scores.
+    Keys sit at positions 1..N-1 and the query at N.  Context rows are projected by
+    ``_project`` and each query by a stacked ``np.matmul``, as ``SlotTables`` projects
+    its rows, so no row's bits depend on the others.  The pieces are fresh C-contiguous
+    arrays: a strided view would change the BLAS path and last bits of the scores.
     """
-    context = tokens[:, :-1].transpose(0, 2, 1)
-    keys = _rotate(np.matmul(params.w_k, context), 1)
-    query = _rotate(np.matmul(params.w_q, tokens[:, -1, :, None]), tokens.shape[1])
-    return keys, np.matmul(params.w_v, context), query
+    b, n, d_i = tokens.shape
+    context = tokens[:, :-1].reshape(-1, d_i)
+    keys, values = (np.ascontiguousarray(_project(w, context).reshape(b, n - 1, len(w))
+                                         .transpose(0, 2, 1)) for w in (params.w_k, params.w_v))
+    query = _rotate(np.matmul(params.w_q, tokens[:, -1, :, None]), n)
+    return _rotate(keys, 1), values, query
 
 
 def exact_attention_batch(params: AttentionParams, tokens: np.ndarray) -> np.ndarray:
@@ -310,24 +312,10 @@ def _softmax(keys: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _project(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """W x (n, d_o) of rows x (n, d_i), by gemms of 64 columns in ``_qkv``'s call form."""
+    """W x (n, d_o) of rows x (n, d_i) by stacked 64-column gemms; each row's bits are its own."""
     pad = np.vstack((rows, np.zeros((-len(rows) % 64, rows.shape[1]))))
     cols = np.matmul(w, pad.reshape(-1, 64, pad.shape[1]).transpose(0, 2, 1))
     return cols.transpose(0, 2, 1).reshape(-1, len(w))[: len(rows)]
-
-
-@cache
-def _width_free(d_o: int, d_i: int, m: int) -> bool:
-    """Whether ``_qkv``'s context gemm of width m gives every column ``_project``'s bits.
-
-    A BLAS may take another path at another width or tail position (gemv at d_o = 1 or
-    m = 1, OpenBLAS's small-matrix kernel, edge tiles), and no path reads the data: random
-    rows settle it for a shape, each row at every position of a width-m block.
-    """
-    rng = np.random.default_rng(0)
-    w, x = rng.normal(size=(d_o, d_i)), rng.normal(size=(64, d_i))
-    at = (np.arange(64)[:, None] + np.arange(m)) % 64
-    return _same_bits(np.matmul(w, x[at].transpose(0, 2, 1)), _project(w, x)[at].transpose(0, 2, 1))
 
 
 class SlotTables:
@@ -335,7 +323,7 @@ class SlotTables:
 
     Keys and queries, turned by ``_rotate``, and values, alike at every position, are flat
     C-order (P, d_o, S) tables: a block's flat indices are its slots plus ``offsets``.  Key and
-    value columns come from ``_project``, query columns from ``matvecs``, as ``_qkv``'s query.
+    value columns come from ``_project`` and query columns from ``matvecs``, as in ``_qkv``.
     """
 
     def __init__(self, params: AttentionParams, rows: np.ndarray):
@@ -359,12 +347,12 @@ def exact_attention_slots(tables: SlotTables, slots: np.ndarray) -> np.ndarray:
     """``exact_attention_batch(tables.params, tables.rows[slots])``, bitwise, of a (B, N) int block.
 
     Keys, values (B, d_o, N-1) and query (B, d_o, 1) are gathered C-contiguous, as ``_qkv``
-    lays them out.  N < 2 (which raises there) and a context width N-1 that is not
-    ``_width_free`` take the row forward.
+    lays them out from the same projections, so the bits agree at every N >= 2.  N < 2
+    takes the row forward, which raises.
     """
-    n, p = slots.shape[1], tables.params
-    if n < 2 or not _width_free(p.d_o, p.d_i, n - 1):
-        return exact_attention_batch(p, tables.rows[slots])
+    n = slots.shape[1]
+    if n < 2:
+        return exact_attention_batch(tables.params, tables.rows[slots])
     at = slots[:, None, :] + tables.grow(n).offsets[:, :n]
     ctx = at[:, :, :-1]
     return _softmax(tables.keys.take(ctx), tables.values.take(ctx),

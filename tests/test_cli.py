@@ -274,6 +274,25 @@ def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys, argv):
     assert err.startswith(f"io error: cannot read {path}: ") and len(err.splitlines()) == 1
 
 
+def test_a_config_file_read_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfreps = 2\n")
+    assert main(["equiv", "--config", str(path)]) == 0
+    with_bom = capsys.readouterr().out
+    assert main(["equiv", "--reps", "2"]) == 0
+    assert with_bom == capsys.readouterr().out
+
+
+def test_plot_of_a_csv_with_a_byte_order_mark_draws_one_line_per_seed(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    assert main(["equiv", "--reps", "2", "--out", str(csv)]) == 0
+    assert main(["plot", str(csv)]) == 0
+    want = (tmp_path / "data.csv.svg").read_text()
+    csv.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+    assert main(["plot", str(csv)]) == 0
+    assert (tmp_path / "data.csv.svg").read_text() == want and want.count("<polyline") > 1
+
+
 @pytest.mark.parametrize(
     "argv", [["equiv", "--reps", "2"], ["optimize", "--seed", "1"], ["generate", "--seed", "0"]]
 )

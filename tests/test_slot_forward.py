@@ -3,10 +3,10 @@
 ``exact_attention_slots(tables, slots)`` must give the bytes of
 ``exact_attention_batch(params, rows[slots])`` for every block: prompts of
 2 to 64 rows, blocks of 1, 2 and 7 prompts, odd and even d_o, d_i up to 32,
-frames with zero rows and vocabularies of up to 10,000 ids.  Where a BLAS
-kernel makes a gemm column's bits depend on the gemm's width, that context
-width is not ``_width_free`` and the forward takes the rows, so these tests
-hold under every kernel.
+frames with zero rows and vocabularies of up to 10,000 ids.  Both forwards
+project context rows with ``_project`` and queries one row at a time, so the
+equality rests on one BLAS property, tested here too: a row's projected bits
+do not depend on the rows projected with it or on its place among them.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dualgrad.optimizer as optimizer_module
 import dualgrad.transformer as transformer_module
 from dualgrad.errors import InvalidIndex
 from dualgrad.experiments import make_toy_env, random_attention
@@ -85,53 +84,38 @@ def test_tables_grow_to_exactly_the_longest_prompt_asked_for():
     assert all(block.tobytes() == want for block in tables.values.reshape(-1, d_o, s))
 
 
-def test_only_context_widths_that_are_not_width_free_take_the_row_forward():
-    rng = stream(0, "slot-fallback")
-    rows = _frame(rng, 6, 24)
-    params = random_attention(rng, 6, 4)
+@pytest.mark.parametrize("d_i, d_o", [(11, 1), (32, 32)])
+def test_every_prompt_of_two_rows_or_more_takes_the_slot_forward(d_i, d_o):
+    # shapes where one gemm over a prompt's context rounds a column by the gemm's width
+    rng = stream(d_i * 100 + d_o, "slot-every-width")
+    rows = _frame(rng, d_i, 24)
+    params = random_attention(rng, d_i, d_o)
     tables = SlotTables(params, rows)
-    with mock.patch.object(transformer_module, "_width_free", lambda d_o, d_i, m: m not in (1, 4)):
-        for n in range(2, 9):
-            slots = rng.integers(0, len(rows), (3, n))
-            with mock.patch.object(transformer_module, "exact_attention_batch",
-                                   wraps=exact_attention_batch) as spy:
-                got = exact_attention_slots(tables, slots)
-            assert spy.called is (n in (2, 5)), n  # widths 1 and 4
-            assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes(), n
-
-
-def test_each_context_width_is_checked_once_and_only_when_a_block_reads_it():
-    env = make_toy_env(0)
-    first = len(env.instr) + len(env.leads)
-    check = transformer_module._width_free
-    check.cache_clear()
-    with mock.patch.object(transformer_module, "_width_free", wraps=check) as checks, \
-            mock.patch.object(optimizer_module, "exact_attention_slots",
-                              wraps=exact_attention_slots) as forward:
-        for demos in ([Demonstration((1, 2))], [Demonstration((1, 2, 3), (4, 5))],
-                      [Demonstration((6,)), Demonstration((7, 8, 9, 10))]):
-            score_demos(env, demos, 5)
-            read = {c.args[1].shape[1] - 1 for c in forward.call_args_list}
-            assert {c.args[2] for c in checks.call_args_list} == read
-            assert check.cache_info().misses == len(read)  # each width once
-    assert min(read) == first  # the one-token demonstration's context width; none below it
-
-
-def test_a_shape_free_at_some_widths_takes_the_row_forward_at_the_others():
-    rng = stream(11, "slot-mixed")
-    rows = _frame(rng, 11, 24)
-    params = random_attention(rng, 11, 1)
-    widths = range(1, 24)
-    free = {m for m in widths if transformer_module._width_free(1, 11, m)}
-    assert free and len(free) < len(widths)  # 4, 8, 12, ... under every kernel measured
-    tables = SlotTables(params, rows)
-    with mock.patch.object(transformer_module, "exact_attention_batch",
-                           wraps=exact_attention_batch) as spy:
-        for m in widths:
-            slots = rng.integers(0, len(rows), (3, m + 1))
+    for n in range(2, 25):
+        slots = rng.integers(0, len(rows), (3, n))
+        with mock.patch.object(transformer_module, "exact_attention_batch",
+                               wraps=exact_attention_batch) as spy:
             got = exact_attention_slots(tables, slots)
-            assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes(), m
-    assert [c.args[1].shape[1] - 1 for c in spy.call_args_list] == [m for m in widths if m not in free]
+        assert not spy.called, n
+        assert got.tobytes() == exact_attention_batch(params, rows[slots]).tobytes(), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), d_o=st.integers(1, 8), d_i=st.integers(1, 11),
+       n=st.integers(1, 150), k=st.integers(0, 10**6))
+@example(seed=0, d_o=1, d_i=11, n=1, k=0)
+@example(seed=1, d_o=8, d_i=11, n=150, k=149)  # every row, shuffled across three gemms
+def test_project_gives_each_row_its_bits_alone_in_any_subset_and_order(seed, d_o, d_i, n, k):
+    # the BLAS property both forwards rest on: a row's place among the gemm's columns,
+    # and the rows beside it, leave its bits alone
+    rng = stream(seed, "project-rows")
+    w, rows = rng.normal(0, 1, (d_o, d_i)), rng.normal(0, 1, (n, d_i))
+    every = _project(w, rows)
+    assert every.shape == (n, d_o)
+    pick = rng.permutation(n)[: 1 + k % n]
+    assert _project(w, rows[pick]).tobytes() == every[pick].tobytes()
+    for i in pick[:8]:
+        assert _project(w, rows[i : i + 1]).tobytes() == every[i : i + 1].tobytes()
 
 
 def test_a_one_row_prompt_raises_as_the_row_forward_does():

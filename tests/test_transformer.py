@@ -257,20 +257,41 @@ def test_query_token_is_excluded():
     assert np.allclose(exact_attention(params, other, pos), h, atol=1e-15)
 
 
-def _qkv_oracle(params, seq, query_pos):
-    """The former ``_qkv``: keys and query rotated by two separate calls."""
-    context = seq.tokens[: query_pos - 1].T
-    keys = _rotate_oracle(params.w_k @ context, np.arange(1, query_pos))
+def _qkv_oracle(params, seq, query_pos, project=lambda w, rows: w @ rows.T):
+    """The former ``_qkv``: keys and query rotated by two separate calls.
+
+    ``project(w, rows)`` gives the (d_o, n) context columns: by default one 2-D gemm
+    of width n, whose columns may round differently from ``_project``'s rows.
+    """
+    context = seq.tokens[: query_pos - 1]
+    keys = _rotate_oracle(project(params.w_k, context), np.arange(1, query_pos))
     q = params.w_q @ seq.tokens[query_pos - 1]
     q = _rotate_oracle(q[:, None], [query_pos])[:, 0]
-    return keys, params.w_v @ context, q
+    return keys, project(params.w_v, context), q
+
+
+def _row_project_oracle(w, rows):
+    """C-contiguous (d_o, n) columns W x, each row x projected alone in ``_project``'s
+    call form: a stacked gemm over a transposed (1, 64, d_i) block, zero but for x."""
+    cols = np.empty((len(w), len(rows)))
+    for i, x in enumerate(rows):
+        block = np.zeros((1, 64, len(x)))
+        block[0, 0] = x
+        cols[:, i] = np.matmul(w, block.transpose(0, 2, 1))[0, :, 0]
+    return cols
 
 
 def _stacked_qkv_oracle(params, tokens):
-    """``_qkv_oracle`` of each prompt in a (B, N, d_i) block, stacked as ``_qkv`` stacks."""
-    parts = [_qkv_oracle(params, SimpleNamespace(tokens=t), len(t)) for t in tokens]
+    """``_qkv_oracle`` by rows of each prompt in a (B, N, d_i) block, stacked as ``_qkv`` stacks."""
+    parts = [_qkv_oracle(params, SimpleNamespace(tokens=t), len(t), _row_project_oracle)
+             for t in tokens]
     keys, values, q = (np.stack(x) for x in zip(*parts))
     return keys, values, q[:, :, None]
+
+
+def _assert_close(got, want):
+    """The north star's bound for algebraic rewrites: 1e-12 relative error."""
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,22 +310,29 @@ def test_exact_attention_is_bitwise_the_two_rotation_oracle(seed, d_o, n, pos_dr
     seq = random_sequence(rng, 5, n - 1, 0, 1)
     pos = 2 + pos_draw % (n - 1)
     keys, values, q = _qkv(params, seq.tokens[None, :pos])
-    assert keys.flags.c_contiguous and q.flags.c_contiguous
-    for got, want in zip((keys[0], values[0], q[0, :, 0]), _qkv_oracle(params, seq, pos)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert keys.flags.c_contiguous and values.flags.c_contiguous and q.flags.c_contiguous
+    got = (keys[0], values[0], q[0, :, 0])
+    for g, want in zip(got, _qkv_oracle(params, seq, pos, _row_project_oracle)):
+        assert g.shape == want.shape and g.tobytes() == want.tobytes()
+    for g, want in zip(got, _qkv_oracle(params, seq, pos)):
+        _assert_close(g, want)
     with mock.patch.object(transformer_module, "_qkv", _stacked_qkv_oracle):
         want = exact_attention(params, seq, pos)
     assert exact_attention(params, seq, pos).tobytes() == want.tobytes()
 
 
-def _exact_attention_oracle(params, seq, query_pos):
-    """The former per-prompt ``exact_attention``: 2-D products, one prompt per call."""
-    context = seq.tokens[: query_pos - 1].T
+def _exact_attention_oracle(params, seq, query_pos, project=lambda w, rows: w @ rows.T):
+    """The former per-prompt ``exact_attention``: 2-D products, one prompt per call.
+
+    ``project`` gives the context columns, as in ``_qkv_oracle``.
+    """
+    context = seq.tokens[: query_pos - 1]
     block = np.empty((params.d_o, query_pos))
-    block[:, :-1] = params.w_k @ context
+    block[:, :-1] = project(params.w_k, context)
     block[:, -1] = params.w_q @ seq.tokens[query_pos - 1]
     block = _rotate_oracle(block, np.arange(1, query_pos + 1))
-    keys, values, q = np.ascontiguousarray(block[:, :-1]), params.w_v @ context, block[:, -1].copy()
+    keys, q = np.ascontiguousarray(block[:, :-1]), block[:, -1].copy()
+    values = project(params.w_v, context)
     scores = keys.T @ q / np.sqrt(params.d_o)
     scores -= scores.max()
     w = np.exp(scores)
@@ -336,9 +364,15 @@ def test_batched_exact_attention_is_bitwise_the_per_prompt_oracle(
     got = exact_attention_batch(params, buf[:, :pos])
     assert got.shape == (len(seqs), d_o)
     for row, seq in zip(got, seqs):
-        want = _exact_attention_oracle(params, seq, pos)
+        want = _exact_attention_oracle(params, seq, pos, _row_project_oracle)
         assert row.tobytes() == want.tobytes()
         assert exact_attention(params, seq, pos).tobytes() == want.tobytes()
+        _assert_close(row, _exact_attention_oracle(params, seq, pos))
+
+
+def test_an_empty_block_has_no_rows():
+    params = random_attention(stream(0, "batch"), 3, 2)
+    assert exact_attention_batch(params, np.ones((0, 5, 3))).shape == (0, 2)
 
 
 def test_batched_exact_attention_validates_the_block():
